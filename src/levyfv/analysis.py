@@ -17,7 +17,8 @@ from .measures import DyadicA, DyadicB, FractionalRadial, LevyMeasure
 from .multiplier import MultiplierEval
 from .problem import DiffusionFn
 from .scheme import Trajectory, l1_series
-from .stencil import apply_stencil, bilinear_energy, build_stencil
+from .stencil import apply_stencil, bilinear_energy, build_stencil, \
+    row_blocks
 
 
 @dataclass
@@ -79,8 +80,12 @@ def order_preservation_check(traj_u: Trajectory, traj_v: Trajectory,
 
 def mass_budget_check(traj: Trajectory, tol: float = 1e-12) -> CheckResult:
     """Bookkeeping identity: per step, the interior mass change equals the
-    boundary flux difference plus the nonlocal exchange (recomputed here with
-    an independent reduction order)."""
+    boundary flux difference plus the nonlocal exchange.
+
+    This is the per-offset oracle for the convolution in `apply_stencil`: the
+    exchange is recomputed here offset by offset (an independent reduction
+    order) and never through `apply_stencil`.  Steps are processed in blocks
+    of bounded size, so no temporary spans the whole trajectory."""
     from .scheme import _numerical_flux, _tail_value
     grid = traj.grid
     spec = traj.spec
@@ -91,28 +96,28 @@ def mass_budget_check(traj: Trajectory, tol: float = 1e-12) -> CheckResult:
     b = spec.diffusion.b
     s = traj.stencil
     h = grid.n_halo
+    n = grid.n
     worst = 0.0
-    for n in range(len(traj.times) - 1):
-        u = traj.states[n]
-        du = (traj.states[n + 1, grid.interior] - u[grid.interior])
-        mass_change = grid.dx * float(du.sum())
-        fhat = flux_pair(u[h - 1:h + grid.n], u[h:h + grid.n + 1])
-        boundary = -dt * float(fhat[-1] - fhat[0])
+    for rows in row_blocks(len(traj.times) - 1, grid.n_full):
+        u = traj.states[rows]
+        nxt = traj.states[rows.start + 1:rows.stop + 1, grid.interior]
+        mass_change = grid.dx * (nxt - u[:, grid.interior]).sum(axis=1)
+        fhat = flux_pair(u[:, h - 1:h + n], u[:, h:h + n + 1])
+        boundary = -dt * (fhat[:, -1] - fhat[:, 0])
         bf = b(u)
-        tail = (0.0 if traj.config.tail_mode == "drop"
-                else _tail_value(traj.disc, bf))
-        center = bf[grid.interior]
-        exchange = 0.0
+        center = bf[:, grid.interior]
+        exchange = np.zeros(u.shape[0])
         for j, w in zip(s.offsets, s.weights):  # grouped by offset, not cell
             if w == 0.0:
                 continue
-            exchange += w * float((bf[h + j:h + j + grid.n]
-                                   + bf[h - j:h - j + grid.n]
-                                   - 2.0 * center).sum())
+            exchange += w * (bf[:, h + j:h + j + n] + bf[:, h - j:h - j + n]
+                             - 2.0 * center).sum(axis=1)
         if s.tau != 0.0 and traj.config.tail_mode != "drop":
-            exchange += s.tau * float((tail - center).sum())
+            tail = _tail_value(traj.disc, bf)
+            exchange += s.tau * (tail[:, None] - center).sum(axis=1)
         exchange *= dt * grid.dx
-        worst = max(worst, abs(mass_change - boundary - exchange))
+        worst = max(worst, float(np.abs(mass_change - boundary
+                                        - exchange).max()))
     scale = max(1.0, float(np.abs(traj.interior()).max()))
     return CheckResult("mass_budget", worst <= tol * scale, -worst,
                        {"worst_defect": worst, "tol": tol})
@@ -158,22 +163,26 @@ def energy_report(traj: Trajectory) -> dict:
     rhs_transport = 0.0
     rhs_operator = 0.0
     from .scheme import _tail_value
-    for n in range(len(traj.times) - 1):
-        t = float(traj.times[n])
-        u = traj.states[n, grid.interior]
-        e = np.asarray(ext.value(t, x), dtype=float)
-        et = np.asarray(ext.dt(t, x), dtype=float)
-        egrad = np.asarray(ext.grad(t, x), dtype=float)
-        sgn = np.sign(u - e)
-        f_big = sgn * (f(u) - f(e))
-        rhs_transport -= dt * dx * float(
-            np.sum(((u - e) * et + f_big * egrad) * bprime(e)))
-        b_ext_full = b(np.asarray(ext.value(t, grid.x_full()), dtype=float))
+    xf = grid.x_full()
+    for rows in row_blocks(len(traj.times) - 1, grid.n_full):
+        ext_full = np.empty((rows.stop - rows.start, grid.n_full))
+        for i, n in enumerate(range(rows.start, rows.stop)):
+            t = float(traj.times[n])
+            u = traj.states[n, grid.interior]
+            e = np.asarray(ext.value(t, x), dtype=float)
+            et = np.asarray(ext.dt(t, x), dtype=float)
+            egrad = np.asarray(ext.grad(t, x), dtype=float)
+            sgn = np.sign(u - e)
+            f_big = sgn * (f(u) - f(e))
+            rhs_transport -= dt * dx * float(
+                np.sum(((u - e) * et + f_big * egrad) * bprime(e)))
+            ext_full[i] = ext.value(t, xf)
+        b_ext_full = b(ext_full)
         tail = (0.0 if traj.config.tail_mode == "drop"
                 else _tail_value(traj.disc, b_ext_full))
         op = apply_stencil(b_ext_full, traj.stencil, grid.n_halo,
                            tail_value=tail)
-        rhs_operator += dt * dx * float(np.sum(op * gamma[n]))
+        rhs_operator += dt * dx * float(np.sum(op * gamma[rows]))
 
     rhs = rhs_initial + rhs_transport + rhs_operator
     return {"lhs": lhs, "rhs": rhs, "slack": rhs - lhs,
@@ -323,11 +332,11 @@ def entropy_residual(traj: Trajectory, measure: LevyMeasure, family, levels,
     bu_all = b(u_all)
     from .scheme import _tail_value
     op_big = np.empty_like(u_int)
-    for n in range(u_all.shape[0]):
+    for rows in row_blocks(u_all.shape[0], grid.n_full):
         tail = (0.0 if traj.config.tail_mode == "drop"
-                else _tail_value(traj.disc, bu_all[n]))
-        op_big[n] = apply_stencil(bu_all[n], stencil_r, grid.n_halo,
-                                  tail_value=tail)
+                else _tail_value(traj.disc, bu_all[rows]))
+        op_big[rows] = apply_stencil(bu_all[rows], stencil_r, grid.n_halo,
+                                     tail_value=tail)
 
     bnd_x, bnd_w = spec.domain.boundary_nodes()
     u0 = traj.states[0, grid.interior]

@@ -38,7 +38,13 @@ def _load_config(path):
 
 
 def _reference(raw, loader):
-    """A reference is a preset name, an inline mapping, or a JSON file path."""
+    """A reference is a preset name, an inline mapping (a dict, or a JSON
+    object given as a string), or a JSON file path."""
+    if isinstance(raw, str) and raw.lstrip().startswith("{"):
+        try:
+            raw = json.loads(raw)
+        except json.JSONDecodeError as exc:
+            raise ConfigParse(f"cannot parse inline JSON: {exc}") from exc
     if isinstance(raw, dict):
         return loader(raw)
     if isinstance(raw, str) and (raw.endswith(".json") or os.path.sep in raw):

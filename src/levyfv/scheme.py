@@ -24,7 +24,8 @@ from .errors import CflViolation, ConfigMismatch, DegenerateGrid, \
 from .measures import FractionalRadial, LevyMeasure, ScaledMeasure, \
     weighted_tv_distance, zero_measure
 from .problem import DiscreteProblem, ProblemSpec, diffusion_zero, discretize
-from .stencil import StencilWeights, apply_stencil, build_stencil
+from .stencil import StencilWeights, apply_stencil, build_stencil, \
+    row_blocks
 
 
 @dataclass(frozen=True)
@@ -96,8 +97,10 @@ def cfl_max_dt(spec: ProblemSpec, stencil: StencilWeights, dx: float,
 
 
 def _tail_value(disc, bfield):
+    """Mean of b over the two halos; one value per row of `bfield`."""
     h = disc.grid.n_halo
-    return 0.5 * (float(bfield[:h].mean()) + float(bfield[-h:].mean()))
+    return 0.5 * (bfield[..., :h].mean(axis=-1)
+                  + bfield[..., -h:].mean(axis=-1))
 
 
 def step(u_full: np.ndarray, disc: DiscreteProblem, stencil: StencilWeights,
@@ -267,12 +270,12 @@ def picard_solve(spec: ProblemSpec, measure: LevyMeasure,
     def frozen_source(traj_states):
         """Jump term of each stored state, interior-sized, one row per step."""
         out = np.empty((n_steps, disc.grid.n))
-        for n in range(n_steps):
-            bfield = bfun(traj_states[n])
+        for rows in row_blocks(n_steps, disc.grid.n_full):
+            bfield = bfun(traj_states[rows])
             tail = (0.0 if config.tail_mode == "drop"
                     else _tail_value(disc, bfield))
-            out[n] = apply_stencil(bfield, stencil, disc.grid.n_halo,
-                                   tail_value=tail)
+            out[rows] = apply_stencil(bfield, stencil, disc.grid.n_halo,
+                                      tail_value=tail)
         return out
 
     # iterate 0: the zero trajectory (halo still carries the exterior datum)

@@ -20,6 +20,8 @@ from .errors import BadRadii, HaloTooSmall, ShapeMismatch
 from .measures import LevyMeasure
 from .multiplier import MultiplierEval
 
+BLOCK_VALUES = 1 << 16       # values per block of rows in batched passes
+
 
 @dataclass(frozen=True)
 class StencilWeights:
@@ -103,43 +105,55 @@ def build_stencil(measure: LevyMeasure, dx: float, r: float, Z: float,
 
 
 def apply_stencil(values: np.ndarray, s: StencilWeights, n_halo: int,
-                  tail_value: float = 0.0, exterior=None) -> np.ndarray:
+                  tail_value=0.0) -> np.ndarray:
     """Apply the discrete operator on interior cells.
 
-    `values` covers interior plus `n_halo` halo cells per side (shifts act on
-    the last axis).  Shifts leaving the stored halo read `exterior`, an array
-    of `max_offset - n_halo` extension cells per side; without it the call
-    fails.  Returns sum_j w_j (v(x + j dx) - v(x)) + tau (tail_value - v(x)).
+    `values` covers interior plus `n_halo >= max_offset` halo cells per side;
+    shifts act on the last axis and leading axes (e.g. time) are a batch.
+    `tail_value` is a scalar or one value per row (shape `values.shape[:-1]`).
+    Returns sum_j w_j (v(x + j dx) - v(x)) + tau (tail_value - v(x)).
 
-    Increments are accumulated per offset in ascending order, so constants map
-    to exactly zero.
+    The shifts are one convolution with the symmetric kernel
+    [w_J .. w_1, -2 sum w, w_1 .. w_J], J the last nonzero offset, taken
+    directly row by row.  Each row's first interior value is subtracted
+    before convolving; the kernel sums to zero, so a constant field
+    convolves zeros and maps to exactly zero.  A stencil without nonzero
+    weights does no convolution.
     """
-    J = s.max_offset
-    if n_halo < J:
-        if exterior is None:
-            raise HaloTooSmall(
-                f"halo {n_halo} < stencil reach {J} and no extension given")
-        left, right = exterior
-        pad = J - n_halo
-        if np.shape(left)[-1] != pad or np.shape(right)[-1] != pad:
-            raise ShapeMismatch("extension width must be max_offset - n_halo")
-        values = np.concatenate([left, values, right], axis=-1)
-        n_halo = J
+    values = np.asarray(values, dtype=float)
+    if n_halo < s.max_offset:
+        raise HaloTooSmall(f"halo {n_halo} < stencil reach {s.max_offset}")
     n_int = values.shape[-1] - 2 * n_halo
     if n_int <= 0:
         raise ShapeMismatch("no interior cells")
     c0 = n_halo
     center = values[..., c0:c0 + n_int]
-    out = np.zeros_like(center)
-    for j, w in zip(s.offsets, s.weights):
-        if w == 0.0:
-            continue
-        plus = values[..., c0 + j:c0 + j + n_int]
-        minus = values[..., c0 - j:c0 - j + n_int]
-        out += w * ((plus - center) + (minus - center))
+    nonzero = np.flatnonzero(s.weights)
+    if nonzero.size:
+        last = nonzero[-1] + 1
+        J = int(s.offsets[last - 1])
+        w = np.zeros(J)
+        w[s.offsets[:last] - 1] = s.weights[:last]
+        kernel = np.concatenate([w[::-1], [-2.0 * w.sum()], w])
+        seg = values[..., c0 - J:c0 + n_int + J] - values[..., c0:c0 + 1]
+        rows = seg.reshape(-1, seg.shape[-1])
+        out = np.empty((rows.shape[0], n_int))
+        for i, row in enumerate(rows):
+            out[i] = np.convolve(row, kernel, "valid")
+        out = out.reshape(center.shape)
+    else:
+        out = np.zeros_like(center)
     if s.tau != 0.0:
-        out += s.tau * (tail_value - center)
+        out += s.tau * (np.asarray(tail_value)[..., None] - center)
     return out
+
+
+def row_blocks(n_rows: int, row_len: int) -> list:
+    """Slices cutting `n_rows` rows of `row_len` values into blocks of about
+    BLOCK_VALUES values, so a batched pass over stored steps never builds a
+    temporary as large as the whole trajectory."""
+    step = max(1, BLOCK_VALUES // max(row_len, 1))
+    return [slice(i, min(i + step, n_rows)) for i in range(0, n_rows, step)]
 
 
 def bilinear_energy(phi: np.ndarray, psi: np.ndarray,

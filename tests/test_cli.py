@@ -121,6 +121,30 @@ def test_config_file_with_inline_measure(tmp_path):
                  "--out", str(tmp_path / "o")]) == 0
 
 
+def test_inline_json_measure_and_problem_flags(tmp_path):
+    measure = json.dumps({"kind": "atoms", "entries": [[0.125, 0.5]]})
+    problem = json.dumps({"flux": "burgers", "diffusion": "identity",
+                          "data": "riemann", "T": 0.2})
+    out = tmp_path / "o"
+    assert main(["run", "--mode", "solve", "--problem", problem,
+                 "--measure", measure, "--dx", "0.03125", "--Z", "0.25",
+                 "--auto-cfl", "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["checks"]["mass_budget"]["pass"]
+
+
+def test_malformed_inline_json_exit_2(tmp_path, capsys):
+    assert main(["run", "--mode", "solve", "--problem", "burgers_riemann",
+                 "--measure", '{"kind": "atoms", "entries": [[0.125, 0.5]',
+                 "--dx", "0.03125", "--Z", "0.25", "--auto-cfl",
+                 "--out", str(tmp_path / "o")]) == 2
+    assert "inline JSON" in capsys.readouterr().err
+    assert main(["stencil", "--measure", "{kind: atoms}", "--dx", "0.1",
+                 "--r", "0.1", "--Z", "1",
+                 "--out", str(tmp_path / "st.csv")]) == 2
+    assert "inline JSON" in capsys.readouterr().err
+
+
 def test_run_solve_reports_contraction_check(tmp_path):
     out = tmp_path / "solve2"
     assert main(["run", "--mode", "solve", "--problem", "burgers_riemann",

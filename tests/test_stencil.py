@@ -4,7 +4,7 @@ from scipy import integrate
 
 from levyfv.errors import BadRadii, HaloTooSmall, ShapeMismatch
 from levyfv.measures import (AtomicSymmetric, FractionalRadial, single_atom,
-                             truncate)
+                             truncate, zero_measure)
 from levyfv.multiplier import MultiplierEval
 from levyfv.stencil import (apply_stencil, bilinear_energy, build_stencil,
                             fourier_energy_check)
@@ -61,6 +61,13 @@ def test_apply_constant_is_exactly_zero():
     v = np.full(64, 2.25)
     out = apply_stencil(v, st, n_halo=10, tail_value=2.25)
     assert np.all(out == 0.0)
+    # a batch of constant rows, with a tail and one tail value per row
+    st = build_stencil(truncate(FractionalRadial(alpha=1.0), 0.02)[1],
+                       0.01, 0.02, 0.1)
+    assert st.tau > 0.0
+    rows = np.repeat(np.array([[2.25], [-0.7], [1e6]]), 64, axis=1)
+    out = apply_stencil(rows, st, n_halo=10, tail_value=rows[:, 0])
+    assert np.all(out == 0.0)
 
 
 def test_apply_linear_in_field():
@@ -115,6 +122,57 @@ def test_apply_truncated_fractional_vs_quadrature_oracle():
     # absorbs the alignment of the clipped boundary cell with r
     assert errs[256] <= 4.0 * errs[128] / 4.0
     assert errs[1024] <= 4.0 * errs[128] / 64.0
+
+
+def _apply_per_offset(values, st, n_halo, tail_value):
+    """Reference operator, accumulated offset by offset."""
+    n_int = values.shape[-1] - 2 * n_halo
+    center = values[..., n_halo:n_halo + n_int]
+    out = np.zeros_like(center)
+    for j, w in zip(st.offsets, st.weights):
+        out += w * ((values[..., n_halo + j:n_halo + j + n_int] - center)
+                    + (values[..., n_halo - j:n_halo - j + n_int] - center))
+    return out + st.tau * (np.asarray(tail_value)[..., None] - center)
+
+
+@pytest.mark.parametrize("kind", ["atoms", "atoms_with_tail", "fractional"])
+@pytest.mark.parametrize("n_int,K", [(40, 8), (12, 30)])
+@pytest.mark.parametrize("rows", [None, 4])
+def test_apply_matches_per_offset_loop(kind, n_int, K, rows):
+    rng = np.random.default_rng(1000 * K + 10 * n_int + (rows or 0))
+    dx = 1.0 / 64
+    Z = K * dx
+    if kind == "fractional":
+        r = 2 * dx
+        measure = truncate(FractionalRadial(alpha=1.3), r)[1]
+    else:
+        r = dx
+        radii = rng.uniform(dx, Z, size=6)
+        if kind == "atoms_with_tail":
+            radii[-1] = Z + 3 * dx           # beyond Z: lumped into tau
+        measure = AtomicSymmetric(entries=tuple(
+            (float(z), float(w))
+            for z, w in zip(radii, rng.uniform(0.1, 2.0, size=6))))
+    st = build_stencil(measure, dx, r, Z)
+    assert (st.tau != 0.0) == (kind != "atoms")
+    shape = (n_int + 2 * K,) if rows is None else (rows, n_int + 2 * K)
+    values = 1.5 + 3.0 * rng.normal(size=shape)
+    tail = (float(rng.normal()) if rows is None
+            else rng.normal(size=rows))
+    got = apply_stencil(values, st, n_halo=K, tail_value=tail)
+    want = _apply_per_offset(values, st, K, tail)
+    assert got.shape == want.shape
+    bound = 1e-12 * (st.weight_sum + st.tau) * np.abs(values).max()
+    assert np.abs(got - want).max() <= bound
+
+
+def test_apply_zero_measure_wide_reach_is_exactly_zero():
+    dx = 1.0 / 4096
+    st = build_stencil(zero_measure(), dx, dx, 1024 * dx)
+    assert st.max_offset == 1024
+    v = np.random.default_rng(5).normal(size=(2, 64 + 2 * 1024))
+    assert np.all(apply_stencil(v, st, n_halo=1024) == 0.0)
+    assert np.all(apply_stencil(v[0], st, n_halo=1024) == 0.0)
 
 
 def test_apply_halo_too_small():
