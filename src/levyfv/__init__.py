@@ -18,7 +18,7 @@ from .measures import (
     weighted_tv_distance,
     zero_measure,
 )
-from .multiplier import MultiplierEval, multiplier, multiplier_inf_estimate
+from .multiplier import MultiplierEval, multiplier_inf_estimate
 from .stencil import (
     StencilWeights,
     apply_stencil,

@@ -16,9 +16,9 @@ from .errors import MissingExtensionDerivatives
 from .measures import DyadicA, DyadicB, FractionalRadial, LevyMeasure
 from .multiplier import MultiplierEval
 from .problem import DiffusionFn
-from .scheme import Trajectory, l1_series
-from .stencil import apply_stencil, bilinear_energy, build_stencil, \
-    row_blocks
+from .scheme import Trajectory, _numerical_flux, _tail_value, jump_term, \
+    l1_series
+from .stencil import bilinear_energy, build_stencil, row_blocks
 
 
 @dataclass
@@ -86,7 +86,6 @@ def mass_budget_check(traj: Trajectory, tol: float = 1e-12) -> CheckResult:
     exchange is recomputed here offset by offset (an independent reduction
     order) and never through `apply_stencil`.  Steps are processed in blocks
     of bounded size, so no temporary spans the whole trajectory."""
-    from .scheme import _numerical_flux, _tail_value
     grid = traj.grid
     spec = traj.spec
     dt = float(traj.times[1] - traj.times[0])
@@ -162,7 +161,6 @@ def energy_report(traj: Trajectory) -> dict:
 
     rhs_transport = 0.0
     rhs_operator = 0.0
-    from .scheme import _tail_value
     xf = grid.x_full()
     for rows in row_blocks(len(traj.times) - 1, grid.n_full):
         ext_full = np.empty((rows.stop - rows.start, grid.n_full))
@@ -177,11 +175,8 @@ def energy_report(traj: Trajectory) -> dict:
             rhs_transport -= dt * dx * float(
                 np.sum(((u - e) * et + f_big * egrad) * bprime(e)))
             ext_full[i] = ext.value(t, xf)
-        b_ext_full = b(ext_full)
-        tail = (0.0 if traj.config.tail_mode == "drop"
-                else _tail_value(traj.disc, b_ext_full))
-        op = apply_stencil(b_ext_full, traj.stencil, grid.n_halo,
-                           tail_value=tail)
+        op = jump_term(b(ext_full), traj.disc, traj.stencil,
+                       traj.config.tail_mode)
         rhs_operator += dt * dx * float(np.sum(op * gamma[rows]))
 
     rhs = rhs_initial + rhs_transport + rhs_operator
@@ -330,13 +325,10 @@ def entropy_residual(traj: Trajectory, measure: LevyMeasure, family, levels,
     u_all = traj.states[:-1]
     u_int = u_all[:, grid.interior]
     bu_all = b(u_all)
-    from .scheme import _tail_value
     op_big = np.empty_like(u_int)
     for rows in row_blocks(u_all.shape[0], grid.n_full):
-        tail = (0.0 if traj.config.tail_mode == "drop"
-                else _tail_value(traj.disc, bu_all[rows]))
-        op_big[rows] = apply_stencil(bu_all[rows], stencil_r, grid.n_halo,
-                                     tail_value=tail)
+        op_big[rows] = jump_term(bu_all[rows], traj.disc, stencil_r,
+                                 traj.config.tail_mode)
 
     bnd_x, bnd_w = spec.domain.boundary_nodes()
     u0 = traj.states[0, grid.interior]

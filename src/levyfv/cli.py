@@ -39,17 +39,20 @@ def _load_config(path):
 
 def _reference(raw, loader):
     """A reference is a preset name, an inline mapping (a dict, or a JSON
-    object given as a string), or a JSON file path."""
+    object given as a string), or a JSON file path.  Missing or ill-typed
+    entries are config errors."""
     if isinstance(raw, str) and raw.lstrip().startswith("{"):
         try:
             raw = json.loads(raw)
         except json.JSONDecodeError as exc:
             raise ConfigParse(f"cannot parse inline JSON: {exc}") from exc
-    if isinstance(raw, dict):
+    elif isinstance(raw, str) and (raw.endswith(".json")
+                                   or os.path.sep in raw):
+        raw = _load_config(raw)
+    try:
         return loader(raw)
-    if isinstance(raw, str) and (raw.endswith(".json") or os.path.sep in raw):
-        return loader(_load_config(raw))
-    return loader(raw)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigParse(f"bad entry in {raw!r}: {exc!r}") from exc
 
 
 def _json_default(obj):
@@ -114,19 +117,22 @@ def write_gallery_csv(path, rows):
 # ---------------------------------------------------------------------------
 
 def _scheme_config(cfg):
-    return SchemeConfig(
-        dx=float(cfg["dx"]),
-        r=float(cfg.get("r", cfg["dx"])),
-        Z=float(cfg.get("Z", 1.0)),
-        dt=None if cfg.get("auto_cfl", True) and "dt" not in cfg
-        else float(cfg["dt"]),
-        numerical_flux={"eo": "engquist_osher",
-                        "lf": "lax_friedrichs"}.get(cfg.get("flux", "eo"),
-                                                    cfg.get("flux", "eo")),
-        tail_mode=cfg.get("tail_mode", "exterior_mean"),
-        store_every=int(cfg.get("store_every", 1)),
-        enforce_cfl=bool(cfg.get("enforce_cfl", True)),
-    )
+    try:
+        return SchemeConfig(
+            dx=float(cfg["dx"]),
+            r=float(cfg.get("r", cfg["dx"])),
+            Z=float(cfg.get("Z", 1.0)),
+            dt=None if cfg.get("auto_cfl", True) and "dt" not in cfg
+            else float(cfg["dt"]),
+            numerical_flux={"eo": "engquist_osher",
+                            "lf": "lax_friedrichs"}.get(cfg.get("flux", "eo"),
+                                                        cfg.get("flux", "eo")),
+            tail_mode=cfg.get("tail_mode", "exterior_mean"),
+            store_every=int(cfg.get("store_every", 1)),
+            enforce_cfl=bool(cfg.get("enforce_cfl", True)),
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigParse(f"bad scheme config: {exc!r}") from exc
 
 
 def cmd_run(cfg, out_dir) -> int:
@@ -244,23 +250,9 @@ def cmd_run(cfg, out_dir) -> int:
 # suites
 # ---------------------------------------------------------------------------
 
-def thread_count() -> int:
-    try:
-        return max(1, int(os.environ.get("LEVYFV_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def _run_checks(checks):
-    """Evaluate (name, fn) pairs, fanning out over LEVYFV_THREADS workers;
-    results are collected in declaration order either way."""
-    workers = thread_count()
-    if workers == 1:
-        return {name: bool(fn()) for name, fn in checks}
-    from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [(name, pool.submit(fn)) for name, fn in checks]
-        return {name: bool(f.result()) for name, f in futures}
+    """Evaluate (name, fn) pairs in declaration order."""
+    return {name: bool(fn()) for name, fn in checks}
 
 
 def _suite_appendix(out_dir):

@@ -49,10 +49,6 @@ class DegenerateGrid(LevyFvError):
     """Grid has no interior cells or nonpositive spacing."""
 
 
-class EmptyInterior(LevyFvError):
-    """Domain mask classifies no cell as interior."""
-
-
 # -- time stepping ------------------------------------------------------------
 
 class CflViolation(LevyFvError):

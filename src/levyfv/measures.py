@@ -7,7 +7,7 @@ mu on {|z| >= r} is the same measure with `lo` raised to r.
 
 Kinds
 -----
-FractionalRadial   power-law density c |z|^(-d-alpha), the stable family
+FractionalRadial   power-law density c |z|^(-1-alpha), the stable family
 AtomicSymmetric    finite list of mirrored atom pairs (one representative each)
 DyadicA            atoms at 2^-k with pair weight 1 (infinite mass, moment 1/3)
 DyadicB            atoms at 2^-k with pair weight 2^k (infinite mass, moment 1)
@@ -29,6 +29,7 @@ import numpy as np
 from scipy import integrate
 
 from .errors import (
+    ConfigParse,
     DivergentLevyMoment,
     MassAtOrigin,
     NonSymmetric,
@@ -37,11 +38,6 @@ from .errors import (
 )
 
 _INF = math.inf
-
-
-def sphere_surface(dim: int) -> float:
-    """Surface measure of the unit sphere in R^dim (2 for dim = 1)."""
-    return 2.0 * math.pi ** (dim / 2.0) / math.gamma(dim / 2.0)
 
 
 @dataclass(frozen=True)
@@ -79,10 +75,6 @@ class LevyMeasure:
     def _side_cell_mass(self, a, b, budget) -> float:
         """One-sided mass of [a, b] for 1-d continuous kinds, else None."""
         return None
-
-    @property
-    def dim(self) -> int:
-        return 1
 
     def validate(self) -> None:
         """Structural checks; kinds with atom lists override."""
@@ -152,11 +144,10 @@ class LevyMeasure:
         return self._multiplier(xi, a, b, ia, ib, budget, tol)
 
     def multiplier_values(self, xis, budget=60, tol=1e-8) -> np.ndarray:
-        """Vectorized symbol over scalar frequencies (atomic kinds evaluate
-        the whole grid at once; quadrature kinds and vector frequencies fall
-        back to a loop)."""
+        """Vectorized symbol over frequencies (atomic kinds evaluate the whole
+        grid at once; quadrature kinds fall back to a loop)."""
         xis = np.atleast_1d(np.asarray(xis, dtype=float))
-        atoms = self.atoms_between(budget=budget) if xis.ndim == 1 else None
+        atoms = self.atoms_between(budget=budget)
         if atoms is not None:
             if not atoms:
                 return np.zeros_like(xis)
@@ -190,7 +181,7 @@ class LevyMeasure:
 
 @dataclass(frozen=True)
 class FractionalRadial(LevyMeasure):
-    """Density coeff * |z|^(-dim-alpha) on R^dim, alpha in (0, 2).
+    """Density coeff * |z|^(-1-alpha) on the line, alpha in (0, 2).
 
     The normalization constant is a free parameter (default 1); nothing in the
     package bakes in a particular convention.
@@ -198,7 +189,6 @@ class FractionalRadial(LevyMeasure):
 
     alpha: float = 1.0
     coeff: float = 1.0
-    ndim: int = 1
 
     def __post_init__(self):
         if not 0.0 < self.alpha < 2.0:
@@ -206,12 +196,9 @@ class FractionalRadial(LevyMeasure):
         if self.coeff <= 0:
             raise ValueError("coeff must be positive")
 
-    @property
-    def dim(self) -> int:
-        return self.ndim
-
     def _coef(self) -> float:
-        return self.coeff * sphere_surface(self.ndim)
+        """coeff times the two sides of the line."""
+        return 2.0 * self.coeff
 
     def _mass(self, a, b, ia, ib, budget):
         if a <= 0.0:
@@ -227,17 +214,12 @@ class FractionalRadial(LevyMeasure):
         return self._coef() * (b ** p - a ** p) / p
 
     def _side_cell_mass(self, a, b, budget):
-        # one side of the line; dim 1 only
-        if self.ndim != 1:
-            raise NotImplementedError("cell masses only in one dimension")
+        # one side of the line
         al = self.alpha
         upper = 0.0 if b == _INF else b ** -al
         return self.coeff * (a ** -al - upper) / al
 
     def _multiplier(self, xi, a, b, ia, ib, budget, tol):
-        if self.ndim != 1:
-            raise NotImplementedError(
-                "radial symbol quadrature implemented in one dimension only")
         return _power_law_multiplier(abs(float(xi)), a, b, self.alpha,
                                      self.coeff, budget, tol)
 
@@ -332,66 +314,47 @@ class AtomicSymmetric(LevyMeasure):
     def validate(self) -> None:
         seen = {}
         for entry in self.entries:
-            z, w = entry[0], entry[1]
+            z, w = float(entry[0]), entry[1]
             if len(entry) > 2 and not entry[2]:
                 raise NonSymmetric(f"atom at z={z} declared unmirrored")
-            zv = np.atleast_1d(np.asarray(z, dtype=float))
-            if float(np.linalg.norm(zv)) == 0.0:
+            if z == 0.0:
                 raise MassAtOrigin("atom at z=0")
             if w <= 0:
                 raise NonSymmetric(f"atom at z={z} has nonpositive weight {w}")
-            key = tuple(zv)
-            mirror = tuple(-zv)
-            if mirror in seen and seen[mirror] != w:
-                raise NonSymmetric(
-                    f"conflicting mirror atoms at ±{np.abs(zv)}")
-            seen[key] = w
-
-    @property
-    def dim(self) -> int:
-        if not self.entries:
-            return 1
-        z = np.atleast_1d(np.asarray(self.entries[0][0], dtype=float))
-        return z.size
+            if -z in seen and seen[-z] != w:
+                raise NonSymmetric(f"conflicting mirror atoms at ±{abs(z)}")
+            seen[z] = w
 
     def _pairs(self):
-        """Normalized (radius, direction vector, side weight) list."""
+        """Merged (radius, side weight) list, ascending in radius."""
         merged = {}
         for entry in self.entries:
-            zv = np.atleast_1d(np.asarray(entry[0], dtype=float))
-            rad = float(np.linalg.norm(zv))
-            key = tuple(np.abs(zv)) if zv.size > 1 else (abs(float(zv[0])),)
-            prev = merged.get(key)
-            if prev is None:
-                merged[key] = [rad, zv, float(entry[1])]
-            else:
-                prev[2] += float(entry[1])
-        return sorted(merged.values(), key=lambda t: t[0])
+            rad = abs(float(entry[0]))
+            merged[rad] = merged.get(rad, 0.0) + float(entry[1])
+        return sorted(merged.items())
 
     def _in_band(self, rad, a, b, ia, ib):
         return ((rad > a or (rad == a and ia)) and
                 (rad < b or (rad == b and ib)))
 
     def _mass(self, a, b, ia, ib, budget):
-        return sum(2.0 * w for rad, _, w in self._pairs()
+        return sum(2.0 * w for rad, w in self._pairs()
                    if self._in_band(rad, a, b, ia, ib))
 
     def _second(self, a, b, ia, ib, budget):
-        return sum(2.0 * w * rad ** 2 for rad, _, w in self._pairs()
+        return sum(2.0 * w * rad ** 2 for rad, w in self._pairs()
                    if self._in_band(rad, a, b, ia, ib))
 
     def _multiplier(self, xi, a, b, ia, ib, budget, tol):
-        xiv = np.atleast_1d(np.asarray(xi, dtype=float))
+        x = float(xi)
         total = 0.0
-        for rad, zv, w in self._pairs():
+        for rad, w in self._pairs():
             if self._in_band(rad, a, b, ia, ib):
-                total += 2.0 * w * (1.0 - math.cos(float(xiv @ zv)))
+                total += 2.0 * w * (1.0 - math.cos(x * rad))
         return total
 
     def _atoms(self, a, b, ia, ib, budget):
-        if self.dim != 1:
-            return None
-        return [(rad, w) for rad, _, w in self._pairs()
+        return [(rad, w) for rad, w in self._pairs()
                 if self._in_band(rad, a, b, ia, ib)]
 
 
@@ -527,10 +490,6 @@ class RadialDensity(LevyMeasure):
 class SumMeasure(LevyMeasure):
     parts: tuple = ()
 
-    @property
-    def dim(self) -> int:
-        return self.parts[0].dim if self.parts else 1
-
     def validate(self) -> None:
         for p in self.parts:
             p.validate()
@@ -577,10 +536,6 @@ class ScaledMeasure(LevyMeasure):
     def __post_init__(self):
         if self.factor <= 0:
             raise ValueError("scale factor must be positive")
-
-    @property
-    def dim(self) -> int:
-        return self.inner.dim
 
     def validate(self) -> None:
         self.inner.validate()
@@ -646,10 +601,7 @@ def _atom_dict(leaves, budget):
     """Radius -> total per-side weight for the purely atomic leaves."""
     out = {}
     for coef, leaf in leaves:
-        atoms = leaf.atoms_between(budget=budget)
-        if atoms is None:
-            return None
-        for rad, w in atoms:
+        for rad, w in leaf.atoms_between(budget=budget):
             out[rad] = out.get(rad, 0.0) + coef * w
     # merge near-identical radii produced by different expressions
     merged = {}
@@ -681,16 +633,12 @@ def weighted_tv_distance(mu1: LevyMeasure, mu2: LevyMeasure,
     distance splits cleanly.  Continuous parts are compared in closed form
     when they share a power law, by quadrature otherwise.
     """
-    if mu1.dim != mu2.dim:
-        raise UnsupportedPair("dimension mismatch")
     a1, c1 = _split_leaves(mu1)
     a2, c2 = _split_leaves(mu2)
     total = 0.0
 
     d1 = _atom_dict(a1, budget)
     d2 = _atom_dict(a2, budget)
-    if d1 is None or d2 is None:
-        raise UnsupportedPair("atoms in dimension > 1 are not comparable")
     for rad in set(d1) | set(d2):
         w1 = _lookup(d1, rad)
         w2 = _lookup(d2, rad)
@@ -713,8 +661,8 @@ def _lookup(d, rad):
 
 def _continuous_tv(c1, c2, budget):
     if all(isinstance(leaf, FractionalRadial) for _, leaf in c1 + c2):
-        params1 = {(leaf.alpha, leaf.ndim) for _, leaf in c1}
-        params2 = {(leaf.alpha, leaf.ndim) for _, leaf in c2}
+        params1 = {leaf.alpha for _, leaf in c1}
+        params2 = {leaf.alpha for _, leaf in c2}
         if len(params1 | params2) == 1 and len(c1) <= 1 and len(c2) <= 1:
             # same power law: |c1 1_W1 - c2 1_W2| is piecewise a power law
             (k1, l1) = (c1[0][0] * c1[0][1].coeff, c1[0][1]) if c1 else (0.0, None)
@@ -734,10 +682,7 @@ def _continuous_tv(c1, c2, budget):
                 if diff > 0.0:
                     total += diff * unit.levy_moment_between(a, b)
             return total
-    # generic path: quadrature of the absolute density difference (dim 1)
-    for _, leaf in c1 + c2:
-        if leaf.dim != 1:
-            raise UnsupportedPair("continuous parts only comparable in 1-d")
+    # generic path: quadrature of the absolute density difference
 
     def density(parts):
         def g(z):
@@ -812,9 +757,10 @@ def measure_from_config(cfg) -> LevyMeasure:
     if kind == "dyadic_b":
         return DyadicB(**window)
     if kind == "fractional":
+        if cfg.get("dim", 1) != 1:
+            raise ConfigParse("measures live on the line: dim must be 1")
         return FractionalRadial(alpha=float(cfg.get("alpha", 1.0)),
-                                coeff=float(cfg.get("coeff", 1.0)),
-                                ndim=int(cfg.get("dim", 1)), **window)
+                                coeff=float(cfg.get("coeff", 1.0)), **window)
     if kind == "scaled":
         return ScaledMeasure(factor=float(cfg["factor"]),
                              inner=measure_from_config(cfg["inner"]), **window)

@@ -1,4 +1,4 @@
-"""Symbol evaluation m(xi) = int (1 - cos(xi.z)) d mu, with caching."""
+"""Symbol evaluation m(xi) = int (1 - cos(xi z)) d mu, with caching."""
 
 from __future__ import annotations
 
@@ -42,12 +42,7 @@ class MultiplierEval:
 
     @staticmethod
     def _key(xi):
-        arr = np.atleast_1d(np.asarray(xi, dtype=float))
-        return tuple(np.abs(arr)) if arr.size > 1 else abs(float(arr[0]))
-
-
-def multiplier(ev: MultiplierEval, xi) -> float:
-    return ev.m(xi)
+        return abs(float(xi))
 
 
 def multiplier_inf_estimate(ev: MultiplierEval, R: float, grid) -> float:
@@ -57,11 +52,7 @@ def multiplier_inf_estimate(ev: MultiplierEval, R: float, grid) -> float:
     estimate, never as the exact infimum.
     """
     grid = np.atleast_1d(np.asarray(grid, dtype=float))
-    if grid.ndim == 1:
-        radii = np.abs(grid)
-    else:
-        radii = np.linalg.norm(grid, axis=-1)
-    sel = grid[radii >= R]
+    sel = grid[np.abs(grid) >= R]
     if sel.size == 0:
         raise EmptyGrid(f"no sample points with |xi| >= {R}")
     return float(np.min(ev.m_many(sel)))

@@ -15,13 +15,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import (
-    EmptyInterior,
-    ExteriorMismatch,
-    HaloTooSmall,
-    OutOfTimeRange,
-    UnknownPreset,
-)
+from .errors import ExteriorMismatch, HaloTooSmall, OutOfTimeRange, \
+    UnknownPreset
 from .grids import Grid1d, make_grid
 
 
@@ -261,59 +256,18 @@ def exterior_smoothstep(x0: float, x1: float, left: float,
 
 @dataclass(frozen=True)
 class DomainMask:
-    """Domain with a signed distance (negative inside) and boundary nodes."""
+    """The interval (a, b), with its two boundary nodes."""
 
-    kind: str        # interval | box | ball
-    params: tuple
-    dim: int
-
-    def signed_distance(self, x):
-        x = np.asarray(x, dtype=float)
-        if self.kind == "interval":
-            a, b = self.params
-            return np.maximum(a - x, x - b)
-        if self.kind == "ball":
-            center = np.asarray(self.params[0], dtype=float)
-            radius = self.params[1]
-            return np.linalg.norm(x - center, axis=-1) - radius
-        if self.kind == "box":
-            lo = np.asarray(self.params[0], dtype=float)
-            hi = np.asarray(self.params[1], dtype=float)
-            return np.max(np.maximum(lo - x, x - hi), axis=-1)
-        raise UnknownPreset(f"unknown domain kind {self.kind!r}")
-
-    def contains(self, x):
-        return self.signed_distance(x) < 0.0
+    params: tuple    # (a, b)
 
     def boundary_nodes(self):
         """Quadrature nodes and surface weights on the boundary."""
-        if self.kind == "interval":
-            a, b = self.params
-            return np.array([a, b]), np.array([1.0, 1.0])
-        if self.kind == "ball" and self.dim == 2:
-            center = np.asarray(self.params[0], dtype=float)
-            radius = self.params[1]
-            n = 256
-            ang = 2.0 * np.pi * (np.arange(n) + 0.5) / n
-            pts = center + radius * np.stack([np.cos(ang), np.sin(ang)], -1)
-            return pts, np.full(n, 2.0 * np.pi * radius / n)
-        raise NotImplementedError(
-            f"boundary quadrature for {self.kind} in dim {self.dim}")
+        a, b = self.params
+        return np.array([a, b]), np.array([1.0, 1.0])
 
 
 def interval_domain(a: float, b: float) -> DomainMask:
-    return DomainMask("interval", (a, b), 1)
-
-
-def ball_domain(center, radius: float) -> DomainMask:
-    center = tuple(np.atleast_1d(np.asarray(center, dtype=float)))
-    return DomainMask("ball", (center, radius), len(center))
-
-
-def box_domain(lo, hi) -> DomainMask:
-    lo = tuple(np.atleast_1d(np.asarray(lo, dtype=float)))
-    hi = tuple(np.atleast_1d(np.asarray(hi, dtype=float)))
-    return DomainMask("box", (lo, hi), len(lo))
+    return DomainMask((a, b))
 
 
 # ---------------------------------------------------------------------------
@@ -358,17 +312,16 @@ def validate_problem(spec: ProblemSpec, rng=None, samples: int = 1000) -> None:
     if np.any(bs > bt + 1e-12):
         raise ValueError("diffusion nonlinearity is not nondecreasing")
     # extension must agree with the exterior datum away from the domain
-    if spec.domain.dim == 1:
-        a, b = spec.domain.params
-        width = b - a
-        xs = np.concatenate([np.linspace(a - 2 * width, a - 1e-9, 40),
-                             np.linspace(b + 1e-9, b + 2 * width, 40)])
-        for t_probe in np.linspace(0.0, spec.T, 9):
-            gap = np.max(np.abs(np.asarray(spec.exterior.value(t_probe, xs))
-                                - np.asarray(spec.datum(t_probe, xs))))
-            if gap > 1e-10:
-                raise ExteriorMismatch(
-                    f"extension differs from exterior datum by {gap:.2e}")
+    a, b = spec.domain.params
+    width = b - a
+    xs = np.concatenate([np.linspace(a - 2 * width, a - 1e-9, 40),
+                         np.linspace(b + 1e-9, b + 2 * width, 40)])
+    for t_probe in np.linspace(0.0, spec.T, 9):
+        gap = np.max(np.abs(np.asarray(spec.exterior.value(t_probe, xs))
+                            - np.asarray(spec.datum(t_probe, xs))))
+        if gap > 1e-10:
+            raise ExteriorMismatch(
+                f"extension differs from exterior datum by {gap:.2e}")
 
 
 @dataclass
@@ -401,15 +354,11 @@ def discretize(spec: ProblemSpec, dx: float, halo_width: float,
     exterior values on the halo across [0, T]; it is exact for the piecewise
     constant/plateau presets used in the tests.
     """
-    if spec.domain.dim != 1:
-        return _discretize_nd(spec, dx)
     a, b = spec.domain.params
     n_halo = int(math.ceil(halo_width / dx - 1e-12))
     if n_halo < 1:
         raise HaloTooSmall("halo must cover at least one cell")
     grid = make_grid(a, b, dx, n_halo)
-    if grid.n < 1:
-        raise EmptyInterior("no interior cells")
     x = grid.x_full()
     u0 = np.asarray(spec.exterior.value(0.0, x), dtype=float).copy()
     u0[grid.interior] = spec.u0(x[grid.interior])
@@ -422,33 +371,6 @@ def discretize(spec: ProblemSpec, dx: float, halo_width: float,
         hi = max(hi, float(vals.max()))
     return DiscreteProblem(grid=grid, spec=spec, u0_full=u0,
                            data_range=(lo, hi))
-
-
-@dataclass
-class DiscreteProblemNd:
-    centers: np.ndarray       # (..., dim) cell centers of the bounding box
-    interior: np.ndarray      # boolean mask
-    u0: np.ndarray            # initial datum on interior cells
-    spec: ProblemSpec
-
-
-def _discretize_nd(spec: ProblemSpec, dx: float) -> DiscreteProblemNd:
-    if spec.domain.kind == "ball":
-        center, radius = spec.domain.params
-        lo = np.asarray(center) - 2.5 * radius
-        hi = np.asarray(center) + 2.5 * radius
-    else:
-        lo = np.asarray(spec.domain.params[0], dtype=float)
-        hi = np.asarray(spec.domain.params[1], dtype=float)
-    axes = [np.arange(l + dx / 2.0, h, dx) for l, h in zip(lo, hi)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    centers = np.stack(mesh, axis=-1)
-    inside = spec.domain.contains(centers)
-    if not inside.any():
-        raise EmptyInterior("mask classifies no cell as interior")
-    u0 = np.asarray(spec.u0(centers[inside]), dtype=float)
-    return DiscreteProblemNd(centers=centers, interior=inside, u0=u0,
-                             spec=spec)
 
 
 # ---------------------------------------------------------------------------

@@ -19,8 +19,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import CflViolation, ConfigMismatch, DegenerateGrid, \
-    NoConvergence, NonfiniteValue
+from .errors import CflViolation, ConfigMismatch, ConfigParse, \
+    DegenerateGrid, NoConvergence, NonfiniteValue
 from .measures import FractionalRadial, LevyMeasure, ScaledMeasure, \
     weighted_tv_distance, zero_measure
 from .problem import DiscreteProblem, ProblemSpec, diffusion_zero, discretize
@@ -40,6 +40,16 @@ class SchemeConfig:
     enforce_cfl: bool = True
     store_every: int = 1             # cadence for exported trajectories
     budget: int = 60
+
+    def __post_init__(self):
+        if self.numerical_flux not in ("engquist_osher", "lax_friedrichs"):
+            raise ConfigParse(
+                f"unknown numerical flux {self.numerical_flux!r}")
+        if self.tail_mode not in ("exterior_mean", "drop"):
+            raise ConfigParse(f"unknown tail mode {self.tail_mode!r}")
+        if self.store_every < 1:
+            raise ConfigParse(
+                f"store_every must be >= 1, got {self.store_every}")
 
 
 @dataclass
@@ -77,10 +87,8 @@ def _numerical_flux(config, spec, lam):
     if config.numerical_flux == "engquist_osher":
         fp, fm = spec.flux.f_plus, spec.flux.f_minus
         return lambda a, b: fp(a) + fm(b)
-    if config.numerical_flux == "lax_friedrichs":
-        f = spec.flux.f
-        return lambda a, b: 0.5 * (f(a) + f(b)) - 0.5 * lam * (b - a)
-    raise ValueError(f"unknown numerical flux {config.numerical_flux!r}")
+    f = spec.flux.f                  # lax_friedrichs
+    return lambda a, b: 0.5 * (f(a) + f(b)) - 0.5 * lam * (b - a)
 
 
 def cfl_max_dt(spec: ProblemSpec, stencil: StencilWeights, dx: float,
@@ -103,35 +111,65 @@ def _tail_value(disc, bfield):
                   + bfield[..., -h:].mean(axis=-1))
 
 
+def jump_term(bfield: np.ndarray, disc: DiscreteProblem,
+              stencil: StencilWeights, tail_mode: str) -> np.ndarray:
+    """The discrete jump operator applied to `bfield` = b(u) on the full
+    grid, interior-sized; leading axes are a batch of rows.
+
+    This is the one tail rule every driver and diagnostic uses:
+    "exterior_mean" sends the tail mass tau to the mean of b over the two
+    halos, "drop" omits the tail (tau treated as 0).  `mass_budget_check`
+    keeps an independent per-offset copy as its oracle."""
+    if tail_mode == "drop":
+        return apply_stencil(bfield, replace(stencil, tau=0.0),
+                             disc.grid.n_halo)
+    return apply_stencil(bfield, stencil, disc.grid.n_halo,
+                         tail_value=_tail_value(disc, bfield))
+
+
+def time_grid(spec: ProblemSpec, stencils, config: SchemeConfig,
+              dt: float | None = None) -> tuple:
+    """The one time grid: returns (dt, n_steps) with n_steps * dt == T.
+
+    dt is `dt`, else `config.dt`, else cfl_safety times the CFL bound of
+    each stencil (T/64 for a stencil without one), the smallest over
+    `stencils`, so trajectories of a chain share one grid.  It is then
+    rounded down so that a whole number of steps hits the horizon."""
+    if dt is None:
+        dt = config.dt
+    if dt is None:
+        dts = []
+        for st in stencils:
+            disc = discretize(spec, config.dx, st.Z)
+            dtmax = cfl_max_dt(spec, st, config.dx, disc.data_range)
+            dts.append(config.cfl_safety * dtmax if math.isfinite(dtmax)
+                       else spec.T / 64.0)
+        dt = min(dts)
+    n_steps = max(1, int(math.ceil(spec.T / dt - 1e-12)))
+    return spec.T / n_steps, n_steps
+
+
 def step(u_full: np.ndarray, disc: DiscreteProblem, stencil: StencilWeights,
          config: SchemeConfig, t: float, dt: float,
-         source: np.ndarray | None = None,
-         diffusion=None, flux_pair=None) -> np.ndarray:
+         source: np.ndarray | None = None, flux_pair=None) -> np.ndarray:
     """One forward-Euler update; halo of the result holds the exterior datum
     at t + dt.  `source` (interior-sized) replaces the jump term when given,
     which is how the fixed-point iteration freezes its right-hand side."""
     spec = disc.spec
     grid = disc.grid
-    diffusion = diffusion or spec.diffusion
     if flux_pair is None:
         lo, hi = disc.data_range
         flux_pair = _numerical_flux(config, spec, spec.flux.lipschitz_on(lo, hi))
     if source is None:
-        bfield = diffusion.b(u_full)
-        tail = 0.0 if config.tail_mode == "drop" else _tail_value(disc, bfield)
-        if config.tail_mode == "drop":
-            stencil = replace(stencil, tau=0.0)
-        nonlocal_term = apply_stencil(bfield, stencil, grid.n_halo,
-                                      tail_value=tail)
-    else:
-        nonlocal_term = source
+        source = jump_term(spec.diffusion.b(u_full), disc, stencil,
+                           config.tail_mode)
     h = grid.n_halo
     left = u_full[h - 1:h + grid.n]      # u_{i-1} on interfaces
     right = u_full[h:h + grid.n + 1]     # u_{i+1} side
     fhat = flux_pair(left, right)        # interface i-1/2 for i = 0..n
     interior = u_full[grid.interior]
     new_interior = (interior - (dt / grid.dx) * (fhat[1:] - fhat[:-1])
-                    + dt * nonlocal_term)
+                    + dt * source)
     if not np.all(np.isfinite(new_interior)):
         raise NonfiniteValue(f"nonfinite state at t={t}")
     out = u_full.copy()
@@ -142,19 +180,16 @@ def step(u_full: np.ndarray, disc: DiscreteProblem, stencil: StencilWeights,
 
 def solve(spec: ProblemSpec, stencil: StencilWeights, config: SchemeConfig,
           dt_override: float | None = None,
-          source_states: np.ndarray | None = None,
-          diffusion=None) -> Trajectory:
-    """March to T; the step count is chosen so the horizon is hit exactly."""
+          source_states: np.ndarray | None = None) -> Trajectory:
+    """March to T on `time_grid`.  With `source_states` (one frozen jump
+    term per step) the jump operator is not applied, so the CFL bound is
+    that of the conservation law alone."""
     disc = discretize(spec, config.dx, stencil.Z)
     drange = disc.data_range
-    diffusion = diffusion or spec.diffusion
-    dtmax = cfl_max_dt(replace_spec_diffusion(spec, diffusion), stencil,
-                       config.dx, drange)
-    dt = dt_override if dt_override is not None else config.dt
-    if dt is None:
-        dt = config.cfl_safety * dtmax if math.isfinite(dtmax) else spec.T / 64.0
-    n_steps = max(1, int(math.ceil(spec.T / dt - 1e-12)))
-    dt = spec.T / n_steps
+    dt, n_steps = time_grid(spec, [stencil], config, dt_override)
+    cfl_spec = (spec if source_states is None
+                else replace(spec, diffusion=diffusion_zero()))
+    dtmax = cfl_max_dt(cfl_spec, stencil, config.dx, drange)
     if config.enforce_cfl and dt > dtmax * (1.0 + 1e-9):
         raise CflViolation(f"dt={dt} above monotonicity bound {dtmax}")
     lo, hi = drange
@@ -168,7 +203,7 @@ def solve(spec: ProblemSpec, stencil: StencilWeights, config: SchemeConfig,
     for n in range(n_steps):
         src = source_states[n] if source_states is not None else None
         u = step(u, disc, stencil, config, n * dt, dt, source=src,
-                 diffusion=diffusion, flux_pair=flux_pair)
+                 flux_pair=flux_pair)
         states[n + 1] = u
     stats = {
         "dt": dt,
@@ -180,17 +215,11 @@ def solve(spec: ProblemSpec, stencil: StencilWeights, config: SchemeConfig,
     }
     if config.tail_mode == "drop" and stencil.tau > 0.0:
         # a-priori bound on the dropped operator tail, per unit time
-        b_sup = float(np.max(np.abs(diffusion.b(np.asarray(drange)))))
+        b_sup = float(np.max(np.abs(spec.diffusion.b(np.asarray(drange)))))
         stats["drop_tail_bound"] = 2.0 * b_sup * stencil.tau
     return Trajectory(times=np.linspace(0.0, spec.T, n_steps + 1),
                       states=states, disc=disc, stencil=stencil,
                       config=config, stats=stats)
-
-
-def replace_spec_diffusion(spec: ProblemSpec, diffusion) -> ProblemSpec:
-    if diffusion is spec.diffusion:
-        return spec
-    return replace(spec, diffusion=diffusion)
 
 
 # ---------------------------------------------------------------------------
@@ -257,25 +286,15 @@ def picard_solve(spec: ProblemSpec, measure: LevyMeasure,
     stencil = build_stencil(measure, config.dx, config.r, config.Z,
                             budget=config.budget)
     disc = discretize(spec, config.dx, stencil.Z)
-    dtmax = cfl_max_dt(spec, stencil, config.dx, disc.data_range)
-    dt = config.dt
-    if dt is None:
-        dt = config.cfl_safety * dtmax if math.isfinite(dtmax) else spec.T / 64.0
-    n_steps = max(1, int(math.ceil(spec.T / dt - 1e-12)))
-    dt = spec.T / n_steps
-
+    dt, n_steps = time_grid(spec, [stencil], config)
     bfun = spec.diffusion.b
-    cl_diffusion = diffusion_zero()
 
     def frozen_source(traj_states):
         """Jump term of each stored state, interior-sized, one row per step."""
         out = np.empty((n_steps, disc.grid.n))
         for rows in row_blocks(n_steps, disc.grid.n_full):
-            bfield = bfun(traj_states[rows])
-            tail = (0.0 if config.tail_mode == "drop"
-                    else _tail_value(disc, bfield))
-            out[rows] = apply_stencil(bfield, stencil, disc.grid.n_halo,
-                                      tail_value=tail)
+            out[rows] = jump_term(bfun(traj_states[rows]), disc, stencil,
+                                  config.tail_mode)
         return out
 
     # iterate 0: the zero trajectory (halo still carries the exterior datum)
@@ -292,7 +311,7 @@ def picard_solve(spec: ProblemSpec, measure: LevyMeasure,
     for k in range(1, k_max + 1):
         src = frozen_source(prev_states)
         traj = solve(spec, stencil, config, dt_override=dt,
-                     source_states=src, diffusion=cl_diffusion)
+                     source_states=src)
         gap = float(np.max(disc.grid.dx *
                            np.abs(traj.interior()
                                   - prev_states[:, disc.grid.interior])
@@ -331,17 +350,6 @@ class ChainReport:
     reference: Trajectory
 
 
-def _common_dt(spec, stencils, config):
-    """One dt admissible for every member, so trajectories share time grids."""
-    dts = []
-    for st in stencils:
-        disc = discretize(spec, config.dx, st.Z)
-        dtmax = cfl_max_dt(spec, st, config.dx, disc.data_range)
-        dts.append(config.cfl_safety * dtmax if math.isfinite(dtmax)
-                   else spec.T / 64.0)
-    return min(dts)
-
-
 def _pad_to_common_reach(stencils):
     """Equal halo widths keep trajectories shape-comparable."""
     K = max(st.max_offset for st in stencils)
@@ -369,7 +377,7 @@ def vanishing_viscosity_run(spec: ProblemSpec, alpha: float, n_list,
     stencils = _pad_to_common_reach(stencils + [cl_stencil])
     cl_stencil = stencils[-1]
     stencils = stencils[:-1]
-    dt = _common_dt(spec, stencils + [cl_stencil], config)
+    dt, _ = time_grid(spec, stencils + [cl_stencil], config)
     reference = solve(spec, cl_stencil, config, dt_override=dt)
     trajectories, l1d = [], []
     for st in stencils:
@@ -391,7 +399,7 @@ def stability_run(spec: ProblemSpec, measures, config: SchemeConfig,
     stencils = _pad_to_common_reach(
         [build_stencil(m, config.dx, config.r, config.Z, budget=config.budget)
          for m in measures])
-    dt_run = _common_dt(spec, stencils, config)
+    dt_run, _ = time_grid(spec, stencils, config)
     trajs = [solve(spec, st, config, dt_override=dt_run) for st in stencils]
     reference = trajs[-1]
     bfun = spec.diffusion.b

@@ -67,12 +67,13 @@ def build_stencil(measure: LevyMeasure, dx: float, r: float, Z: float,
     Atoms are assigned to the half-open cell containing them (mirrored pairs
     are binned by their positive representative, preserving symmetry exactly);
     continuous kinds contribute the closed-form or quadrature mass of each
-    cell intersected with [r, Z].
+    cell intersected with [r, Z].  The measure's structural checks run first
+    (no quadrature), so a nonpositive or unmirrored atom raises NonSymmetric
+    instead of yielding a non-monotone stencil.
     """
     if not (0.0 < dx <= r <= Z):
         raise BadRadii(f"need 0 < dx <= r <= Z, got dx={dx}, r={r}, Z={Z}")
-    if measure.dim != 1:
-        raise NotImplementedError("stencils are built in one dimension")
+    measure.validate()
     K = max(1, int(round(Z / dx)))
     Z_eff = K * dx
     weights = np.zeros(K)

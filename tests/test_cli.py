@@ -68,6 +68,40 @@ def test_missing_dx_exit_2(tmp_path):
     assert main(["run", "--mode", "solve", "--out", str(tmp_path / "o")]) == 2
 
 
+@pytest.mark.parametrize("key, value", [
+    ("flux", "xyz"),
+    ("tail_mode", "bogus"),
+    ("store_every", 0),
+    ("dx", "abc"),
+    ("measure", {"kind": "atoms"}),
+    ("measure", {"kind": "fractional", "alpha": 3}),
+    ("measure", {"kind": "fractional", "dim": 2}),
+    ("measure", {"kind": "atoms", "entries": [[[0.1, 0.2], 0.5]]}),
+])
+def test_bad_config_entry_exit_2(tmp_path, capsys, key, value):
+    cfg = {"mode": "solve", "problem": "burgers_riemann", "measure": "none",
+           "dx": 1 / 32, "Z": 0.125, key: value}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["run", "--config", str(path),
+                 "--out", str(tmp_path / "o")]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+def test_negative_atom_weight_exit_3(tmp_path):
+    # the same refusal as `scan`: a non-monotone stencil is never built
+    measure = json.dumps({"kind": "atoms", "entries": [[0.5, -1.0]]})
+    st = tmp_path / "st.csv"
+    assert main(["stencil", "--measure", measure, "--dx", "0.1", "--r", "0.1",
+                 "--Z", "1", "--out", str(st)]) == 3
+    assert not st.exists()
+    assert main(["run", "--mode", "solve", "--measure", measure,
+                 "--dx", "0.03125", "--Z", "0.5",
+                 "--out", str(tmp_path / "o")]) == 3
+    assert main(["scan", "--measure", measure, "--num", "5",
+                 "--out", str(tmp_path / "scan.csv")]) == 3
+
+
 def test_runtime_error_exit_3(tmp_path):
     # explicit dt above the monotonicity bound with enforcement on
     cfg = tmp_path / "cfg.json"
@@ -172,11 +206,6 @@ def test_problem_reference_from_file(tmp_path):
     assert main(["run", "--mode", "solve", "--problem", str(pfile),
                  "--measure", "single_atom", "--dx", "0.03125",
                  "--Z", "0.25", "--auto-cfl", "--out", str(out)]) == 0
-
-
-def test_suite_threads_env_gives_same_results(tmp_path, monkeypatch):
-    monkeypatch.setenv("LEVYFV_THREADS", "3")
-    assert main(["suite", "appendix", "--out", str(tmp_path / "s")]) == 0
 
 
 def test_suite_appendix(tmp_path):

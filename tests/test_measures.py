@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from levyfv.errors import (DivergentLevyMoment, MassAtOrigin, NonSymmetric,
-                           UnsupportedPair)
+from levyfv.errors import DivergentLevyMoment, MassAtOrigin, NonSymmetric
 from levyfv.measures import (AtomicSymmetric, DyadicA, DyadicB,
                              FractionalRadial, RadialDensity, ScaledMeasure,
                              SumMeasure, single_atom, truncate,
@@ -148,12 +147,6 @@ def test_tv_mixed_kinds_split_singular_parts():
     mix = SumMeasure(parts=(frac, single_atom(z=2.0, w=0.3)))
     # the atomic and continuous parts are mutually singular
     assert weighted_tv_distance(mix, frac) == pytest.approx(2 * 0.3, rel=1e-12)
-
-
-def test_tv_dimension_mismatch_unsupported():
-    with pytest.raises(UnsupportedPair):
-        weighted_tv_distance(FractionalRadial(alpha=1.0, ndim=2),
-                             FractionalRadial(alpha=1.0))
 
 
 def test_scaled_and_sum_compose():

@@ -6,8 +6,7 @@ import pytest
 from levyfv.errors import EmptyGrid
 from levyfv.measures import (DyadicA, DyadicB, FractionalRadial,
                              single_atom, truncate)
-from levyfv.multiplier import (MultiplierEval, multiplier,
-                               multiplier_inf_estimate)
+from levyfv.multiplier import MultiplierEval, multiplier_inf_estimate
 
 
 def stable_symbol_constant(alpha: float) -> float:
@@ -20,7 +19,7 @@ def stable_symbol_constant(alpha: float) -> float:
 
 def test_single_atom_at_pi():
     ev = MultiplierEval(single_atom(z=1.0, w=0.5))
-    assert multiplier(ev, math.pi) == pytest.approx(2.0, abs=1e-15)
+    assert ev.m(math.pi) == pytest.approx(2.0, abs=1e-15)
 
 
 def test_dyadic_a_plateau():

@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from levyfv.errors import (EmptyInterior, ExteriorMismatch, OutOfTimeRange,
+from levyfv.errors import (DegenerateGrid, ExteriorMismatch, OutOfTimeRange,
                            UnknownPreset)
 from levyfv.problem import (PROBLEM_PRESETS, ExteriorData, PiecewiseLinear,
-                            ProblemSpec, ball_domain, diffusion_from_table,
+                            ProblemSpec, diffusion_from_table,
                             diffusion_identity, diffusion_power,
                             diffusion_stefan, diffusion_zero, discretize,
                             eval_extension, exterior_constant,
@@ -102,25 +102,11 @@ def test_discretize_riemann_range_is_step_levels():
     assert disc.data_range == (0.0, 1.0)
 
 
-def test_discretize_ball_2d_cell_count():
-    spec = ProblemSpec(domain=ball_domain((0.0, 0.0), 0.4),
-                       flux=flux_burgers(), diffusion=diffusion_zero(),
-                       u0=lambda pts: np.ones(len(pts)),
-                       exterior=exterior_constant(0.0), T=0.1)
-    dx = 1.0 / 64
-    disc = discretize(spec, dx, 0.0)
-    count = int(disc.interior.sum())
-    expected = math.pi * 0.4 ** 2 / dx ** 2
-    assert abs(count - expected) <= 0.02 * expected
-
-
 def test_discretize_empty_interior():
-    spec = ProblemSpec(domain=ball_domain((0.0, 0.0), 1e-9),
-                       flux=flux_burgers(), diffusion=diffusion_zero(),
-                       u0=lambda pts: np.ones(len(pts)),
-                       exterior=exterior_constant(0.0), T=0.1)
-    with pytest.raises(EmptyInterior):
-        discretize(spec, 0.25, 0.0)
+    # an interval narrower than half a cell has no interior cells
+    spec = make_problem("burgers", "zero", "bump", domain=(0.0, 0.1))
+    with pytest.raises(DegenerateGrid):
+        discretize(spec, 0.25, 0.25)
 
 
 # -- exterior extension --------------------------------------------------------

@@ -5,8 +5,8 @@ import pytest
 from scipy.linalg import expm
 
 from levyfv.errors import CflViolation, ConfigMismatch, NoConvergence
-from levyfv.measures import (DyadicB, FractionalRadial, single_atom, truncate,
-                             zero_measure)
+from levyfv.measures import (AtomicSymmetric, DyadicB, FractionalRadial,
+                             single_atom, truncate, zero_measure)
 from levyfv.problem import (PROBLEM_PRESETS, ProblemSpec, diffusion_identity,
                             diffusion_zero, exterior_constant, flux_burgers,
                             flux_linear, flux_zero, interval_domain,
@@ -205,12 +205,23 @@ def test_picard_gap_envelope_unit_mass():
         assert gap <= 1.1 * bound + 1e-14
 
 
-def test_picard_limit_matches_direct_solve():
+PICARD_MEASURES = {
+    "one_atom": single_atom(z=0.3, w=0.5),
+    # the atom at 0.75 lies beyond Z = 0.5: tau = 0.5 meets the tail rule
+    "tail": AtomicSymmetric(entries=((0.3, 0.5), (0.75, 0.25))),
+}
+
+
+@pytest.mark.parametrize("tail_mode, measure", [
+    ("exterior_mean", "one_atom"), ("exterior_mean", "tail"),
+    ("drop", "tail")])
+def test_picard_limit_matches_direct_solve(tail_mode, measure):
+    measure = PICARD_MEASURES[measure]
     spec = make_problem("burgers", "identity", "bump", T=0.5)
-    c = conf(1 / 64, Z=0.5)
+    c = conf(1 / 64, Z=0.5, tail_mode=tail_mode)
     tol = 1e-6
-    res = picard_solve(spec, single_atom(z=0.3, w=0.5), c, k_max=30, tol=tol)
-    st = build_stencil(single_atom(z=0.3, w=0.5), c.dx, c.r, c.Z)
+    res = picard_solve(spec, measure, c, k_max=30, tol=tol)
+    st = build_stencil(measure, c.dx, c.r, c.Z)
     direct = solve(spec, st, c,
                    dt_override=float(res.trajectory.times[1]
                                      - res.trajectory.times[0]))
@@ -293,6 +304,73 @@ def test_drop_tail_mode_records_apriori_bound():
     assert traj.stats["drop_tail_bound"] == pytest.approx(2 * 1.0 * 0.5)
     from levyfv import analysis
     assert analysis.max_principle_check(traj).passed
+
+
+def test_chains_honour_config_dt():
+    spec = make_problem("burgers", "identity", "riemann_up", T=0.25)
+    c = SchemeConfig(dx=1 / 64, r=1 / 64, Z=0.5, dt=1e-3)
+    van = vanishing_viscosity_run(spec, 1.0, [1, 4], c)
+    stab = stability_run(spec, [single_atom(z=0.125, w=0.5), zero_measure()],
+                         c)
+    for rep in (van, stab):
+        assert rep.reference.stats["dt"] == 1e-3
+        assert all(tr.stats["dt"] == 1e-3 for tr in rep.trajectories)
+
+
+def _solved(measure, spec, c):
+    return solve(spec, build_stencil(measure, c.dx, c.r, c.Z), c)
+
+
+def _energy_run(dx):
+    return _solved(truncate(FractionalRadial(alpha=1.0), 1 / 16)[1],
+                   make_problem("burgers", "identity", "bump"),
+                   SchemeConfig(dx=dx, r=1 / 16, Z=1.0))
+
+
+def _entropy_run(dx):
+    return _solved(zero_measure(),
+                   make_problem("burgers", "zero", "riemann", T=0.25),
+                   conf(dx))
+
+
+# each driver at the configs of the apriori and chains suites
+SUITE_RUNS = {
+    "solve_max_principle": lambda: _solved(
+        single_atom(), make_problem("burgers", "stefan", "riemann", ell=0.4),
+        conf(1 / 128, Z=0.5)),
+    "solve_energy_64": lambda: _energy_run(1 / 64),
+    "solve_energy_128": lambda: _energy_run(1 / 128),
+    "solve_entropy_64": lambda: _entropy_run(1 / 64),
+    "solve_entropy_128": lambda: _entropy_run(1 / 128),
+    "picard": lambda: picard_solve(
+        make_problem("burgers", "identity", "bump", T=0.4),
+        single_atom(z=0.3, w=0.5), conf(1 / 64, Z=0.5),
+        k_max=2, tol=0.0).trajectory,
+    "vanishing": lambda: vanishing_viscosity_run(
+        make_problem("burgers", "identity", "riemann_up", T=0.25), 1.0,
+        [1, 4, 16], conf(1 / 64, Z=0.5)).reference,
+    "stability": lambda: stability_run(
+        make_problem("burgers", "identity", "bump", T=0.25),
+        [truncate(FractionalRadial(alpha=1.0), 1 / n)[1]
+         for n in (4, 8, 16, 32)], conf(1 / 64, Z=1.0)).reference,
+}
+
+
+@pytest.mark.parametrize("driver, dt, n_steps", [
+    ("solve_max_principle", 0.003676470588235294, 136),
+    ("solve_energy_64", 0.0058823529411764705, 85),
+    ("solve_energy_128", 0.003289473684210526, 152),
+    ("solve_entropy_64", 0.007352941176470588, 34),
+    ("solve_entropy_128", 0.003676470588235294, 68),
+    ("picard", 0.007272727272727273, 55),
+    ("vanishing", 0.0024509803921568627, 102),
+    ("stability", 0.004901960784313725, 51),
+])
+def test_time_grids_pinned(driver, dt, n_steps):
+    # exact values of the automatic CFL time grid; any drift in the dt rule
+    # moves every stored trajectory
+    stats = SUITE_RUNS[driver]().stats
+    assert (stats["dt"], stats["n_steps"]) == (dt, n_steps)
 
 
 def test_stability_identical_measures_zero_distances():

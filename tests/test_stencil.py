@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from levyfv.errors import BadRadii, HaloTooSmall, ShapeMismatch
+from levyfv.errors import BadRadii, HaloTooSmall, NonSymmetric, ShapeMismatch
 from levyfv.measures import (AtomicSymmetric, FractionalRadial, single_atom,
                              truncate, zero_measure)
 from levyfv.multiplier import MultiplierEval
@@ -30,6 +30,15 @@ def test_bad_radii_rejected():
         build_stencil(single_atom(), 0.1, 0.05, 1.0)
     with pytest.raises(BadRadii):
         build_stencil(single_atom(), 0.1, 0.2, 0.15)
+
+
+@pytest.mark.parametrize("entries", [((0.5, -1.0),),
+                                     ((0.2, 0.5), (0.4, 0.0)),
+                                     ((0.3, 0.5, False),)])
+def test_nonpositive_or_unmirrored_atoms_rejected(entries):
+    # such weights would make the scheme non-monotone
+    with pytest.raises(NonSymmetric):
+        build_stencil(AtomicSymmetric(entries=entries), 0.1, 0.1, 1.0)
 
 
 def test_fractional_cell_masses_against_quadrature_oracle():
