@@ -25,6 +25,7 @@ from .stencil import (
     bilinear_energy,
     build_stencil,
     fourier_energy_check,
+    zero_extended_energy,
 )
 from .problem import (
     DiffusionFn,

@@ -161,29 +161,58 @@ def bilinear_energy(phi: np.ndarray, psi: np.ndarray,
                     s: StencilWeights, dx: float | None = None) -> float:
     """Discrete energy form: dx * sum_x sum_j (w_j/2) dphi_j(x) dpsi_j(x).
 
-    The arrays are the consistently extended samples (zero- or exterior-
-    extended by the caller); increments are taken over index pairs that both
-    lie inside, so a constant array has energy exactly zero and the form
-    vanishes precisely on fields constant per stencil-connected component.
-    Leading axes (e.g. time) are summed as a batch.  Symmetric in (phi, psi)
-    and nonnegative on the diagonal.
+    Increments are taken over index pairs that both lie inside the arrays;
+    pairs reaching past either end are not counted (`zero_extended_energy`
+    adds them for a field that vanishes outside).  So a constant array has
+    energy exactly zero and the form vanishes precisely on fields constant
+    per stencil-connected component.  Leading axes (e.g. time) are summed as
+    a batch, in blocks of `row_blocks` rows; each block forms every offset's
+    differences once, elementwise, and reduces them with one dot product.
+    Symmetric in (phi, psi) and nonnegative on the diagonal, both exactly.
     """
+    same = phi is psi
     phi = np.asarray(phi, dtype=float)
-    psi = np.asarray(psi, dtype=float)
+    psi = phi if same else np.asarray(psi, dtype=float)
     if phi.shape != psi.shape:
         raise ShapeMismatch(f"{phi.shape} vs {psi.shape}")
     if dx is None:
         dx = s.dx
-    total = 0.0
     n = phi.shape[-1]
-    for j, w in zip(s.offsets, s.weights):
-        if w == 0.0 or j >= n:
-            continue
-        dp = phi[..., j:] - phi[..., :n - j]
-        dq = psi[..., j:] - psi[..., :n - j]
-        # both signs of the shift contribute the same sum: 2 * (w/2) = w
-        total += w * float(np.sum(dp * dq))
+    live = [(int(j), float(w)) for j, w in zip(s.offsets, s.weights)
+            if w != 0.0 and j < n]
+    total = 0.0
+    p2 = phi.reshape(-1, n)
+    q2 = psi.reshape(-1, n)
+    for rows in row_blocks(p2.shape[0], n):
+        p, q = p2[rows], q2[rows]
+        for j, w in live:
+            dp = (p[:, j:] - p[:, :n - j]).ravel()
+            dq = dp if same else (q[:, j:] - q[:, :n - j]).ravel()
+            # both signs of the shift contribute the same sum: 2 * (w/2) = w
+            total += w * float(np.dot(dp, dq))
     return dx * total
+
+
+def zero_extended_energy(g: np.ndarray, s: StencilWeights,
+                         dx: float | None = None) -> float:
+    """Energy form of the zero extension of `g` (interior cells on the last
+    axis, leading axes summed as a batch), without building the extension.
+
+    At offset j the extension adds, to the interior pairs of
+    `bilinear_energy`, the pairs with exactly one end inside: each of the
+    first and of the last min(j, n) cells of a row paired with a zero,
+    contributing g^2.  These are prefix sums of the column sums of g^2.
+    """
+    g = np.asarray(g, dtype=float)
+    if dx is None:
+        dx = s.dx
+    n = g.shape[-1]
+    col = np.square(g).reshape(-1, n).sum(axis=0)
+    head = np.concatenate([[0.0], np.cumsum(col)])
+    tail = np.concatenate([[0.0], np.cumsum(col[::-1])])
+    k = np.minimum(s.offsets, n)
+    straddling = float(np.dot(s.weights, head[k] + tail[k]))
+    return bilinear_energy(g, g, s, dx) + dx * straddling
 
 
 def fourier_energy_check(phi: np.ndarray, dx: float, ev: MultiplierEval,

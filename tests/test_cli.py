@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from levyfv.cli import main
+from levyfv.cli import main, vanishing_trend_holds
 
 
 def read_csv(path):
@@ -220,3 +220,37 @@ def test_suite_apriori(tmp_path):
 
 def test_suite_chains(tmp_path):
     assert main(["suite", "chains", "--out", str(tmp_path / "s")]) == 0
+
+
+def test_run_energy_report_is_valid_json(tmp_path):
+    out = tmp_path / "e"
+    assert main(["run", "--problem", "burgers_bump", "--measure",
+                 '{"kind":"fractional","alpha":1.0,"lo":0.0625}',
+                 "--dx", "0.03125", "--r", "0.0625", "--Z", "1.0",
+                 "--energy", "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["checks"]["energy"]["pass"] is True
+
+
+def test_run_vanishing_with_zero_diffusion_passes(tmp_path):
+    # b = 0: every member equals the reference, all distances are exactly 0
+    out = tmp_path / "v"
+    assert main(["run", "--mode", "vanishing", "--problem",
+                 "burgers_rarefaction", "--dx", "0.015625", "--Z", "0.5",
+                 "--auto-cfl", "--out", str(out)]) == 0
+    check = json.loads((out / "report.json").read_text())[
+        "checks"]["vanishing_trend"]
+    assert check["pass"] is True
+    assert check["params"]["distances"] == [0.0, 0.0, 0.0, 0.0]
+
+
+@pytest.mark.parametrize("distances, holds", [
+    ([0.3, 0.2, 0.1], True),
+    ([0.3, 0.0, 0.0], True),
+    ([0.0, 0.0, 0.0], True),
+    ([0.1, 0.2, 0.3], False),
+    ([0.3, 0.3, 0.1], False),
+    ([0.0, 0.1], False),
+])
+def test_vanishing_trend_rule(distances, holds):
+    assert vanishing_trend_holds(distances) is holds

@@ -7,7 +7,7 @@ from levyfv.measures import (AtomicSymmetric, FractionalRadial, single_atom,
                              truncate, zero_measure)
 from levyfv.multiplier import MultiplierEval
 from levyfv.stencil import (apply_stencil, bilinear_energy, build_stencil,
-                            fourier_energy_check)
+                            fourier_energy_check, zero_extended_energy)
 
 
 def test_atom_lands_in_exact_cell():
@@ -237,6 +237,50 @@ def test_energy_shape_mismatch():
     st = build_stencil(single_atom(z=0.02, w=0.5), 0.01, 0.01, 0.05)
     with pytest.raises(ShapeMismatch):
         bilinear_energy(np.ones(8), np.ones(9), st)
+
+
+def _random_stencil(kind, K, rng):
+    dx = 1.0 / 64
+    if kind == "fractional":
+        r = 2 * dx
+        return build_stencil(truncate(FractionalRadial(alpha=1.3), r)[1],
+                             dx, r, K * dx)
+    radii = rng.uniform(dx, K * dx, size=6)
+    return build_stencil(AtomicSymmetric(entries=tuple(
+        (float(z), float(w))
+        for z, w in zip(radii, rng.uniform(0.1, 2.0, size=6)))),
+        dx, dx, K * dx)
+
+
+@pytest.mark.parametrize("kind", ["atoms", "fractional"])
+@pytest.mark.parametrize("n,K", [(40, 8), (12, 30)])
+@pytest.mark.parametrize("rows", [None, 5])
+def test_zero_extended_energy_matches_padded_form(kind, n, K, rows):
+    rng = np.random.default_rng(100 * K + n + (rows or 0))
+    st = _random_stencil(kind, K, rng)
+    g = 1.5 + 3.0 * rng.normal(size=(n,) if rows is None else (rows, n))
+    J = st.max_offset
+    gpad = np.pad(g, [(0, 0)] * (g.ndim - 1) + [(J, J)])
+    want = bilinear_energy(gpad, gpad, st)
+    got = zero_extended_energy(g, st)
+    assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+
+def test_zero_extended_energy_of_zero_field_is_exactly_zero():
+    st = _random_stencil("fractional", 30, np.random.default_rng(3))
+    assert zero_extended_energy(np.zeros((4, 12)), st) == 0.0
+    assert zero_extended_energy(np.zeros(40), st) == 0.0
+
+
+@pytest.mark.parametrize("kind", ["atoms", "fractional"])
+def test_energy_exactly_symmetric_on_batches(kind):
+    rng = np.random.default_rng(21)
+    st = _random_stencil(kind, 30, rng)
+    for _ in range(5):
+        # more than one block of rows
+        phi = rng.normal(size=(300, 256))
+        psi = rng.normal(size=(300, 256))
+        assert bilinear_energy(phi, psi, st) == bilinear_energy(psi, phi, st)
 
 
 def test_stencil_symbol_matches_measure_for_aligned_atoms():
