@@ -79,13 +79,15 @@ def write_report(path, payload):
 
 
 def write_trajectory_csv(path, traj, every=1):
+    """`t,cell_index,u` rows for every `every`-th stored time, written one
+    joined string per time."""
     with open(path, "w") as fh:
         fh.write("t,cell_index,u\n")
         interior = traj.interior()
         for n in range(0, len(traj.times), every):
-            t = float(traj.times[n])
-            for i, v in enumerate(interior[n]):
-                fh.write(f"{t!r},{i},{float(v)!r}\n")
+            t = repr(float(traj.times[n]))
+            fh.write("".join([f"{t},{i},{v!r}\n"
+                              for i, v in enumerate(interior[n].tolist())]))
 
 
 def write_gaps_csv(path, gaps):
@@ -116,10 +118,10 @@ def write_gallery_csv(path, rows):
 # run modes
 # ---------------------------------------------------------------------------
 
-def vanishing_trend_holds(distances) -> bool:
-    """The vanishing-viscosity trend: each L1 distance lies below its
-    predecessor or is exactly 0 (with b = 0 every member equals the
-    reference)."""
+def trend_holds(distances) -> bool:
+    """The trend rule of the vanishing-viscosity and stability chains: each
+    distance lies below its predecessor or is exactly 0 (with b = 0 every
+    member equals the reference)."""
     d = np.asarray(distances, dtype=float)
     return bool(np.all((d[1:] < d[:-1]) | (d[1:] == 0.0)))
 
@@ -228,7 +230,7 @@ def cmd_run(cfg, out_dir) -> int:
                                       n_list, sconf)
         diffs = np.diff(rep.l1_distances)
         checks["vanishing_trend"] = {
-            "pass": vanishing_trend_holds(rep.l1_distances),
+            "pass": trend_holds(rep.l1_distances),
             "worst_slack": float(-diffs.max()) if diffs.size else 0.0,
             "params": {"n_list": list(n_list),
                        "distances": list(map(float, rep.l1_distances))}}
@@ -239,7 +241,7 @@ def cmd_run(cfg, out_dir) -> int:
         rep = stability_run(spec, measures, sconf, labels=r_list[:-1])
         diffs = np.diff(rep.l2_b_distances)
         checks["stability_trend"] = {
-            "pass": bool(np.all(diffs < 0.0)),
+            "pass": trend_holds(rep.l2_b_distances),
             "worst_slack": float(-diffs.max()) if diffs.size else 0.0,
             "params": {"r_list": list(map(float, r_list)),
                        "l2_b": list(map(float, rep.l2_b_distances)),
@@ -377,7 +379,7 @@ def _suite_chains(out_dir):
         rep = vanishing_viscosity_run(
             rare, 1.0, [1, 4, 16],
             SchemeConfig(dx=1.0 / 64, r=1.0 / 64, Z=0.5))
-        return vanishing_trend_holds(rep.l1_distances)
+        return trend_holds(rep.l1_distances)
 
     def stability_trend():
         base = FractionalRadial(alpha=1.0)
@@ -385,8 +387,8 @@ def _suite_chains(out_dir):
         srep = stability_run(
             make_problem("burgers", "identity", "bump", T=0.25), measures,
             SchemeConfig(dx=1.0 / 64, r=1.0 / 64, Z=1.0), labels=[4, 8, 16])
-        return bool(np.all(np.diff(srep.l2_b_distances) < 0)
-                    and np.all(np.diff(srep.measure_distances) < 0))
+        return (trend_holds(srep.l2_b_distances)
+                and trend_holds(srep.measure_distances))
 
     return _run_checks([("picard_envelope", picard_envelope),
                         ("vanishing_trend", vanishing_trend),

@@ -41,6 +41,10 @@ class Grid1d:
     def x_interior(self) -> np.ndarray:
         return self.x_full()[self.interior]
 
+    def x_halo(self) -> np.ndarray:
+        """Centers of the halo cells: the left halo, then the right."""
+        return self.x_full()[self.halo_mask()]
+
     def halo_mask(self) -> np.ndarray:
         mask = np.ones(self.n_full, dtype=bool)
         mask[self.interior] = False

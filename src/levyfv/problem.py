@@ -10,7 +10,7 @@ arbitrary points.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -333,17 +333,25 @@ class DiscreteProblem:
     spec: ProblemSpec
     u0_full: np.ndarray
     data_range: tuple
+    halo_x: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.halo_x = self.grid.x_halo()
 
     def exterior_values(self, t: float) -> np.ndarray:
-        """Extension sampled on the full grid (used for halo refreshes)."""
+        """Extension sampled on the full grid."""
         return np.asarray(self.spec.exterior.value(t, self.grid.x_full()),
                           dtype=float)
 
     def refresh_halo(self, u_full: np.ndarray, t: float) -> None:
-        vals = self.exterior_values(t)
+        """Write the extension at time t into the halo of `u_full` (leading
+        axes are a batch).  The extension is elementwise in x, so it is
+        evaluated at the halo centers alone."""
+        vals = np.asarray(self.spec.exterior.value(t, self.halo_x),
+                          dtype=float)
         h = self.grid.n_halo
         u_full[..., :h] = vals[:h]
-        u_full[..., -h:] = vals[-h:]
+        u_full[..., -h:] = vals[h:]
 
 
 def discretize(spec: ProblemSpec, dx: float, halo_width: float,
@@ -364,7 +372,7 @@ def discretize(spec: ProblemSpec, dx: float, halo_width: float,
     u0[grid.interior] = spec.u0(x[grid.interior])
     lo = float(u0[grid.interior].min())
     hi = float(u0[grid.interior].max())
-    halo_x = x[grid.halo_mask()]
+    halo_x = grid.x_halo()
     for t in np.linspace(0.0, spec.T, n_time_samples):
         vals = np.asarray(spec.datum(t, halo_x), dtype=float)
         lo = min(lo, float(vals.min()))

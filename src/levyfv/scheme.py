@@ -154,13 +154,14 @@ def step(u_full: np.ndarray, disc: DiscreteProblem, stencil: StencilWeights,
          source: np.ndarray | None = None, flux_pair=None) -> np.ndarray:
     """One forward-Euler update; halo of the result holds the exterior datum
     at t + dt.  `source` (interior-sized) replaces the jump term when given,
-    which is how the fixed-point iteration freezes its right-hand side."""
+    which is how the fixed-point iteration freezes its right-hand side.  A
+    stencil with no nonzero weight and no tail has no jump term to add."""
     spec = disc.spec
     grid = disc.grid
     if flux_pair is None:
         lo, hi = disc.data_range
         flux_pair = _numerical_flux(config, spec, spec.flux.lipschitz_on(lo, hi))
-    if source is None:
+    if source is None and (stencil.tau != 0.0 or stencil.weights.any()):
         source = jump_term(spec.diffusion.b(u_full), disc, stencil,
                            config.tail_mode)
     h = grid.n_halo
@@ -168,8 +169,12 @@ def step(u_full: np.ndarray, disc: DiscreteProblem, stencil: StencilWeights,
     right = u_full[h:h + grid.n + 1]     # u_{i+1} side
     fhat = flux_pair(left, right)        # interface i-1/2 for i = 0..n
     interior = u_full[grid.interior]
-    new_interior = (interior - (dt / grid.dx) * (fhat[1:] - fhat[:-1])
-                    + dt * source)
+    new_interior = interior - (dt / grid.dx) * (fhat[1:] - fhat[:-1])
+    if source is None:
+        # the zero jump term's `+ dt * 0.0` turned -0.0 into +0.0
+        new_interior += 0.0
+    else:
+        new_interior += dt * source
     if not np.all(np.isfinite(new_interior)):
         raise NonfiniteValue(f"nonfinite state at t={t}")
     out = u_full.copy()
@@ -226,6 +231,18 @@ def solve(spec: ProblemSpec, stencil: StencilWeights, config: SchemeConfig,
 # trajectory comparison helpers
 # ---------------------------------------------------------------------------
 
+def interior_blocks(*trajs: Trajectory):
+    """Yield (rows, interior states of each trajectory) over the blocks of
+    stored times from `row_blocks`, so a pass over whole trajectories never
+    builds a temporary as large as one.  The trajectories must have equal
+    shapes."""
+    shape = trajs[0].states.shape
+    if any(tr.states.shape != shape for tr in trajs):
+        raise ConfigMismatch("trajectories have different shapes")
+    for rows in row_blocks(shape[0], shape[1]):
+        yield (rows, *(tr.states[rows, tr.grid.interior] for tr in trajs))
+
+
 def _check_comparable(a: Trajectory, b: Trajectory) -> None:
     if a.states.shape != b.states.shape or a.grid != b.grid:
         raise ConfigMismatch("trajectories live on different grids")
@@ -240,7 +257,10 @@ def _check_comparable(a: Trajectory, b: Trajectory) -> None:
 def l1_series(a: Trajectory, b: Trajectory) -> np.ndarray:
     """dx * sum |u - v| on the interior, one value per stored time."""
     _check_comparable(a, b)
-    return a.grid.dx * np.abs(a.interior() - b.interior()).sum(axis=1)
+    out = np.empty(len(a.times))
+    for rows, u, v in interior_blocks(a, b):
+        out[rows] = np.abs(u - v).sum(axis=1)
+    return a.grid.dx * out
 
 
 def l1_q_distance(a: Trajectory, b: Trajectory) -> float:

@@ -11,8 +11,9 @@ from levyfv.problem import (ExteriorData, ProblemSpec, diffusion_identity,
                             diffusion_power, diffusion_stefan,
                             exterior_constant, flux_burgers, interval_domain,
                             make_problem)
-from levyfv.scheme import SchemeConfig, solve
-from levyfv.stencil import build_stencil
+from levyfv import stencil
+from levyfv.scheme import SchemeConfig, l1_series, solve
+from levyfv.stencil import build_stencil, row_blocks
 
 
 def run(spec, measure, dx, Z=0.25, r=None, dt=None, enforce=True):
@@ -116,6 +117,42 @@ def test_mass_budget_identity():
     res = analysis.mass_budget_check(run(spec, single_atom(z=0.1, w=0.5),
                                          1 / 64))
     assert res.passed
+
+
+@pytest.mark.parametrize("peak", ["first", "middle", "last"])
+def test_trajectory_checks_in_row_blocks_match_whole_arrays(monkeypatch,
+                                                            peak):
+    spec = make_problem("burgers", "identity", "riemann", T=0.5)
+    a = run(spec, single_atom(z=0.1, w=0.5), 1 / 64)
+    n_rows, n_full = a.states.shape
+    monkeypatch.setattr(stencil, "BLOCK_VALUES", 7 * n_full)
+    assert len(row_blocks(n_rows, n_full)) > 2 and n_rows % 7
+    # random interiors sharing one halo; the largest |u| in a chosen row
+    rng = np.random.default_rng(3)
+    inside = a.grid.interior
+    sa = a.states.copy()
+    sa[:, inside] = rng.uniform(-1.0, 1.0, (n_rows, a.grid.n))
+    sb = sa.copy()
+    sb[:, inside] = rng.uniform(-1.0, 1.0, (n_rows, a.grid.n))
+    row = {"first": 0, "middle": n_rows // 2, "last": n_rows - 1}[peak]
+    sa[row, inside.start + 5] = -4.0
+    from dataclasses import replace
+    ta, tb = replace(a, states=sa), replace(a, states=sb)
+    u, v = ta.interior(), tb.interior()
+
+    assert np.array_equal(l1_series(ta, tb),
+                          a.grid.dx * np.abs(u - v).sum(axis=1))
+    lo, hi = a.disc.data_range
+    assert analysis.max_principle_check(ta).worst_slack == float(
+        min((u - lo).min(), (hi - u).min()))
+    assert analysis.order_preservation_check(ta, tb).worst_slack == float(
+        (v - u).min())
+    worst = analysis.mass_budget_check(ta).params["worst_defect"]
+    scale = max(1.0, float(np.abs(u).max()))
+    assert scale == 4.0
+    assert analysis.mass_budget_check(ta, worst / scale * (1 + 1e-9)).passed
+    assert not analysis.mass_budget_check(ta,
+                                          worst / scale * (1 - 1e-9)).passed
 
 
 # -- energy -----------------------------------------------------------------------

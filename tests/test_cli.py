@@ -1,9 +1,15 @@
 import csv
 import json
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
-from levyfv.cli import main, vanishing_trend_holds
+from levyfv.cli import main, trend_holds, write_trajectory_csv
+from levyfv.measures import zero_measure
+from levyfv.problem import make_problem
+from levyfv.scheme import SchemeConfig, solve
+from levyfv.stencil import build_stencil
 
 
 def read_csv(path):
@@ -244,6 +250,18 @@ def test_run_vanishing_with_zero_diffusion_passes(tmp_path):
     assert check["params"]["distances"] == [0.0, 0.0, 0.0, 0.0]
 
 
+def test_run_stability_with_zero_diffusion_passes(tmp_path):
+    # b = 0: every l2_b distance is exactly 0
+    out = tmp_path / "s"
+    assert main(["run", "--mode", "stability", "--problem",
+                 "burgers_rarefaction", "--dx", "0.03125", "--Z", "1.0",
+                 "--auto-cfl", "--out", str(out)]) == 0
+    check = json.loads((out / "report.json").read_text())[
+        "checks"]["stability_trend"]
+    assert check["pass"] is True
+    assert check["params"]["l2_b"] == [0.0, 0.0, 0.0, 0.0]
+
+
 @pytest.mark.parametrize("distances, holds", [
     ([0.3, 0.2, 0.1], True),
     ([0.3, 0.0, 0.0], True),
@@ -253,4 +271,27 @@ def test_run_vanishing_with_zero_diffusion_passes(tmp_path):
     ([0.0, 0.1], False),
 ])
 def test_vanishing_trend_rule(distances, holds):
-    assert vanishing_trend_holds(distances) is holds
+    assert trend_holds(distances) is holds
+
+
+def test_trajectory_csv_bytes_match_per_value_loop(tmp_path):
+    c = SchemeConfig(dx=0.125, r=0.125, Z=0.25)
+    traj = solve(make_problem("burgers", "zero", "riemann", T=0.35),
+                 build_stencil(zero_measure(), c.dx, c.r, c.Z), c)
+    n_times = 8                              # n_steps = 7, every = 3
+    values = [1e-05, 1 / 3, 5e-324, 1e16, -0.0, 1.0, -2.5, 0.1]
+    states = np.zeros((n_times, traj.grid.n_full))
+    for n in range(n_times):
+        states[n, traj.grid.interior] = np.roll(values, n)
+    traj = replace(traj, times=np.linspace(0.0, 0.35, n_times),
+                   states=states)
+    path = tmp_path / "trajectory.csv"
+    write_trajectory_csv(path, traj, every=3)
+    want = ["t,cell_index,u\n"]
+    interior = traj.interior()
+    for n in range(0, n_times, 3):
+        t = float(traj.times[n])
+        for i, v in enumerate(interior[n]):
+            want.append(f"{t!r},{i},{float(v)!r}\n")
+    assert path.read_bytes() == "".join(want).encode()
+    assert b"-0.0\n" in path.read_bytes()

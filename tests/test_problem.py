@@ -126,12 +126,16 @@ def test_eval_extension_closed_form_agrees_inside():
     assert eval_extension(spec, 0.2, x)[0] == pytest.approx(0.5)
 
 
+# a time-dependent datum with its own global closed form
+SINE_DECAY = ExteriorData(
+    value=lambda t, x: np.sin(np.asarray(x, dtype=float)) * math.exp(-t),
+    dt=lambda t, x: -np.sin(np.asarray(x, dtype=float)) * math.exp(-t),
+    grad=lambda t, x: np.cos(np.asarray(x, dtype=float)) * math.exp(-t))
+
+
 def test_eval_extension_time_dependent_closed_form():
     # datum given with its own global closed form: same formula inside
-    ext = ExteriorData(
-        value=lambda t, x: np.sin(np.asarray(x, dtype=float)) * math.exp(-t),
-        dt=lambda t, x: -np.sin(np.asarray(x, dtype=float)) * math.exp(-t),
-        grad=lambda t, x: np.cos(np.asarray(x, dtype=float)) * math.exp(-t))
+    ext = SINE_DECAY
     spec = ProblemSpec(domain=interval_domain(0.0, 1.0), flux=flux_burgers(),
                        diffusion=diffusion_zero(),
                        u0=lambda x: np.asarray(ext.value(0.0, x)),
@@ -140,6 +144,30 @@ def test_eval_extension_time_dependent_closed_form():
     x = np.array([0.5])
     assert eval_extension(spec, 0.7, x)[0] == pytest.approx(
         math.sin(0.5) * math.exp(-0.7))
+
+
+@pytest.mark.parametrize("ext", [
+    exterior_constant(0.3),
+    exterior_smoothstep(-0.2, 1.2, 1.0, -0.5),   # ramps across both halos
+    SINE_DECAY,
+], ids=["constant", "smoothstep", "sine_decay"])
+@pytest.mark.parametrize("batch", [(), (3,)], ids=["1d", "batched"])
+def test_refresh_halo_equals_exterior_values_at_halo_cells(ext, batch):
+    spec = ProblemSpec(domain=interval_domain(0.0, 1.0), flux=flux_burgers(),
+                       diffusion=diffusion_zero(),
+                       u0=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
+                       exterior=ext, T=1.0)
+    disc = discretize(spec, 1.0 / 32, 0.25)
+    halo = disc.grid.halo_mask()
+    rng = np.random.default_rng(5)
+    for t in (0.0, 0.3, 0.77, 1.0):
+        u = rng.standard_normal(batch + (disc.grid.n_full,))
+        inside = u[..., ~halo].copy()
+        disc.refresh_halo(u, t)
+        want = np.broadcast_to(disc.exterior_values(t)[halo],
+                               batch + (int(halo.sum()),))
+        assert np.array_equal(u[..., halo], want)
+        assert np.array_equal(u[..., ~halo], inside)
 
 
 def test_eval_extension_time_range():

@@ -11,6 +11,7 @@ from levyfv.problem import (PROBLEM_PRESETS, ProblemSpec, diffusion_identity,
                             diffusion_zero, exterior_constant, flux_burgers,
                             flux_linear, flux_zero, interval_domain,
                             make_problem)
+from levyfv import scheme
 from levyfv.scheme import (SchemeConfig, cfl_max_dt, l1_q_distance,
                            picard_solve, solve, stability_run, step,
                            vanishing_viscosity_run)
@@ -390,3 +391,33 @@ def test_trajectories_on_different_grids_not_comparable():
               conf(1 / 64, Z=0.125))
     with pytest.raises(ConfigMismatch):
         l1_q_distance(a, b)
+
+
+def test_null_stencil_solve_skips_the_jump_term(monkeypatch):
+    # the datum holds -0.0 cells, which the zero jump term's `+ dt * 0.0`
+    # turned into +0.0
+    from dataclasses import replace
+    base = make_problem("burgers", "identity", "riemann", T=0.1)
+    spec = replace(base, u0=lambda x: np.where(np.asarray(x) < 0.5, 1.0, -0.0))
+    c = conf(1 / 64, Z=0.125)
+    st = build_stencil(zero_measure(), c.dx, c.r, c.Z)
+    counts = {"step": 0, "jump_term": 0}
+
+    def counted(name):
+        real = getattr(scheme, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    for name in counts:
+        monkeypatch.setattr(scheme, name, counted(name))
+    traj = solve(spec, st, c)
+    n_steps = traj.stats["n_steps"]
+    assert counts == {"step": n_steps, "jump_term": 0}
+    frozen = solve(spec, st, c, dt_override=traj.stats["dt"],
+                   source_states=np.zeros((n_steps, traj.grid.n)))
+    assert frozen.states.tobytes() == traj.states.tobytes()
+    assert np.signbit(traj.states[0]).any()
+    assert not np.signbit(traj.states[1:]).any()
