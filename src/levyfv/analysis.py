@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import MissingExtensionDerivatives
-from .measures import DyadicA, DyadicB, FractionalRadial, LevyMeasure
+from .measures import DyadicA, DyadicB, FractionalRadial, LevyMeasure, \
+    truncate
 from .multiplier import MultiplierEval
 from .problem import DiffusionFn
 from .scheme import Trajectory, _numerical_flux, _tail_value, \
@@ -321,10 +322,8 @@ def entropy_residual(traj: Trajectory, measure: LevyMeasure, family, levels,
                                 max(hi, float(np.max(levels))))
 
     # operator pieces at this splitting radius
-    from .measures import truncate as _truncate
-    sigma2_r, outer = _truncate(measure, r, budget=traj.config.budget)
-    stencil_r = build_stencil(outer, dx, r, max(traj.stencil.Z, r),
-                              budget=traj.config.budget)
+    sigma2_r, outer = truncate(measure, r)
+    stencil_r = build_stencil(outer, dx, r, max(traj.stencil.Z, r))
 
     u_all = traj.states[:-1]
     u_int = u_all[:, grid.interior]
@@ -531,7 +530,7 @@ class GalleryRow:
     passed: bool
 
 
-def counterexample_gallery(budget: int = 60) -> list:
+def counterexample_gallery() -> list:
     """Quantitative table for the two dyadic atomic measures.
 
     Measure A (pair weight 1): moment 1/3; symbol pinned below (2/3) pi^2 on
@@ -544,8 +543,8 @@ def counterexample_gallery(budget: int = 60) -> list:
     rows = []
     plateau = (2.0 / 3.0) * math.pi ** 2
     a = DyadicA()
-    ev_a = MultiplierEval(a, budget=budget)
-    moment_a = a.levy_moment(budget=budget)
+    ev_a = MultiplierEval(a)
+    moment_a = a.levy_moment()
     rows.append(GalleryRow("dyadic_a", "levy_moment", 0.0, moment_a,
                            1.0 / 3.0, abs(moment_a - 1.0 / 3.0) <= 1e-12))
     for n in range(1, 21):
@@ -565,8 +564,8 @@ def counterexample_gallery(budget: int = 60) -> list:
                            abs(val - ref) <= 1e-10))
 
     bmeas = DyadicB()
-    ev_b = MultiplierEval(bmeas, budget=budget)
-    moment_b = bmeas.levy_moment(budget=budget)
+    ev_b = MultiplierEval(bmeas)
+    moment_b = bmeas.levy_moment()
     rows.append(GalleryRow("dyadic_b", "levy_moment", 0.0, moment_b, 1.0,
                            abs(moment_b - 1.0) <= 1e-12))
     for i, s in enumerate(np.linspace(1.0, 2.0, 20)):
@@ -578,14 +577,14 @@ def counterexample_gallery(budget: int = 60) -> list:
                                bound, val >= bound - 1e-10))
     for n in range(1, 13):
         _, outer = bmeas.truncated(2.0 ** -n)
-        val = outer.multiplier_value(math.pi * 2.0 ** (n + 1), budget=budget)
+        val = outer.multiplier_value(math.pi * 2.0 ** (n + 1))
         rows.append(GalleryRow("dyadic_b", "truncation_zero", float(n), val,
                                0.0, abs(val) <= 1e-10))
 
     # finite-measure sandwich on a truncation of measure B
     _, trunc6 = bmeas.truncated(2.0 ** -6)
-    mass = trunc6.total_mass(budget=budget)
-    ev_t = MultiplierEval(trunc6, budget=budget)
+    mass = trunc6.total_mass()
+    ev_t = MultiplierEval(trunc6)
     grid = np.linspace(0.1, 600.0, 6000)
     sup = float(np.max(ev_t.m_many(grid)))
     rows.append(GalleryRow("dyadic_b_trunc", "sandwich_upper", 6.0, sup,
@@ -600,11 +599,11 @@ def counterexample_gallery(budget: int = 60) -> list:
     monotone = True
     for n in (2, 4, 8, 16, 32):
         _, outer = frac.truncated(1.0 / n)
-        vals = MultiplierEval(outer, budget=budget).m_many(xis)
+        vals = MultiplierEval(outer).m_many(xis)
         if np.any(vals < prev - 1e-12):
             monotone = False
         prev = vals
-    full = MultiplierEval(frac, budget=budget).m_many(xis)
+    full = MultiplierEval(frac).m_many(xis)
     rows.append(GalleryRow("fractional", "truncation_monotone", 0.0,
                            float(np.max(full - prev)), 0.0,
                            monotone and bool(np.all(prev <= full + 1e-12))))

@@ -10,6 +10,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import replace
 from datetime import datetime, timezone
 
 import numpy as np
@@ -20,7 +21,8 @@ from .errors import (ConfigParse, IoFailure, LevyFvError, UnknownPreset,
 from .measures import (FractionalRadial, measure_from_config, single_atom,
                        truncate, validate_measure, zero_measure)
 from .multiplier import MultiplierEval, write_multiplier_scan
-from .problem import make_problem, problem_from_config
+from .problem import (diffusion_identity, diffusion_power, diffusion_stefan,
+                      make_problem, problem_from_config)
 from .scheme import (SchemeConfig, build_stencil, picard_solve, solve,
                      stability_run, vanishing_viscosity_run)
 from .stencil import fourier_energy_check
@@ -126,6 +128,15 @@ def trend_holds(distances) -> bool:
     return bool(np.all((d[1:] < d[:-1]) | (d[1:] == 0.0)))
 
 
+def trend_check(name, distances, params) -> analysis.CheckResult:
+    """A chain's trend as a check: `trend_holds`, and as worst slack the
+    negated largest step up (0 for fewer than two distances)."""
+    diffs = np.diff(distances)
+    return analysis.CheckResult(
+        name, trend_holds(distances),
+        float(-diffs.max()) if diffs.size else 0.0, params)
+
+
 def _scheme_config(cfg):
     try:
         return SchemeConfig(
@@ -158,32 +169,30 @@ def cmd_run(cfg, out_dir) -> int:
                 print(f"FAIL {r.name}/{r.check} param={r.param} "
                       f"value={r.value} reference={r.reference}")
         print(f"gallery: {'PASS' if ok else 'FAIL'} ({len(rows)} rows)")
+        res = analysis.CheckResult("gallery", ok, 0.0, {"rows": len(rows)})
         write_report(os.path.join(out_dir, "report.json"),
-                     {"config": cfg, "checks": {
-                         "gallery": {"pass": ok, "worst_slack": 0.0,
-                                     "params": {"rows": len(rows)}}}})
+                     {"config": cfg, "checks": {res.name: res.as_dict()}})
         return 0 if ok else 1
 
     spec = _reference(cfg.get("problem", "burgers_riemann"),
                       problem_from_config)
     if "T" in cfg:
-        from dataclasses import replace
         spec = replace(spec, T=float(cfg["T"]))
     measure = _reference(cfg.get("measure", "none"), measure_from_config)
     sconf = _scheme_config(cfg)
     checks = {}
     report = {"config": cfg, "seed": seed, "checks": checks}
 
+    def record(res):
+        checks[res.name] = res.as_dict()
+
     if mode == "solve":
         stencil = build_stencil(measure, sconf.dx, sconf.r, sconf.Z)
         traj = solve(spec, stencil, sconf)
-        res = analysis.max_principle_check(traj)
-        checks[res.name] = res.as_dict()
-        res = analysis.mass_budget_check(traj)
-        checks[res.name] = res.as_dict()
+        record(analysis.max_principle_check(traj))
+        record(analysis.mass_budget_check(traj))
         if cfg.get("contraction", True):
             # companion run with a perturbed datum, same time grid
-            from dataclasses import replace
             lo, hi = traj.disc.data_range
             a, bdom = spec.domain.params
             mid = 0.5 * (a + bdom)
@@ -197,7 +206,7 @@ def cmd_run(cfg, out_dir) -> int:
             other = solve(replace(spec, u0=perturbed), stencil, sconf,
                           dt_override=float(traj.times[1] - traj.times[0]))
             _, verdict = analysis.l1_contraction_check(traj, other)
-            checks[verdict.name] = verdict.as_dict()
+            record(verdict)
         if cfg.get("moduli", False):
             dt = float(traj.times[1] - traj.times[0])
             tables = analysis.translation_moduli(
@@ -220,32 +229,26 @@ def cmd_run(cfg, out_dir) -> int:
         write_gaps_csv(os.path.join(out_dir, "gaps.csv"), res.gaps)
         write_trajectory_csv(os.path.join(out_dir, "trajectory.csv"),
                              res.trajectory, every=sconf.store_every)
-        checks["picard_converged"] = {"pass": res.converged,
-                                      "worst_slack": 0.0,
-                                      "params": {"iterations": res.iterations}}
+        record(analysis.CheckResult("picard_converged", res.converged, 0.0,
+                                    {"iterations": res.iterations}))
         report["gaps"] = res.gaps
     elif mode == "vanishing":
         n_list = cfg.get("n_list", [1, 4, 16, 64])
         rep = vanishing_viscosity_run(spec, float(cfg.get("alpha", 1.0)),
                                       n_list, sconf)
-        diffs = np.diff(rep.l1_distances)
-        checks["vanishing_trend"] = {
-            "pass": trend_holds(rep.l1_distances),
-            "worst_slack": float(-diffs.max()) if diffs.size else 0.0,
-            "params": {"n_list": list(n_list),
-                       "distances": list(map(float, rep.l1_distances))}}
+        record(trend_check("vanishing_trend", rep.l1_distances,
+                           {"n_list": list(n_list),
+                            "distances": list(map(float, rep.l1_distances))}))
     elif mode == "stability":
         r_list = cfg.get("r_list", [0.25, 0.125, 0.0625, 0.03125, 0.015625])
         base = FractionalRadial(alpha=float(cfg.get("alpha", 1.0)))
         measures = [truncate(base, r)[1] for r in r_list]
         rep = stability_run(spec, measures, sconf, labels=r_list[:-1])
-        diffs = np.diff(rep.l2_b_distances)
-        checks["stability_trend"] = {
-            "pass": trend_holds(rep.l2_b_distances),
-            "worst_slack": float(-diffs.max()) if diffs.size else 0.0,
-            "params": {"r_list": list(map(float, r_list)),
-                       "l2_b": list(map(float, rep.l2_b_distances)),
-                       "measure_tv": list(map(float, rep.measure_distances))}}
+        record(trend_check(
+            "stability_trend", rep.l2_b_distances,
+            {"r_list": list(map(float, r_list)),
+             "l2_b": list(map(float, rep.l2_b_distances)),
+             "measure_tv": list(map(float, rep.measure_distances))}))
     else:
         raise ConfigParse(f"unknown mode {mode!r}")
 
@@ -302,8 +305,6 @@ def _suite_appendix(out_dir):
         return rep["violations"] == 0
 
     def mollification_bound():
-        from .problem import (diffusion_identity, diffusion_power,
-                              diffusion_stefan)
         rep = analysis.mollification_bound_suite(
             [diffusion_identity(), diffusion_power(2.0),
              diffusion_stefan(0.25)],
@@ -323,8 +324,7 @@ def _suite_apriori(out_dir):
         stencil = build_stencil(single_atom(), conf.dx, conf.r, conf.Z)
         spec = make_problem("burgers", "stefan", "riemann", ell=0.4)
         traj = solve(spec, stencil, conf)
-        from dataclasses import replace as drep
-        pert = drep(spec, u0=lambda x: np.clip(
+        pert = replace(spec, u0=lambda x: np.clip(
             spec.u0(x) + 0.1 * np.exp(-80 * (np.asarray(x) - 0.3) ** 2),
             0, 1))
         traj_v = solve(pert, stencil, conf,

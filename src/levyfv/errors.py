@@ -16,11 +16,12 @@ class MassAtOrigin(LevyFvError):
 
 
 class DivergentLevyMoment(LevyFvError):
-    """The (|z|^2 ^ 1)-moment estimate failed to converge within budget."""
+    """The (|z|^2 ^ 1)-moment diverges, or its quadrature fails to certify
+    its error."""
 
 
 class QuadratureNotConverged(LevyFvError):
-    """Adaptive quadrature error estimate above the configured tolerance."""
+    """Adaptive quadrature error estimate above its certified tolerance."""
 
 
 class EmptyGrid(LevyFvError):

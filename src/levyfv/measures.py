@@ -22,22 +22,26 @@ tail masses use the strict inequality {|z| > Z}.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, replace
 from typing import Callable, Iterator
 
 import numpy as np
 from scipy import integrate
+from scipy.special import sici
 
 from .errors import (
     ConfigParse,
     DivergentLevyMoment,
     MassAtOrigin,
     NonSymmetric,
+    QuadratureNotConverged,
     UnknownPreset,
     UnsupportedPair,
 )
 
 _INF = math.inf
+SYMBOL_REL_TOL = 1e-8     # relative error the symbol quadrature certifies
 
 
 @dataclass(frozen=True)
@@ -53,126 +57,141 @@ class MomentReport:
 @dataclass(frozen=True, kw_only=True)
 class LevyMeasure:
     """Base type.  Band arguments are radii 0 <= a <= b <= inf; the inclusive
-    flags only matter for atomic kinds."""
+    flags only matter for atomic kinds.
+
+    Every band quantity is read through `leaves()`: it sums, over the leaves
+    whose folded window the band meets, the leaf's coefficient times the
+    leaf's hook on the band clipped to that window.  Sums and scalings have
+    no hooks of their own."""
 
     lo: float = 0.0
     hi: float = _INF
 
-    # -- kind hooks (band already clipped to the window) ----------------------
-    def _mass(self, a, b, ia, ib, budget) -> float:
+    # -- leaf hooks (band already clipped to the window) -----------------------
+    def _mass(self, a, b, ia, ib) -> float:
         raise NotImplementedError
 
-    def _second(self, a, b, ia, ib, budget) -> float:
+    def _second(self, a, b, ia, ib) -> float:
         raise NotImplementedError
 
-    def _multiplier(self, xi, a, b, ia, ib, budget, tol) -> float:
+    def _multiplier(self, xi, a, b, ia, ib) -> float:
         raise NotImplementedError
 
-    def _atoms(self, a, b, ia, ib, budget):
+    def _atoms(self, a, b, ia, ib):
         """Pairs (radius, per-side weight) inside the band, or None."""
         return None
 
-    def _side_cell_mass(self, a, b, budget) -> float:
-        """One-sided mass of [a, b] for 1-d continuous kinds, else None."""
-        return None
+    def _side_cell_mass(self, a, b) -> float:
+        """One-sided mass of [a, b]; continuous kinds only."""
+        raise NotImplementedError(
+            f"no cell masses for {type(self).__name__}")
 
     def validate(self) -> None:
         """Structural checks; kinds with atom lists override."""
 
     # -- window plumbing -------------------------------------------------------
     def _clip(self, a, b, ia, ib):
+        """The band clipped to the window, or None when that is empty."""
         a2 = max(a, self.lo)
         b2 = min(b, self.hi)
         ia2 = ia if a2 == a else True
         ib2 = ib if b2 == b else True
+        if a2 > b2 or (a2 == b2 and not (ia2 and ib2)):
+            return None
         return a2, b2, ia2, ib2
 
-    def _band_empty(self, a, b, ia, ib) -> bool:
-        return a > b or (a == b and not (ia and ib))
+    def _met_leaves(self, a, b, ia, ib):
+        """(coefficient, leaf, clipped band) for each leaf the band meets."""
+        for coef, leaf in self.leaves():
+            band = leaf._clip(a, b, ia, ib)
+            if band is not None:
+                yield coef, leaf, band
+
+    def _leaf_fsum(self, hook, a, b, ia, ib) -> float:
+        """Exactly rounded sum of coefficient times `hook` over the leaves
+        the band meets; inf when any term is not finite."""
+        vals = [coef * getattr(leaf, hook)(*band)
+                for coef, leaf, band in self._met_leaves(a, b, ia, ib)]
+        return math.fsum(vals) if all(math.isfinite(v) for v in vals) else _INF
 
     # -- public band quantities ------------------------------------------------
-    def mass_between(self, a=0.0, b=_INF, include_a=True, include_b=True,
-                     budget=60) -> float:
-        a, b, ia, ib = self._clip(a, b, include_a, include_b)
-        if self._band_empty(a, b, ia, ib):
-            return 0.0
-        return self._mass(a, b, ia, ib, budget)
+    def mass_between(self, a=0.0, b=_INF, include_a=True,
+                     include_b=True) -> float:
+        return self._leaf_fsum("_mass", a, b, include_a, include_b)
 
     def second_moment_between(self, a=0.0, b=_INF, include_a=True,
-                              include_b=True, budget=60) -> float:
-        a, b, ia, ib = self._clip(a, b, include_a, include_b)
-        if self._band_empty(a, b, ia, ib):
-            return 0.0
-        return self._second(a, b, ia, ib, budget)
+                              include_b=True) -> float:
+        return self._leaf_fsum("_second", a, b, include_a, include_b)
 
     def levy_moment_between(self, a=0.0, b=_INF, include_a=True,
-                            include_b=True, budget=60) -> float:
+                            include_b=True) -> float:
         """Integral of (|z|^2 ^ 1) over the band (split at |z| = 1, where the
         weight is continuous, so the split point is counted exactly once)."""
         inner = self.second_moment_between(a, min(b, 1.0), include_a,
-                                           include_b and b < 1.0, budget)
+                                           include_b and b < 1.0)
         outer = self.mass_between(max(a, 1.0), b,
-                                  include_a if a >= 1.0 else True,
-                                  include_b, budget)
+                                  include_a if a >= 1.0 else True, include_b)
         return inner + outer
 
-    def levy_moment(self, budget=60) -> float:
-        return self.levy_moment_between(budget=budget)
+    def levy_moment(self) -> float:
+        return self.levy_moment_between()
 
-    def total_mass(self, budget=60) -> float:
-        return self.mass_between(budget=budget)
+    def total_mass(self) -> float:
+        return self.mass_between()
 
-    def mass_above(self, Z: float, budget=60) -> float:
+    def mass_above(self, Z: float) -> float:
         """mu({|z| > Z}), strict."""
-        return self.mass_between(Z, _INF, include_a=False, budget=budget)
+        return self.mass_between(Z, _INF, include_a=False)
 
-    def second_moment_below(self, r: float, budget=60) -> float:
+    def second_moment_below(self, r: float) -> float:
         """Integral of |z|^2 over {|z| < r}, strict."""
-        return self.second_moment_between(0.0, r, include_b=False,
-                                          budget=budget)
+        return self.second_moment_between(0.0, r, include_b=False)
 
-    def truncated(self, r: float, budget=60):
+    def truncated(self, r: float):
         """Split at r: returns (sigma2, outer measure restricted to |z| >= r)."""
-        sigma2 = self.second_moment_below(r, budget=budget)
+        sigma2 = self.second_moment_below(r)
         return sigma2, replace(self, lo=max(self.lo, r))
 
-    def multiplier_value(self, xi, budget=60, tol=1e-8) -> float:
+    def multiplier_value(self, xi) -> float:
         """Symbol m(xi) = integral of (1 - cos(xi . z)) d mu."""
-        a, b, ia, ib = self._clip(0.0, _INF, True, True)
-        if self._band_empty(a, b, ia, ib):
-            return 0.0
-        return self._multiplier(xi, a, b, ia, ib, budget, tol)
+        total = 0.0
+        for coef, leaf, band in self._met_leaves(0.0, _INF, True, True):
+            total += coef * leaf._multiplier(xi, *band)
+        return total
 
-    def multiplier_values(self, xis, budget=60, tol=1e-8) -> np.ndarray:
+    def multiplier_values(self, xis) -> np.ndarray:
         """Vectorized symbol over frequencies (atomic kinds evaluate the whole
         grid at once; quadrature kinds fall back to a loop)."""
         xis = np.atleast_1d(np.asarray(xis, dtype=float))
-        atoms = self.atoms_between(budget=budget)
+        atoms = self.atoms_between()
         if atoms is not None:
-            if not atoms:
-                return np.zeros_like(xis)
             rad = np.array([a[0] for a in atoms])
             w = np.array([a[1] for a in atoms])
             return 2.0 * np.sum(
                 w * (1.0 - np.cos(np.multiply.outer(xis, rad))), axis=-1)
-        return np.array([self.multiplier_value(x, budget, tol) for x in xis])
+        return np.array([self.multiplier_value(x) for x in xis])
 
-    def atoms_between(self, a=0.0, b=_INF, include_a=True, include_b=True,
-                      budget=60):
-        a, b, ia, ib = self._clip(a, b, include_a, include_b)
-        if self._band_empty(a, b, ia, ib):
-            return []
-        return self._atoms(a, b, ia, ib, budget)
+    def atoms_between(self, a=0.0, b=_INF, include_a=True, include_b=True):
+        """Pairs (radius, per-side weight) in the band, or None when the band
+        meets a continuous leaf."""
+        out = []
+        for coef, leaf, band in self._met_leaves(a, b, include_a, include_b):
+            atoms = leaf._atoms(*band)
+            if atoms is None:
+                return None
+            out.extend((rad, coef * w) for rad, w in atoms)
+        return out
 
     def leaves(self) -> Iterator[tuple[float, "LevyMeasure"]]:
         """Flatten sums/scalings into (coefficient, leaf) with windows folded."""
         yield 1.0, self
 
-    def side_cell_mass(self, a, b, budget=60) -> float:
-        a2, b2, _, _ = self._clip(a, b, True, True)
+    def side_cell_mass(self, a, b) -> float:
+        """One-sided mass of [a, b] for a continuous leaf."""
+        a2, b2 = max(a, self.lo), min(b, self.hi)
         if a2 >= b2:
             return 0.0
-        return self._side_cell_mass(a2, b2, budget)
+        return self._side_cell_mass(a2, b2)
 
 
 # ---------------------------------------------------------------------------
@@ -200,31 +219,31 @@ class FractionalRadial(LevyMeasure):
         """coeff times the two sides of the line."""
         return 2.0 * self.coeff
 
-    def _mass(self, a, b, ia, ib, budget):
+    def _mass(self, a, b, ia, ib):
         if a <= 0.0:
             return _INF
         al = self.alpha
         upper = 0.0 if b == _INF else b ** -al
         return self._coef() * (a ** -al - upper) / al
 
-    def _second(self, a, b, ia, ib, budget):
+    def _second(self, a, b, ia, ib):
         if b == _INF:
             return _INF
         p = 2.0 - self.alpha
         return self._coef() * (b ** p - a ** p) / p
 
-    def _side_cell_mass(self, a, b, budget):
+    def _side_cell_mass(self, a, b):
         # one side of the line
         al = self.alpha
         upper = 0.0 if b == _INF else b ** -al
         return self.coeff * (a ** -al - upper) / al
 
-    def _multiplier(self, xi, a, b, ia, ib, budget, tol):
+    def _multiplier(self, xi, a, b, ia, ib):
         return _power_law_multiplier(abs(float(xi)), a, b, self.alpha,
-                                     self.coeff, budget, tol)
+                                     self.coeff)
 
 
-def _power_law_multiplier(xi, a, b, alpha, coeff, budget, tol):
+def _power_law_multiplier(xi, a, b, alpha, coeff):
     """2*coeff * int_a^b (1 - cos(xi z)) z^(-1-alpha) dz."""
     if xi == 0.0:
         return 0.0
@@ -235,22 +254,16 @@ def _power_law_multiplier(xi, a, b, alpha, coeff, budget, tol):
                 return 0.0
             if z == _INF:
                 return xi * (math.pi / 2.0)
-            si = float(integrate_sici(xi * z))
+            si = float(sici(xi * z)[0])
             return -(1.0 - math.cos(xi * z)) / z + xi * si
         return 2.0 * coeff * (anti(b) - anti(a))
     return 2.0 * coeff * _oscillatory_band_integral(
         lambda z: z ** (-1.0 - alpha), xi, a, b,
         mass_side=lambda a_, b_: (a_ ** -alpha -
-                                  (0.0 if b_ == _INF else b_ ** -alpha)) / alpha,
-        tol=tol)
+                                  (0.0 if b_ == _INF else b_ ** -alpha)) / alpha)
 
 
-def integrate_sici(x: float) -> float:
-    from scipy.special import sici
-    return sici(x)[0]
-
-
-def _oscillatory_band_integral(g, xi, a, b, mass_side, tol):
+def _oscillatory_band_integral(g, xi, a, b, mass_side):
     """int_a^b (1 - cos(xi z)) g(z) dz for a decaying density g >= 0.
 
     Near the origin 1 - cos tames the singularity; past 1/xi the two parts
@@ -258,13 +271,12 @@ def _oscillatory_band_integral(g, xi, a, b, mass_side, tol):
     Convergence is enforced through the returned error estimates, so scipy's
     advisory warnings are silenced here.
     """
-    import warnings
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        return _oscillatory_pieces(g, xi, a, b, mass_side, tol)
+        return _oscillatory_pieces(g, xi, a, b, mass_side)
 
 
-def _oscillatory_pieces(g, xi, a, b, mass_side, tol):
+def _oscillatory_pieces(g, xi, a, b, mass_side):
     split = min(max(a, 1.0 / xi), b)
     total, err = 0.0, 0.0
     if split > a:
@@ -288,8 +300,7 @@ def _oscillatory_pieces(g, xi, a, b, mass_side, tol):
                                   limit=400, epsabs=1e-12, epsrel=1e-11)
         total -= v
         err += e
-    from .errors import QuadratureNotConverged
-    if err > max(tol * abs(total), 1e-9):
+    if err > max(SYMBOL_REL_TOL * abs(total), 1e-9):
         raise QuadratureNotConverged(
             f"symbol quadrature error {err:.2e} at xi={xi}")
     return total
@@ -337,15 +348,15 @@ class AtomicSymmetric(LevyMeasure):
         return ((rad > a or (rad == a and ia)) and
                 (rad < b or (rad == b and ib)))
 
-    def _mass(self, a, b, ia, ib, budget):
+    def _mass(self, a, b, ia, ib):
         return sum(2.0 * w for rad, w in self._pairs()
                    if self._in_band(rad, a, b, ia, ib))
 
-    def _second(self, a, b, ia, ib, budget):
+    def _second(self, a, b, ia, ib):
         return sum(2.0 * w * rad ** 2 for rad, w in self._pairs()
                    if self._in_band(rad, a, b, ia, ib))
 
-    def _multiplier(self, xi, a, b, ia, ib, budget, tol):
+    def _multiplier(self, xi, a, b, ia, ib):
         x = float(xi)
         total = 0.0
         for rad, w in self._pairs():
@@ -353,14 +364,18 @@ class AtomicSymmetric(LevyMeasure):
                 total += 2.0 * w * (1.0 - math.cos(x * rad))
         return total
 
-    def _atoms(self, a, b, ia, ib, budget):
+    def _atoms(self, a, b, ia, ib):
         return [(rad, w) for rad, w in self._pairs()
                 if self._in_band(rad, a, b, ia, ib)]
 
 
 @dataclass(frozen=True)
 class _DyadicFamily(LevyMeasure):
-    """Atoms at radii 2^-k, k >= 1, with kind-specific pair weights."""
+    """Atoms at radii 2^-k, k >= 1, with kind-specific pair weights.  The
+    first EXPLICIT_ATOMS atoms are summed one by one; the second moment of
+    the rest is a closed-form tail."""
+
+    EXPLICIT_ATOMS = 60
 
     def _pair_weight(self, k: int) -> float:
         raise NotImplementedError
@@ -369,42 +384,43 @@ class _DyadicFamily(LevyMeasure):
         """Sum over j > k of pair_weight(j) * 4^-j, in closed form."""
         raise NotImplementedError
 
-    def _k_range(self, a, b, ia, ib, budget):
-        """Explicit atom indices in the band, capped at `budget`; bands that
-        reach radius zero also report an analytic tail flag."""
+    def _k_range(self, a, b, ia, ib):
+        """Explicit atom indices in the band; bands that reach radius zero
+        also report an analytic tail flag."""
+        n = self.EXPLICIT_ATOMS
         ks = []
-        for k in range(1, budget + 1):
+        for k in range(1, n + 1):
             rad = 2.0 ** -k
             if rad > b or (rad == b and not ib):
                 continue
             if rad < a or (rad == a and not ia):
                 break
             ks.append(k)
-        reaches_zero = a <= 0.0 or (a < 2.0 ** -budget)
+        reaches_zero = a <= 0.0 or (a < 2.0 ** -n)
         return ks, reaches_zero
 
-    def _mass(self, a, b, ia, ib, budget):
-        ks, reaches_zero = self._k_range(a, b, ia, ib, budget)
+    def _mass(self, a, b, ia, ib):
+        ks, reaches_zero = self._k_range(a, b, ia, ib)
         if reaches_zero:
             return _INF
         return sum(self._pair_weight(k) for k in ks)
 
-    def _second(self, a, b, ia, ib, budget):
-        ks, reaches_zero = self._k_range(a, b, ia, ib, budget)
+    def _second(self, a, b, ia, ib):
+        ks, reaches_zero = self._k_range(a, b, ia, ib)
         out = sum(self._pair_weight(k) * 4.0 ** -k for k in ks)
         if reaches_zero:
-            out += self._tail_second(budget)
+            out += self._tail_second(self.EXPLICIT_ATOMS)
         return out
 
-    def _multiplier(self, xi, a, b, ia, ib, budget, tol):
-        # remainder past the budget is below xi^2 * tail_second / 2
-        ks, _ = self._k_range(a, b, ia, ib, budget)
+    def _multiplier(self, xi, a, b, ia, ib):
+        # remainder past the explicit atoms is below xi^2 * tail_second / 2
+        ks, _ = self._k_range(a, b, ia, ib)
         x = abs(float(np.atleast_1d(xi)[0]))
         return sum(self._pair_weight(k) * (1.0 - math.cos(x * 2.0 ** -k))
                    for k in ks)
 
-    def _atoms(self, a, b, ia, ib, budget):
-        ks, _ = self._k_range(a, b, ia, ib, budget)
+    def _atoms(self, a, b, ia, ib):
+        ks, _ = self._k_range(a, b, ia, ib)
         return [(2.0 ** -k, 0.5 * self._pair_weight(k)) for k in ks]
 
 
@@ -449,7 +465,6 @@ class RadialDensity(LevyMeasure):
     finite_mass: bool | None = None
 
     def _quad(self, f, a, b):
-        import warnings
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", integrate.IntegrationWarning)
@@ -462,7 +477,7 @@ class RadialDensity(LevyMeasure):
                 f"quadrature error {e:.2e} on [{a}, {b}]")
         return v
 
-    def _mass(self, a, b, ia, ib, budget):
+    def _mass(self, a, b, ia, ib):
         if a <= 0.0 and self.finite_mass is False:
             return _INF
         if a <= 0.0 and self.finite_mass is None:
@@ -471,19 +486,19 @@ class RadialDensity(LevyMeasure):
                 2.0 * self._quad(self.g, 1.0, b) if b > 1.0 else 0.0)
         return 2.0 * self._quad(self.g, a, b)
 
-    def _second(self, a, b, ia, ib, budget):
+    def _second(self, a, b, ia, ib):
         return 2.0 * self._quad(lambda z: z * z * self.g(z), a, b)
 
-    def _side_cell_mass(self, a, b, budget):
+    def _side_cell_mass(self, a, b):
         return self._quad(self.g, a, b)
 
-    def _multiplier(self, xi, a, b, ia, ib, budget, tol):
+    def _multiplier(self, xi, a, b, ia, ib):
         return 2.0 * _oscillatory_band_integral(self.g, abs(float(xi)), a, b,
-                                                mass_side=None, tol=tol)
+                                                mass_side=None)
 
 
 # ---------------------------------------------------------------------------
-# composites
+# composites (read through `leaves()` only)
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -493,33 +508,6 @@ class SumMeasure(LevyMeasure):
     def validate(self) -> None:
         for p in self.parts:
             p.validate()
-
-    def _apply(self, method, *args):
-        vals = [getattr(p, method)(*args) for p in self.parts]
-        return math.fsum(vals) if all(math.isfinite(v) for v in vals) else _INF
-
-    def _mass(self, a, b, ia, ib, budget):
-        return self._apply("mass_between", a, b, ia, ib, budget)
-
-    def _second(self, a, b, ia, ib, budget):
-        return self._apply("second_moment_between", a, b, ia, ib, budget)
-
-    def _multiplier(self, xi, a, b, ia, ib, budget, tol):
-        total = 0.0
-        for p in self.parts:
-            pa, pb, pia, pib = p._clip(a, b, ia, ib)
-            if not p._band_empty(pa, pb, pia, pib):
-                total += p._multiplier(xi, pa, pb, pia, pib, budget, tol)
-        return total
-
-    def _atoms(self, a, b, ia, ib, budget):
-        out = []
-        for p in self.parts:
-            sub = p.atoms_between(a, b, ia, ib, budget)
-            if sub is None:
-                return None
-            out.extend(sub)
-        return out
 
     def leaves(self):
         for p in self.parts:
@@ -540,30 +528,6 @@ class ScaledMeasure(LevyMeasure):
     def validate(self) -> None:
         self.inner.validate()
 
-    def _mass(self, a, b, ia, ib, budget):
-        return self.factor * self.inner.mass_between(a, b, ia, ib, budget)
-
-    def _second(self, a, b, ia, ib, budget):
-        return self.factor * self.inner.second_moment_between(a, b, ia, ib,
-                                                              budget)
-
-    def _multiplier(self, xi, a, b, ia, ib, budget, tol):
-        pa, pb, pia, pib = self.inner._clip(a, b, ia, ib)
-        if self.inner._band_empty(pa, pb, pia, pib):
-            return 0.0
-        return self.factor * self.inner._multiplier(xi, pa, pb, pia, pib,
-                                                    budget, tol)
-
-    def _atoms(self, a, b, ia, ib, budget):
-        sub = self.inner.atoms_between(a, b, ia, ib, budget)
-        if sub is None:
-            return None
-        return [(rad, self.factor * w) for rad, w in sub]
-
-    def _side_cell_mass(self, a, b, budget):
-        v = self.inner.side_cell_mass(a, b, budget)
-        return None if v is None else self.factor * v
-
     def leaves(self):
         for coef, leaf in self.inner.leaves():
             yield self.factor * coef, replace(leaf, lo=max(leaf.lo, self.lo),
@@ -574,92 +538,94 @@ class ScaledMeasure(LevyMeasure):
 # validation and distance
 # ---------------------------------------------------------------------------
 
-def validate_measure(measure: LevyMeasure, budget: int = 60) -> MomentReport:
+def validate_measure(measure: LevyMeasure) -> MomentReport:
     """Check structure and return the (|z|^2 ^ 1)-moment and total mass.
 
     Total mass may be inf (structural divergence).  A levy moment that fails
     to converge raises DivergentLevyMoment.
     """
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
     measure.validate()
-    moment = measure.levy_moment(budget=budget)
+    moment = measure.levy_moment()
     if not math.isfinite(moment):
         raise DivergentLevyMoment("levy moment diverges")
-    mass = measure.total_mass(budget=budget)
-    return MomentReport(levy_moment=moment, total_mass=mass)
+    return MomentReport(levy_moment=moment, total_mass=measure.total_mass())
 
 
-def truncate(measure: LevyMeasure, r: float, budget: int = 60):
+def truncate(measure: LevyMeasure, r: float):
     """Split at radius r: (inner second moment sigma^2,  outer part mu|{|z|>=r})."""
     if r <= 0:
         raise ValueError("truncation radius must be positive")
-    return measure.truncated(r, budget=budget)
+    return measure.truncated(r)
 
 
-def _atom_dict(leaves, budget):
+def _atom_dict(leaves):
     """Radius -> total per-side weight for the purely atomic leaves."""
     out = {}
     for coef, leaf in leaves:
-        for rad, w in leaf.atoms_between(budget=budget):
+        for rad, w in leaf.atoms_between():
             out[rad] = out.get(rad, 0.0) + coef * w
-    # merge near-identical radii produced by different expressions
-    merged = {}
-    for rad in sorted(out):
-        for seen in merged:
-            if abs(seen - rad) <= 1e-12 * (1.0 + abs(seen)):
-                merged[seen] += out[rad]
+    return out
+
+
+def _canonical_radii(radii):
+    """Map each radius to the first smaller-or-equal radius within
+    1e-12 (1 + r) of it, in ascending order: one key for near-identical radii
+    produced by different expressions."""
+    canon, seen = {}, []
+    for rad in sorted(radii):
+        for rep in seen:
+            if abs(rep - rad) <= 1e-12 * (1.0 + abs(rep)):
+                canon[rad] = rep
                 break
         else:
-            merged[rad] = out[rad]
+            seen.append(rad)
+            canon[rad] = rad
+    return canon
+
+
+def _merge(d, canon):
+    merged = {}
+    for rad in sorted(d):
+        merged[canon[rad]] = merged.get(canon[rad], 0.0) + d[rad]
     return merged
 
 
 def _split_leaves(measure):
     atomic, continuous = [], []
     for coef, leaf in measure.leaves():
-        if leaf.atoms_between(budget=4) is not None:
+        if leaf.atoms_between() is not None:
             atomic.append((coef, leaf))
         else:
             continuous.append((coef, leaf))
     return atomic, continuous
 
 
-def weighted_tv_distance(mu1: LevyMeasure, mu2: LevyMeasure,
-                         budget: int = 60) -> float:
+def weighted_tv_distance(mu1: LevyMeasure, mu2: LevyMeasure) -> float:
     """Integral of (|z|^2 ^ 1) against the total variation |mu1 - mu2|.
 
     Atomic and absolutely continuous parts are mutually singular, so the
-    distance splits cleanly.  Continuous parts are compared in closed form
-    when they share a power law, by quadrature otherwise.
+    distance splits cleanly.  Atoms of either measure at near-identical radii
+    are one atom.  Continuous parts are compared in closed form when they
+    share a power law, by quadrature otherwise.
     """
     a1, c1 = _split_leaves(mu1)
     a2, c2 = _split_leaves(mu2)
     total = 0.0
 
-    d1 = _atom_dict(a1, budget)
-    d2 = _atom_dict(a2, budget)
+    d1, d2 = _atom_dict(a1), _atom_dict(a2)
+    canon = _canonical_radii(set(d1) | set(d2))
+    d1, d2 = _merge(d1, canon), _merge(d2, canon)
     for rad in set(d1) | set(d2):
-        w1 = _lookup(d1, rad)
-        w2 = _lookup(d2, rad)
-        total += min(rad * rad, 1.0) * 2.0 * abs(w1 - w2)
+        total += (min(rad * rad, 1.0) * 2.0
+                  * abs(d1.get(rad, 0.0) - d2.get(rad, 0.0)))
 
     if not c1 and not c2:
         return total
-    total += _continuous_tv(c1, c2, budget)
+    total += _continuous_tv(c1, c2)
     return total
 
 
-def _lookup(d, rad):
-    if rad in d:
-        return d[rad]
-    for seen, w in d.items():
-        if abs(seen - rad) <= 1e-12 * (1.0 + abs(seen)):
-            return w
-    return 0.0
-
-
-def _continuous_tv(c1, c2, budget):
+def _continuous_tv(c1, c2):
     if all(isinstance(leaf, FractionalRadial) for _, leaf in c1 + c2):
         params1 = {leaf.alpha for _, leaf in c1}
         params2 = {leaf.alpha for _, leaf in c2}

@@ -14,35 +14,29 @@ from .measures import LevyMeasure
 class MultiplierEval:
     """Evaluator for the (nonnegative, even) symbol of a measure.
 
-    The cache is confined to the instance; evaluation is deterministic for a
-    fixed budget.  Negative round-off within the quadrature error floor is
-    snapped to zero so the m >= 0 invariant survives floating point.
+    The cache is confined to the instance; evaluation is deterministic (the
+    dyadic families' explicit atoms and the quadrature's certified relative
+    error are constants of `measures`).  Negative round-off within the
+    quadrature error floor is snapped to zero so the m >= 0 invariant
+    survives floating point.
     """
 
     measure: LevyMeasure
-    budget: int = 60
-    rel_tol: float = 1e-8
-    _cache: dict = field(default_factory=dict, repr=False)
+    _cache: dict = field(default_factory=dict, init=False, repr=False)
 
     def m(self, xi) -> float:
-        key = self._key(xi)
+        key = abs(float(xi))              # the symbol is even
         if key in self._cache:
             return self._cache[key]
-        val = self.measure.multiplier_value(xi, budget=self.budget,
-                                            tol=self.rel_tol)
+        val = self.measure.multiplier_value(xi)
         if -1e-10 < val < 0.0:
             val = 0.0
         self._cache[key] = val
         return val
 
     def m_many(self, xis) -> np.ndarray:
-        vals = self.measure.multiplier_values(xis, budget=self.budget,
-                                              tol=self.rel_tol)
+        vals = self.measure.multiplier_values(xis)
         return np.where((vals > -1e-10) & (vals < 0.0), 0.0, vals)
-
-    @staticmethod
-    def _key(xi):
-        return abs(float(xi))
 
 
 def multiplier_inf_estimate(ev: MultiplierEval, R: float, grid) -> float:

@@ -27,6 +27,8 @@ from .problem import DiscreteProblem, ProblemSpec, diffusion_zero, discretize
 from .stencil import StencilWeights, apply_stencil, build_stencil, \
     row_blocks
 
+CFL_SAFETY = 0.95                    # automatic dt as a share of the CFL bound
+
 
 @dataclass(frozen=True)
 class SchemeConfig:
@@ -35,11 +37,9 @@ class SchemeConfig:
     Z: float
     dt: float | None = None          # None -> auto CFL
     numerical_flux: str = "engquist_osher"   # or "lax_friedrichs"
-    cfl_safety: float = 0.95
     tail_mode: str = "exterior_mean"         # or "drop"
     enforce_cfl: bool = True
     store_every: int = 1             # cadence for exported trajectories
-    budget: int = 60
 
     def __post_init__(self):
         if self.numerical_flux not in ("engquist_osher", "lax_friedrichs"):
@@ -131,7 +131,7 @@ def time_grid(spec: ProblemSpec, stencils, config: SchemeConfig,
               dt: float | None = None) -> tuple:
     """The one time grid: returns (dt, n_steps) with n_steps * dt == T.
 
-    dt is `dt`, else `config.dt`, else cfl_safety times the CFL bound of
+    dt is `dt`, else `config.dt`, else CFL_SAFETY times the CFL bound of
     each stencil (T/64 for a stencil without one), the smallest over
     `stencils`, so trajectories of a chain share one grid.  It is then
     rounded down so that a whole number of steps hits the horizon."""
@@ -142,7 +142,7 @@ def time_grid(spec: ProblemSpec, stencils, config: SchemeConfig,
         for st in stencils:
             disc = discretize(spec, config.dx, st.Z)
             dtmax = cfl_max_dt(spec, st, config.dx, disc.data_range)
-            dts.append(config.cfl_safety * dtmax if math.isfinite(dtmax)
+            dts.append(CFL_SAFETY * dtmax if math.isfinite(dtmax)
                        else spec.T / 64.0)
         dt = min(dts)
     n_steps = max(1, int(math.ceil(spec.T / dt - 1e-12)))
@@ -300,28 +300,38 @@ def picard_solve(spec: ProblemSpec, measure: LevyMeasure,
     tol = 0 runs exactly k_max iterations (envelope-measurement mode);
     otherwise failing to reach tol raises NoConvergence.
     """
-    mass = measure.total_mass(budget=config.budget)
+    mass = measure.total_mass()
     if not math.isfinite(mass):
         raise ValueError("fixed-point construction needs a finite measure")
-    stencil = build_stencil(measure, config.dx, config.r, config.Z,
-                            budget=config.budget)
+    stencil = build_stencil(measure, config.dx, config.r, config.Z)
     disc = discretize(spec, config.dx, stencil.Z)
+    grid = disc.grid
     dt, n_steps = time_grid(spec, [stencil], config)
     bfun = spec.diffusion.b
 
     def frozen_source(traj_states):
         """Jump term of each stored state, interior-sized, one row per step."""
-        out = np.empty((n_steps, disc.grid.n))
-        for rows in row_blocks(n_steps, disc.grid.n_full):
+        out = np.empty((n_steps, grid.n))
+        for rows in row_blocks(n_steps, grid.n_full):
             out[rows] = jump_term(bfun(traj_states[rows]), disc, stencil,
                                   config.tail_mode)
         return out
 
+    def max_l1(states, prev):
+        """max over stored times of dx * sum |states - prev| on the interior,
+        over the blocks of stored times from `row_blocks`."""
+        worst = -math.inf
+        for rows in row_blocks(n_steps + 1, grid.n_full):
+            diff = states[rows, grid.interior] - prev[rows, grid.interior]
+            worst = max(worst, float(np.max(
+                grid.dx * np.abs(diff).sum(axis=1))))
+        return worst
+
     # iterate 0: the zero trajectory (halo still carries the exterior datum)
-    prev_states = np.empty((n_steps + 1, disc.grid.n_full))
+    prev_states = np.empty((n_steps + 1, grid.n_full))
     for n in range(n_steps + 1):
         row = disc.exterior_values(min(n * dt, spec.T))
-        row[disc.grid.interior] = 0.0
+        row[grid.interior] = 0.0
         prev_states[n] = row
 
     gaps: list[float] = []
@@ -332,13 +342,10 @@ def picard_solve(spec: ProblemSpec, measure: LevyMeasure,
         src = frozen_source(prev_states)
         traj = solve(spec, stencil, config, dt_override=dt,
                      source_states=src)
-        gap = float(np.max(disc.grid.dx *
-                           np.abs(traj.interior()
-                                  - prev_states[:, disc.grid.interior])
-                           .sum(axis=1)))
-        if first_norm is None:
-            first_norm = float(np.max(
-                disc.grid.dx * np.abs(traj.interior()).sum(axis=1)))
+        gap = max_l1(traj.states, prev_states)
+        if k == 1:
+            # iterate 0 is zero on the interior, so the gap is ||u_1||
+            first_norm = gap
         else:
             gaps.append(gap)
         prev_states = traj.states
@@ -370,16 +377,17 @@ class ChainReport:
     reference: Trajectory
 
 
-def _pad_to_common_reach(stencils):
-    """Equal halo widths keep trajectories shape-comparable."""
-    K = max(st.max_offset for st in stencils)
-    out = []
-    for st in stencils:
-        w = np.zeros(K)
-        w[:st.max_offset] = st.weights
-        out.append(replace(st, offsets=np.arange(1, K + 1), weights=w,
-                           Z=K * st.dx))
-    return out
+def _chain(spec: ProblemSpec, measures, config: SchemeConfig) -> tuple:
+    """Stencils and trajectories of a measure chain, the reference last.
+
+    Every stencil is built from the same (dx, Z), so all carry the same
+    offsets and halo and the trajectories are shape-comparable; all are
+    solved on the one time grid of the whole chain."""
+    stencils = [build_stencil(m, config.dx, config.r, config.Z)
+                for m in measures]
+    dt, _ = time_grid(spec, stencils, config)
+    return stencils, [solve(spec, st, config, dt_override=dt)
+                      for st in stencils]
 
 
 def vanishing_viscosity_run(spec: ProblemSpec, alpha: float, n_list,
@@ -391,21 +399,12 @@ def vanishing_viscosity_run(spec: ProblemSpec, alpha: float, n_list,
     measures = [ScaledMeasure(factor=1.0 / n,
                               inner=FractionalRadial(alpha=alpha))
                 for n in n_list]
-    stencils = [build_stencil(m, config.dx, config.r, config.Z,
-                              budget=config.budget) for m in measures]
-    cl_stencil = build_stencil(zero_measure(), config.dx, config.r, config.Z)
-    stencils = _pad_to_common_reach(stencils + [cl_stencil])
-    cl_stencil = stencils[-1]
-    stencils = stencils[:-1]
-    dt, _ = time_grid(spec, stencils + [cl_stencil], config)
-    reference = solve(spec, cl_stencil, config, dt_override=dt)
-    trajectories, l1d = [], []
-    for st in stencils:
-        tr = solve(spec, st, config, dt_override=dt)
-        trajectories.append(tr)
-        l1d.append(l1_q_distance(tr, reference))
-    return ChainReport(labels=list(n_list), trajectories=trajectories,
-                       stencils=stencils, l1_distances=l1d,
+    stencils, trajs = _chain(spec, measures + [zero_measure()], config)
+    reference = trajs[-1]
+    return ChainReport(labels=list(n_list), trajectories=trajs[:-1],
+                       stencils=stencils[:-1],
+                       l1_distances=[l1_q_distance(tr, reference)
+                                     for tr in trajs[:-1]],
                        l2_b_distances=[], measure_distances=[],
                        reference=reference)
 
@@ -416,21 +415,16 @@ def stability_run(spec: ProblemSpec, measures, config: SchemeConfig,
     solution distances, diffusive-flux L2 distances, and the weighted total
     variation distances of the measures themselves."""
     measures = list(measures)
-    stencils = _pad_to_common_reach(
-        [build_stencil(m, config.dx, config.r, config.Z, budget=config.budget)
-         for m in measures])
-    dt_run, _ = time_grid(spec, stencils, config)
-    trajs = [solve(spec, st, config, dt_override=dt_run) for st in stencils]
+    stencils, trajs = _chain(spec, measures, config)
     reference = trajs[-1]
     bfun = spec.diffusion.b
+    b_ref = bfun(reference.interior())
     dt = float(reference.times[1] - reference.times[0])
     l1d, l2d, md = [], [], []
     for m, tr in zip(measures[:-1], trajs[:-1]):
         l1d.append(l1_q_distance(tr, reference))
-        l2d.append(l2_q_distance(bfun(tr.interior()),
-                                 bfun(reference.interior()),
-                                 dt, config.dx))
-        md.append(weighted_tv_distance(m, measures[-1], budget=config.budget))
+        l2d.append(l2_q_distance(bfun(tr.interior()), b_ref, dt, config.dx))
+        md.append(weighted_tv_distance(m, measures[-1]))
     return ChainReport(labels=list(labels) if labels is not None
                        else list(range(len(measures) - 1)),
                        trajectories=trajs[:-1], stencils=stencils[:-1],

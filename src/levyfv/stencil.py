@@ -59,8 +59,8 @@ class StencilWeights:
                 fh.write(f"{int(j)},{float(w)!r}\n")
 
 
-def build_stencil(measure: LevyMeasure, dx: float, r: float, Z: float,
-                  budget: int = 60) -> StencilWeights:
+def build_stencil(measure: LevyMeasure, dx: float, r: float,
+                  Z: float) -> StencilWeights:
     """Discretize a measure into shift weights on a grid of spacing dx.
 
     Requires 0 < dx <= r <= Z.  Z is snapped to the nearest multiple of dx.
@@ -79,8 +79,7 @@ def build_stencil(measure: LevyMeasure, dx: float, r: float, Z: float,
     weights = np.zeros(K)
 
     for coef, leaf in measure.leaves():
-        atoms = leaf.atoms_between(r, Z_eff, include_a=True, include_b=True,
-                                   budget=budget)
+        atoms = leaf.atoms_between(r, Z_eff, include_a=True, include_b=True)
         if atoms is not None:
             for rad, w in atoms:
                 j = int(round(rad / dx))
@@ -91,15 +90,11 @@ def build_stencil(measure: LevyMeasure, dx: float, r: float, Z: float,
                 a = max((j - 0.5) * dx, r)
                 b = min((j + 0.5) * dx, Z_eff)
                 if b > a:
-                    m = leaf.side_cell_mass(a, b, budget=budget)
-                    if m is None:
-                        raise NotImplementedError(
-                            f"no cell masses for {type(leaf).__name__}")
-                    weights[j - 1] += coef * m
+                    weights[j - 1] += coef * leaf.side_cell_mass(a, b)
 
-    sigma2 = measure.second_moment_below(r, budget=budget)
+    sigma2 = measure.second_moment_below(r)
     weights[0] += sigma2 / (2.0 * dx * dx)
-    tau = measure.mass_above(Z_eff, budget=budget)
+    tau = measure.mass_above(Z_eff)
     return StencilWeights(dx=dx, r=r, Z=Z_eff,
                           offsets=np.arange(1, K + 1),
                           weights=weights, sigma2=sigma2, tau=tau)

@@ -199,3 +199,71 @@ def test_measure_config_composites():
     atom_part = 2 * 0.3 * 1.0           # (|z|^2 ^ 1) = 1 at |z| = 2
     frac_part = 0.5 * FractionalRadial(alpha=1.0).levy_moment()
     assert m.levy_moment() == pytest.approx(atom_part + frac_part, rel=1e-10)
+
+
+def test_tv_merges_near_identical_radii_across_measures():
+    # 0.1 + 0.2 != 0.3 in floating point, but the two radii are one atom
+    exact = weighted_tv_distance(single_atom(0.3, 0.5), single_atom(0.3, 0.25))
+    assert exact == pytest.approx(2 * 0.09 * 0.25, rel=1e-15)
+    near = single_atom(0.1 + 0.2, 0.25)
+    assert 0.1 + 0.2 != 0.3
+    assert weighted_tv_distance(single_atom(0.3, 0.5), near) == exact
+    assert weighted_tv_distance(near, single_atom(0.3, 0.5)) == exact
+
+
+# -- composites are read through their leaves ---------------------------------
+
+_FRAC = FractionalRadial(alpha=0.7, lo=0.05)
+_ATOMS = AtomicSymmetric(entries=((0.1, 0.5), (0.25, 0.25), (0.6, 0.125)),
+                         lo=0.2, hi=0.6)
+COMPOSITES = {
+    "windowed_sum": SumMeasure(parts=(_FRAC, _ATOMS), hi=0.75),
+    "sum_of_scaled": SumMeasure(parts=(
+        ScaledMeasure(factor=0.5, inner=_FRAC),
+        ScaledMeasure(factor=2.0, inner=_ATOMS, lo=0.25))),
+    "scaled_dyadic": ScaledMeasure(factor=0.25, inner=DyadicB(lo=1 / 32),
+                                   hi=0.4),
+    "atomic_sum": SumMeasure(parts=(DyadicA(hi=0.3),
+                                    ScaledMeasure(factor=3.0, inner=_ATOMS))),
+}
+BANDS = [
+    (0.0, math.inf, True, True),
+    (0.25, 0.6, True, True),       # closed, on atoms
+    (0.25, 0.6, False, False),     # open, on atoms
+    (0.25, 0.25, True, True),      # degenerate, on an atom
+    (0.25, 0.25, False, True),     # degenerate and half open: empty
+    (0.0, 0.125, True, False),
+    (0.03125, 0.5, False, True),
+    (0.8, 2.0, True, True),        # past every window
+]
+
+
+def _leaf_fsum(measure, method, band):
+    vals = [coef * getattr(leaf, method)(*band)
+            for coef, leaf in measure.leaves()]
+    return math.fsum(vals) if all(map(math.isfinite, vals)) else math.inf
+
+
+@pytest.mark.parametrize("name", sorted(COMPOSITES))
+@pytest.mark.parametrize("band", BANDS)
+def test_composite_band_quantities_are_leaf_sums(name, band):
+    m = COMPOSITES[name]
+    assert m.mass_between(*band) == _leaf_fsum(m, "mass_between", band)
+    assert m.second_moment_between(*band) == _leaf_fsum(
+        m, "second_moment_between", band)
+    per_leaf = [(coef, leaf.atoms_between(*band))
+                for coef, leaf in m.leaves()]
+    expected = (None if any(a is None for _, a in per_leaf) else
+                [(rad, coef * w) for coef, atoms in per_leaf
+                 for rad, w in atoms])
+    assert m.atoms_between(*band) == expected
+
+
+@pytest.mark.parametrize("name", sorted(COMPOSITES))
+def test_composite_symbol_is_leaf_sum(name):
+    m = COMPOSITES[name]
+    for xi in (0.0, 0.5, 3.0, 17.0, 100.0):
+        total = 0.0
+        for coef, leaf in m.leaves():
+            total += coef * leaf.multiplier_value(xi)
+        assert m.multiplier_value(xi) == total

@@ -421,3 +421,59 @@ def test_null_stencil_solve_skips_the_jump_term(monkeypatch):
     assert frozen.states.tobytes() == traj.states.tobytes()
     assert np.signbit(traj.states[0]).any()
     assert not np.signbit(traj.states[1:]).any()
+
+
+def _same_stencil(a, b):
+    return (a.dx, a.r, a.Z, a.sigma2, a.tau) == (b.dx, b.r, b.Z, b.sigma2,
+                                                 b.tau) \
+        and np.array_equal(a.offsets, b.offsets) \
+        and np.array_equal(a.weights, b.weights)
+
+
+def test_chain_stencils_are_the_built_ones_and_comparable():
+    # every stencil of a chain comes from one (dx, Z), so each is exactly
+    # build_stencil's and all trajectories share one shape
+    from levyfv.measures import ScaledMeasure
+    c = conf(1 / 64, Z=0.5)
+    spec = make_problem("burgers", "identity", "bump", T=0.1)
+    van = vanishing_viscosity_run(spec, 1.0, [1, 4], c)
+    van_measures = [ScaledMeasure(factor=1.0 / n,
+                                  inner=FractionalRadial(alpha=1.0))
+                    for n in (1, 4)] + [zero_measure()]
+    chain = [truncate(FractionalRadial(alpha=1.0), 1 / n)[1] for n in (4, 8)]
+    chain += [single_atom(z=0.125, w=0.5)]
+    stab = stability_run(spec, chain, c)
+    for rep, measures in ((van, van_measures), (stab, chain)):
+        built = [build_stencil(m, c.dx, c.r, c.Z) for m in measures]
+        for st, ref in zip(rep.stencils + [rep.reference.stencil], built):
+            assert _same_stencil(st, ref)
+        assert all(tr.states.shape == rep.reference.states.shape
+                   for tr in rep.trajectories)
+
+
+def test_picard_norms_in_row_blocks_match_whole_arrays(monkeypatch):
+    from levyfv import stencil
+    from levyfv.stencil import row_blocks
+    spec = make_problem("burgers", "identity", "bump", T=0.4)
+    c = conf(1 / 64, Z=0.5)
+    iterates = []
+    real_solve = scheme.solve
+
+    def recording_solve(*args, **kwargs):
+        iterates.append(real_solve(*args, **kwargs))
+        return iterates[-1]
+
+    monkeypatch.setattr(scheme, "solve", recording_solve)
+    n_full = scheme.discretize(spec, c.dx, c.Z).grid.n_full
+    monkeypatch.setattr(stencil, "BLOCK_VALUES", 5 * n_full)
+    res = picard_solve(spec, single_atom(z=0.3, w=0.5), c, k_max=4, tol=0.0)
+    n_rows = iterates[0].states.shape[0]
+    assert iterates[0].states.shape[1] == n_full
+    assert len(row_blocks(n_rows, n_full)) > 2 and n_rows % 5
+
+    def l1(u):
+        return c.dx * np.abs(u).sum(axis=1)
+
+    u = [tr.interior() for tr in iterates]
+    assert res.first_iterate_norm == float(np.max(l1(u[0])))
+    assert res.gaps == [float(np.max(l1(b - a))) for a, b in zip(u, u[1:])]
