@@ -29,12 +29,10 @@ from .stencil import (
 )
 from .problem import (
     DiffusionFn,
-    DomainMask,
     ExteriorData,
     FluxFn,
     ProblemSpec,
     discretize,
-    eval_extension,
     make_problem,
     problem_from_config,
     validate_problem,

@@ -35,12 +35,12 @@ class CheckResult:
                 "params": self.params}
 
 
-def two_grid_tolerance(coarse: float, fine: float, kappa: float = 1.5,
-                       floor: float = 1e-10) -> float:
+def two_grid_tolerance(coarse: float, fine: float) -> float:
     """Refinement-sweep tolerance: for a first-order discretization the error
     at the fine grid is approximately the difference between the two levels
-    (Richardson with p = 1); kappa is a fixed safety factor."""
-    return kappa * abs(coarse - fine) + floor
+    (Richardson with p = 1), times a fixed safety factor 1.5, plus a floor
+    of 1e-10."""
+    return 1.5 * abs(coarse - fine) + 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -93,7 +93,7 @@ def mass_budget_check(traj: Trajectory, tol: float = 1e-12) -> CheckResult:
     of bounded size, so no temporary spans the whole trajectory."""
     grid = traj.grid
     spec = traj.spec
-    dt = float(traj.times[1] - traj.times[0])
+    dt = traj.dt
     lo, hi = traj.disc.data_range
     flux_pair = _numerical_flux(traj.config, spec,
                                 spec.flux.lipschitz_on(lo, hi))
@@ -150,7 +150,7 @@ def energy_report(traj: Trajectory) -> dict:
         raise MissingExtensionDerivatives(
             "energy report needs closed-form extension derivatives")
     grid = traj.grid
-    dt = float(traj.times[1] - traj.times[0])
+    dt = traj.dt
     dx = grid.dx
     x = grid.x_interior()
     b = spec.diffusion.b
@@ -251,8 +251,9 @@ def default_test_family(a: float, b: float, T: float):
     return out
 
 
-def quantile_levels(lo: float, hi: float, count: int = 7) -> np.ndarray:
-    return np.linspace(lo, hi, count)
+def quantile_levels(lo: float, hi: float) -> np.ndarray:
+    """Seven equispaced Kruzkov levels across [lo, hi]."""
+    return np.linspace(lo, hi, 7)
 
 
 def _pos(v):
@@ -264,20 +265,19 @@ def _sgn_plus(v):
 
 
 def admissible_pair(traj: Trajectory, phi: SpaceTimeBump, k: float,
-                    sign: str, tol: float = 1e-10) -> bool:
+                    sign: str) -> bool:
     """Compatibility of (k, phi, ±) with the exterior datum: the positive
-    (negative) part of b(datum) - b(k) must vanish wherever phi is positive
-    outside the domain."""
-    grid = traj.grid
+    (negative) part of b(datum) - b(k) must vanish, up to 1e-10, wherever
+    phi is positive on the halo."""
     spec = traj.spec
-    xh = grid.x_halo()
+    xh = traj.disc.halo_x
     worst = 0.0
     for t in traj.times[::max(1, len(traj.times) // 16)]:
-        datum = np.asarray(spec.datum(float(t), xh), dtype=float)
+        datum = np.asarray(spec.exterior.value(float(t), xh), dtype=float)
         diff = spec.diffusion.b(datum) - spec.diffusion.b(k)
         part = _pos(diff) if sign == "plus" else _pos(-diff)
         worst = max(worst, float(np.max(part * phi.value(float(t), xh))))
-    return worst <= tol
+    return worst <= 1e-10
 
 
 @dataclass
@@ -310,7 +310,7 @@ def entropy_residual(traj: Trajectory, measure: LevyMeasure, family, levels,
     """
     spec = traj.spec
     grid = traj.grid
-    dt = float(traj.times[1] - traj.times[0])
+    dt = traj.dt
     dx = grid.dx
     xi = grid.x_interior()
     xf = grid.x_full()
@@ -333,7 +333,7 @@ def entropy_residual(traj: Trajectory, measure: LevyMeasure, family, levels,
         op_big[rows] = jump_term(bu_all[rows], traj.disc, stencil_r,
                                  traj.config.tail_mode)
 
-    bnd_x, bnd_w = spec.domain.boundary_nodes()
+    bnd_x = np.array(spec.domain, dtype=float)
     u0 = traj.states[0, grid.interior]
 
     rows, skipped = [], 0
@@ -371,7 +371,7 @@ def entropy_residual(traj: Trajectory, measure: LevyMeasure, family, levels,
                 small_op = 0.5 * sigma2_r * phi_xx_full
                 t3 = -dt * dx * float(np.sum(bent * small_op))
                 rhs = dx * float(np.sum(ent0 * phi0))
-                rhs += lf * dt * float(np.sum(ent_bnd * phi_bnd * bnd_w))
+                rhs += lf * dt * float(np.sum(ent_bnd * phi_bnd))
                 rows.append(ResidualRow(k=float(k), sign=sign, phi_index=idx,
                                         residual=t1 + t2 + t3 - rhs))
     return ResidualReport(rows=rows, skipped=skipped)
@@ -410,9 +410,8 @@ def uniform_energy_series(runs) -> np.ndarray:
     """E_n = dt * sum_t energy_form(gamma_n) for a list of (stencil, traj)."""
     out = []
     for stencil, traj in runs:
-        dt = float(traj.times[1] - traj.times[0])
-        out.append(dt * zero_extended_energy(traj.gamma()[:-1], stencil,
-                                             traj.grid.dx))
+        out.append(traj.dt * zero_extended_energy(traj.gamma()[:-1], stencil,
+                                                  traj.grid.dx))
     return np.asarray(out)
 
 
@@ -428,15 +427,13 @@ def mollifier_weights(half_width: int) -> np.ndarray:
 
 
 def mollification_bound_check(u: np.ndarray, diffusion: DiffusionFn,
-                              weights: np.ndarray,
-                              lipschitz: float | None = None) -> float:
+                              weights: np.ndarray) -> float:
     """Worst slack of |b(u*rho)(x) - b(u(x))|^2 <= C (|b(u(.)) - b(u(x))|*rho)(x)
     over interior points, with C = 2 L_b max|u|.  Nonnegative slack means the
     pointwise bound holds."""
     u = np.asarray(u, dtype=float)
     m = (len(weights) - 1) // 2
-    if lipschitz is None:
-        lipschitz = diffusion.lipschitz_on(float(u.min()), float(u.max()))
+    lipschitz = diffusion.lipschitz_on(float(u.min()), float(u.max()))
     C = 2.0 * lipschitz * float(np.abs(u).max())
     bu = diffusion.b(u)
     n_valid = u.shape[-1] - 2 * m
@@ -453,16 +450,16 @@ def mollification_bound_check(u: np.ndarray, diffusion: DiffusionFn,
     return float((rhs - lhs).min())
 
 
-def mollification_bound_suite(diffusions, rng, trials: int = 10000,
-                              n_cells: int = 32, half_width: int = 4) -> dict:
-    """Randomized verification of the mollification bound; returns the number
-    of violations (expected: zero) and the worst slack seen."""
-    weights = mollifier_weights(half_width)
+def mollification_bound_suite(diffusions, rng, trials: int = 10000) -> dict:
+    """Randomized verification of the mollification bound on fields of 32
+    cells with a mollifier of half width 4; returns the number of
+    violations (expected: zero) and the worst slack seen."""
+    weights = mollifier_weights(4)
     violations = 0
     worst = math.inf
     per = max(1, -(-trials // len(diffusions)))  # ceil: run at least `trials`
     for diffusion in diffusions:
-        u = rng.uniform(-1.0, 1.0, size=(per, n_cells))
+        u = rng.uniform(-1.0, 1.0, size=(per, 32))
         slack = mollification_bound_check(u, diffusion, weights)
         worst = min(worst, slack)
         if slack < -1e-12:
@@ -482,14 +479,15 @@ def mean_bound_check(positions: np.ndarray, masses: np.ndarray,
     return L * R * h_bar - h_at ** 2
 
 
-def mean_bound_suite(rng, trials: int = 10000, max_atoms: int = 32,
-                     n_grid: int = 65) -> dict:
+def mean_bound_suite(rng, trials: int = 10000) -> dict:
     """Randomized trials of the mean bound.
 
-    h is built by integrating nonnegative random slopes <= L away from 0 in
-    both directions (V-shaped, h(0) = 0, Lipschitz constant <= L); the
-    probability measure kappa is a random atomic measure on [-R, R].
+    h is built on 65 grid points by integrating nonnegative random slopes
+    <= L away from 0 in both directions (V-shaped, h(0) = 0, Lipschitz
+    constant <= L); the probability measure kappa is a random atomic
+    measure of at most 32 atoms on [-R, R].
     """
+    max_atoms, n_grid = 32, 65
     violations = 0
     worst = math.inf
     half = n_grid // 2

@@ -194,7 +194,7 @@ def cmd_run(cfg, out_dir) -> int:
         if cfg.get("contraction", True):
             # companion run with a perturbed datum, same time grid
             lo, hi = traj.disc.data_range
-            a, bdom = spec.domain.params
+            a, bdom = spec.domain
             mid = 0.5 * (a + bdom)
 
             def perturbed(x, _u0=spec.u0):
@@ -204,13 +204,12 @@ def cmd_run(cfg, out_dir) -> int:
                 return np.clip(_u0(x) + bump, lo, hi)
 
             other = solve(replace(spec, u0=perturbed), stencil, sconf,
-                          dt_override=float(traj.times[1] - traj.times[0]))
+                          dt_override=traj.dt)
             _, verdict = analysis.l1_contraction_check(traj, other)
             record(verdict)
         if cfg.get("moduli", False):
-            dt = float(traj.times[1] - traj.times[0])
             tables = analysis.translation_moduli(
-                traj.gamma(), dt, sconf.dx,
+                traj.gamma(), traj.dt, sconf.dx,
                 space_shifts=[1, 2, 4, 8], time_shifts=[1, 2, 4, 8])
             write_moduli_csv(os.path.join(out_dir, "moduli.csv"), tables)
         if cfg.get("energy", False):
@@ -327,8 +326,7 @@ def _suite_apriori(out_dir):
         pert = replace(spec, u0=lambda x: np.clip(
             spec.u0(x) + 0.1 * np.exp(-80 * (np.asarray(x) - 0.3) ** 2),
             0, 1))
-        traj_v = solve(pert, stencil, conf,
-                       dt_override=float(traj.times[1] - traj.times[0]))
+        traj_v = solve(pert, stencil, conf, dt_override=traj.dt)
         _, verdict = analysis.l1_contraction_check(traj, traj_v)
         return analysis.max_principle_check(traj).passed and verdict.passed
 

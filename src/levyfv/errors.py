@@ -70,14 +70,6 @@ class NoConvergence(LevyFvError):
 
 # -- problem data -------------------------------------------------------------
 
-class OutOfTimeRange(LevyFvError):
-    """Evaluation time outside [0, T]."""
-
-
-class ExteriorMismatch(LevyFvError):
-    """Global extension disagrees with the exterior datum on its domain."""
-
-
 class MissingExtensionDerivatives(LevyFvError):
     """Exterior extension lacks the closed-form derivatives a check needs."""
 

@@ -68,14 +68,20 @@ class LevyMeasure:
     hi: float = _INF
 
     # -- leaf hooks (band already clipped to the window) -----------------------
+    # Mass, second moment and symbol default to sums over `_atoms`, so
+    # atomic leaves define only their atom list; continuous leaves override.
     def _mass(self, a, b, ia, ib) -> float:
-        raise NotImplementedError
+        return sum(2.0 * w for _, w in self._atoms(a, b, ia, ib))
 
     def _second(self, a, b, ia, ib) -> float:
-        raise NotImplementedError
+        return sum(2.0 * w * rad ** 2 for rad, w in self._atoms(a, b, ia, ib))
 
     def _multiplier(self, xi, a, b, ia, ib) -> float:
-        raise NotImplementedError
+        x = abs(float(xi))
+        total = 0.0
+        for rad, w in self._atoms(a, b, ia, ib):
+            total += 2.0 * w * (1.0 - math.cos(x * rad))
+        return total
 
     def _atoms(self, a, b, ia, ib):
         """Pairs (radius, per-side weight) inside the band, or None."""
@@ -348,22 +354,6 @@ class AtomicSymmetric(LevyMeasure):
         return ((rad > a or (rad == a and ia)) and
                 (rad < b or (rad == b and ib)))
 
-    def _mass(self, a, b, ia, ib):
-        return sum(2.0 * w for rad, w in self._pairs()
-                   if self._in_band(rad, a, b, ia, ib))
-
-    def _second(self, a, b, ia, ib):
-        return sum(2.0 * w * rad ** 2 for rad, w in self._pairs()
-                   if self._in_band(rad, a, b, ia, ib))
-
-    def _multiplier(self, xi, a, b, ia, ib):
-        x = float(xi)
-        total = 0.0
-        for rad, w in self._pairs():
-            if self._in_band(rad, a, b, ia, ib):
-                total += 2.0 * w * (1.0 - math.cos(x * rad))
-        return total
-
     def _atoms(self, a, b, ia, ib):
         return [(rad, w) for rad, w in self._pairs()
                 if self._in_band(rad, a, b, ia, ib)]
@@ -385,43 +375,34 @@ class _DyadicFamily(LevyMeasure):
         raise NotImplementedError
 
     def _k_range(self, a, b, ia, ib):
-        """Explicit atom indices in the band; bands that reach radius zero
-        also report an analytic tail flag."""
-        n = self.EXPLICIT_ATOMS
+        """Explicit atom indices in the band."""
         ks = []
-        for k in range(1, n + 1):
+        for k in range(1, self.EXPLICIT_ATOMS + 1):
             rad = 2.0 ** -k
             if rad > b or (rad == b and not ib):
                 continue
             if rad < a or (rad == a and not ia):
                 break
             ks.append(k)
-        reaches_zero = a <= 0.0 or (a < 2.0 ** -n)
-        return ks, reaches_zero
+        return ks
 
+    # a band from below 2^-EXPLICIT_ATOMS holds atoms past the explicit ones
     def _mass(self, a, b, ia, ib):
-        ks, reaches_zero = self._k_range(a, b, ia, ib)
-        if reaches_zero:
+        if a < 2.0 ** -self.EXPLICIT_ATOMS:
             return _INF
-        return sum(self._pair_weight(k) for k in ks)
+        return super()._mass(a, b, ia, ib)
 
     def _second(self, a, b, ia, ib):
-        ks, reaches_zero = self._k_range(a, b, ia, ib)
-        out = sum(self._pair_weight(k) * 4.0 ** -k for k in ks)
-        if reaches_zero:
+        out = super()._second(a, b, ia, ib)
+        if a < 2.0 ** -self.EXPLICIT_ATOMS:
             out += self._tail_second(self.EXPLICIT_ATOMS)
         return out
 
-    def _multiplier(self, xi, a, b, ia, ib):
-        # remainder past the explicit atoms is below xi^2 * tail_second / 2
-        ks, _ = self._k_range(a, b, ia, ib)
-        x = abs(float(np.atleast_1d(xi)[0]))
-        return sum(self._pair_weight(k) * (1.0 - math.cos(x * 2.0 ** -k))
-                   for k in ks)
-
+    # the symbol sums the explicit atoms only; the remainder is below
+    # xi^2 * tail_second / 2
     def _atoms(self, a, b, ia, ib):
-        ks, _ = self._k_range(a, b, ia, ib)
-        return [(2.0 ** -k, 0.5 * self._pair_weight(k)) for k in ks]
+        return [(2.0 ** -k, 0.5 * self._pair_weight(k))
+                for k in self._k_range(a, b, ia, ib)]
 
 
 @dataclass(frozen=True)

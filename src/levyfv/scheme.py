@@ -71,6 +71,11 @@ class Trajectory:
     def spec(self):
         return self.disc.spec
 
+    @property
+    def dt(self) -> float:
+        """The step `time_grid` chose for this trajectory."""
+        return self.stats["dt"]
+
     def interior(self) -> np.ndarray:
         return self.states[:, self.grid.interior]
 
@@ -127,20 +132,21 @@ def jump_term(bfield: np.ndarray, disc: DiscreteProblem,
                          tail_value=_tail_value(disc, bfield))
 
 
-def time_grid(spec: ProblemSpec, stencils, config: SchemeConfig,
+def time_grid(disc: DiscreteProblem, stencils, config: SchemeConfig,
               dt: float | None = None) -> tuple:
     """The one time grid: returns (dt, n_steps) with n_steps * dt == T.
 
     dt is `dt`, else `config.dt`, else CFL_SAFETY times the CFL bound of
-    each stencil (T/64 for a stencil without one), the smallest over
-    `stencils`, so trajectories of a chain share one grid.  It is then
-    rounded down so that a whole number of steps hits the horizon."""
+    each stencil on `disc`'s data range (T/64 for a stencil without one),
+    the smallest over `stencils`, so trajectories of a chain share one grid.
+    Every stencil must share `disc`'s halo.  dt is then rounded down so that
+    a whole number of steps hits the horizon."""
+    spec = disc.spec
     if dt is None:
         dt = config.dt
     if dt is None:
         dts = []
         for st in stencils:
-            disc = discretize(spec, config.dx, st.Z)
             dtmax = cfl_max_dt(spec, st, config.dx, disc.data_range)
             dts.append(CFL_SAFETY * dtmax if math.isfinite(dtmax)
                        else spec.T / 64.0)
@@ -189,9 +195,12 @@ def solve(spec: ProblemSpec, stencil: StencilWeights, config: SchemeConfig,
     """March to T on `time_grid`.  With `source_states` (one frozen jump
     term per step) the jump operator is not applied, so the CFL bound is
     that of the conservation law alone."""
+    if stencil.dx != config.dx:
+        raise ConfigMismatch(f"stencil built for dx={stencil.dx}, "
+                             f"config has dx={config.dx}")
     disc = discretize(spec, config.dx, stencil.Z)
     drange = disc.data_range
-    dt, n_steps = time_grid(spec, [stencil], config, dt_override)
+    dt, n_steps = time_grid(disc, [stencil], config, dt_override)
     cfl_spec = (spec if source_states is None
                 else replace(spec, diffusion=diffusion_zero()))
     dtmax = cfl_max_dt(cfl_spec, stencil, config.dx, drange)
@@ -248,10 +257,13 @@ def _check_comparable(a: Trajectory, b: Trajectory) -> None:
         raise ConfigMismatch("trajectories live on different grids")
     if not np.allclose(a.times, b.times, rtol=0.0, atol=1e-12):
         raise ConfigMismatch("trajectories use different time steps")
-    ha = a.states[:, a.grid.halo_mask()]
-    hb = b.states[:, b.grid.halo_mask()]
-    if not np.array_equal(ha, hb):
-        raise ConfigMismatch("trajectories carry different exterior data")
+    h = a.grid.n_halo
+    for rows in row_blocks(*a.states.shape):
+        for side in (slice(None, h), slice(-h, None)):
+            if not np.array_equal(a.states[rows, side],
+                                  b.states[rows, side]):
+                raise ConfigMismatch(
+                    "trajectories carry different exterior data")
 
 
 def l1_series(a: Trajectory, b: Trajectory) -> np.ndarray:
@@ -264,9 +276,7 @@ def l1_series(a: Trajectory, b: Trajectory) -> np.ndarray:
 
 
 def l1_q_distance(a: Trajectory, b: Trajectory) -> float:
-    series = l1_series(a, b)
-    dt = float(a.times[1] - a.times[0])
-    return dt * float(series[:-1].sum())
+    return a.dt * float(l1_series(a, b)[:-1].sum())
 
 
 def l2_q_distance(fa: np.ndarray, fb: np.ndarray, dt: float,
@@ -306,7 +316,7 @@ def picard_solve(spec: ProblemSpec, measure: LevyMeasure,
     stencil = build_stencil(measure, config.dx, config.r, config.Z)
     disc = discretize(spec, config.dx, stencil.Z)
     grid = disc.grid
-    dt, n_steps = time_grid(spec, [stencil], config)
+    dt, n_steps = time_grid(disc, [stencil], config)
     bfun = spec.diffusion.b
 
     def frozen_source(traj_states):
@@ -328,11 +338,9 @@ def picard_solve(spec: ProblemSpec, measure: LevyMeasure,
         return worst
 
     # iterate 0: the zero trajectory (halo still carries the exterior datum)
-    prev_states = np.empty((n_steps + 1, grid.n_full))
+    prev_states = np.zeros((n_steps + 1, grid.n_full))
     for n in range(n_steps + 1):
-        row = disc.exterior_values(min(n * dt, spec.T))
-        row[grid.interior] = 0.0
-        prev_states[n] = row
+        disc.refresh_halo(prev_states[n], min(n * dt, spec.T))
 
     gaps: list[float] = []
     first_norm = None
@@ -385,7 +393,8 @@ def _chain(spec: ProblemSpec, measures, config: SchemeConfig) -> tuple:
     solved on the one time grid of the whole chain."""
     stencils = [build_stencil(m, config.dx, config.r, config.Z)
                 for m in measures]
-    dt, _ = time_grid(spec, stencils, config)
+    dt, _ = time_grid(discretize(spec, config.dx, stencils[0].Z), stencils,
+                      config)
     return stencils, [solve(spec, st, config, dt_override=dt)
                       for st in stencils]
 
@@ -419,11 +428,11 @@ def stability_run(spec: ProblemSpec, measures, config: SchemeConfig,
     reference = trajs[-1]
     bfun = spec.diffusion.b
     b_ref = bfun(reference.interior())
-    dt = float(reference.times[1] - reference.times[0])
     l1d, l2d, md = [], [], []
     for m, tr in zip(measures[:-1], trajs[:-1]):
         l1d.append(l1_q_distance(tr, reference))
-        l2d.append(l2_q_distance(bfun(tr.interior()), b_ref, dt, config.dx))
+        l2d.append(l2_q_distance(bfun(tr.interior()), b_ref, reference.dt,
+                                 config.dx))
         md.append(weighted_tv_distance(m, measures[-1]))
     return ChainReport(labels=list(labels) if labels is not None
                        else list(range(len(measures) - 1)),

@@ -204,7 +204,7 @@ def test_criterion_08_energy_inequality():
 def _worst_residual(spec, mu, dx, radii):
     st = build_stencil(mu, dx, dx, 0.25)
     traj = solve(spec, st, SchemeConfig(dx=dx, r=dx, Z=0.25))
-    a, b = traj.spec.domain.params
+    a, b = traj.spec.domain
     fam = analysis.default_test_family(a, b, spec.T)
     levels = analysis.quantile_levels(*traj.disc.data_range)
     worst = -math.inf

@@ -9,8 +9,7 @@ from levyfv.measures import (FractionalRadial, single_atom, truncate,
                              zero_measure)
 from levyfv.problem import (ExteriorData, ProblemSpec, diffusion_identity,
                             diffusion_power, diffusion_stefan,
-                            exterior_constant, flux_burgers, interval_domain,
-                            make_problem)
+                            exterior_constant, flux_burgers, make_problem)
 from levyfv import stencil
 from levyfv.scheme import SchemeConfig, l1_series, solve
 from levyfv.stencil import build_stencil, row_blocks
@@ -26,7 +25,7 @@ def run(spec, measure, dx, Z=0.25, r=None, dt=None, enforce=True):
 # -- maximum principle -----------------------------------------------------------
 
 def test_max_principle_constant_data():
-    spec = ProblemSpec(domain=interval_domain(0.0, 1.0), flux=flux_burgers(),
+    spec = ProblemSpec(domain=(0.0, 1.0), flux=flux_burgers(),
                        diffusion=diffusion_identity(),
                        u0=lambda x: np.full_like(np.asarray(x, float), 0.5),
                        exterior=exterior_constant(0.5), T=0.1)
@@ -83,6 +82,21 @@ def test_contraction_refuses_different_exterior():
     b = run(other, zero_measure(), 1 / 64, dt=float(a.times[1] - a.times[0]))
     with pytest.raises(ConfigMismatch):
         analysis.l1_contraction_check(a, b)
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_different_exterior_found_in_the_last_row_block(monkeypatch, side):
+    # the halos are compared over blocks of stored times; a difference in the
+    # last block alone must still be found
+    from dataclasses import replace
+    a = run(make_problem("burgers", "identity", "bump", T=0.1),
+            single_atom(), 1 / 32)
+    monkeypatch.setattr(stencil, "BLOCK_VALUES", 2 * a.grid.n_full)
+    assert len(row_blocks(*a.states.shape)) > 2
+    states = a.states.copy()
+    states[-1, 0 if side == "left" else -1] += 1e-3
+    with pytest.raises(ConfigMismatch, match="different exterior data"):
+        analysis.l1_contraction_check(a, replace(a, states=states))
 
 
 def test_order_preservation():
@@ -158,7 +172,7 @@ def test_trajectory_checks_in_row_blocks_match_whole_arrays(monkeypatch,
 # -- energy -----------------------------------------------------------------------
 
 def test_energy_trivial_constant_exterior_matching_datum():
-    spec = ProblemSpec(domain=interval_domain(0.0, 1.0), flux=flux_burgers(),
+    spec = ProblemSpec(domain=(0.0, 1.0), flux=flux_burgers(),
                        diffusion=diffusion_identity(),
                        u0=lambda x: np.full_like(np.asarray(x, float), 0.3),
                        exterior=exterior_constant(0.3), T=0.1)
@@ -211,7 +225,7 @@ def test_energy_slack_nonnegative_and_shrinking():
 # -- entropy residuals ---------------------------------------------------------
 
 def test_residual_constant_solution_is_zero():
-    spec = ProblemSpec(domain=interval_domain(0.0, 1.0), flux=flux_burgers(),
+    spec = ProblemSpec(domain=(0.0, 1.0), flux=flux_burgers(),
                        diffusion=diffusion_identity(),
                        u0=lambda x: np.full_like(np.asarray(x, float), 0.5),
                        exterior=exterior_constant(0.5), T=0.1)

@@ -3,15 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from levyfv.errors import (DegenerateGrid, ExteriorMismatch, OutOfTimeRange,
-                           UnknownPreset)
+from levyfv.errors import DegenerateGrid, UnknownPreset
 from levyfv.problem import (PROBLEM_PRESETS, ExteriorData, PiecewiseLinear,
                             ProblemSpec, diffusion_from_table,
                             diffusion_identity, diffusion_power,
                             diffusion_stefan, diffusion_zero, discretize,
-                            eval_extension, exterior_constant,
-                            exterior_smoothstep, flux_burgers,
-                            flux_from_table, flux_linear, interval_domain,
+                            exterior_constant, exterior_smoothstep,
+                            flux_burgers, flux_from_table, flux_linear,
                             make_problem, problem_from_config,
                             validate_problem)
 
@@ -85,7 +83,7 @@ def test_stefan_above_range_is_identically_zero_on_range():
 # -- discretize ---------------------------------------------------------------
 
 def test_discretize_interval_constant_data():
-    spec = ProblemSpec(domain=interval_domain(0.0, 1.0), flux=flux_burgers(),
+    spec = ProblemSpec(domain=(0.0, 1.0), flux=flux_burgers(),
                        diffusion=diffusion_zero(),
                        u0=lambda x: np.ones_like(np.asarray(x, dtype=float)),
                        exterior=exterior_constant(0.0), T=0.5)
@@ -113,17 +111,17 @@ def test_discretize_empty_interior():
 
 def test_eval_extension_constant():
     spec = make_problem("burgers", "zero", "bump")
-    assert eval_extension(spec, 0.3, np.array([5.0]))[0] == 0.0
+    assert spec.exterior.value(0.3, np.array([5.0]))[0] == 0.0
 
 
 def test_eval_extension_closed_form_agrees_inside():
     ext = exterior_smoothstep(0.4, 0.6, 1.0, 0.0)
-    spec = ProblemSpec(domain=interval_domain(0.0, 1.0), flux=flux_burgers(),
+    spec = ProblemSpec(domain=(0.0, 1.0), flux=flux_burgers(),
                        diffusion=diffusion_zero(),
                        u0=lambda x: np.asarray(ext.value(0.0, x)),
                        exterior=ext, T=1.0)
     x = np.array([0.5])
-    assert eval_extension(spec, 0.2, x)[0] == pytest.approx(0.5)
+    assert spec.exterior.value(0.2, x)[0] == pytest.approx(0.5)
 
 
 # a time-dependent datum with its own global closed form
@@ -136,13 +134,13 @@ SINE_DECAY = ExteriorData(
 def test_eval_extension_time_dependent_closed_form():
     # datum given with its own global closed form: same formula inside
     ext = SINE_DECAY
-    spec = ProblemSpec(domain=interval_domain(0.0, 1.0), flux=flux_burgers(),
+    spec = ProblemSpec(domain=(0.0, 1.0), flux=flux_burgers(),
                        diffusion=diffusion_zero(),
                        u0=lambda x: np.asarray(ext.value(0.0, x)),
                        exterior=ext, T=1.0)
     validate_problem(spec)
     x = np.array([0.5])
-    assert eval_extension(spec, 0.7, x)[0] == pytest.approx(
+    assert spec.exterior.value(0.7, x)[0] == pytest.approx(
         math.sin(0.5) * math.exp(-0.7))
 
 
@@ -153,7 +151,7 @@ def test_eval_extension_time_dependent_closed_form():
 ], ids=["constant", "smoothstep", "sine_decay"])
 @pytest.mark.parametrize("batch", [(), (3,)], ids=["1d", "batched"])
 def test_refresh_halo_equals_exterior_values_at_halo_cells(ext, batch):
-    spec = ProblemSpec(domain=interval_domain(0.0, 1.0), flux=flux_burgers(),
+    spec = ProblemSpec(domain=(0.0, 1.0), flux=flux_burgers(),
                        diffusion=diffusion_zero(),
                        u0=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
                        exterior=ext, T=1.0)
@@ -164,26 +162,15 @@ def test_refresh_halo_equals_exterior_values_at_halo_cells(ext, batch):
         u = rng.standard_normal(batch + (disc.grid.n_full,))
         inside = u[..., ~halo].copy()
         disc.refresh_halo(u, t)
-        want = np.broadcast_to(disc.exterior_values(t)[halo],
+        want = np.broadcast_to(ext.value(t, disc.grid.x_full())[halo],
                                batch + (int(halo.sum()),))
         assert np.array_equal(u[..., halo], want)
         assert np.array_equal(u[..., ~halo], inside)
 
 
-def test_eval_extension_time_range():
-    spec = make_problem("burgers", "zero", "bump", T=0.5)
-    with pytest.raises(OutOfTimeRange):
-        eval_extension(spec, 0.6, np.array([2.0]))
-
-
-def test_extension_mismatch_detected():
-    spec = make_problem("burgers", "zero", "bump")
-    from dataclasses import replace
-    bad = replace(spec, exterior_datum=lambda t, x: np.full_like(
-        np.asarray(x, dtype=float), 0.25))
-    with pytest.raises(ExteriorMismatch):
-        validate_problem(bad)
-    validate_problem(spec)  # the preset itself is consistent
+def test_presets_validate():
+    for make in PROBLEM_PRESETS.values():
+        validate_problem(make())
 
 
 def test_smoothstep_derivative_closed_form():

@@ -9,8 +9,7 @@ from levyfv.measures import (AtomicSymmetric, DyadicB, FractionalRadial,
                              single_atom, truncate, zero_measure)
 from levyfv.problem import (PROBLEM_PRESETS, ProblemSpec, diffusion_identity,
                             diffusion_zero, exterior_constant, flux_burgers,
-                            flux_linear, flux_zero, interval_domain,
-                            make_problem)
+                            flux_linear, flux_zero, make_problem)
 from levyfv import scheme
 from levyfv.scheme import (SchemeConfig, cfl_max_dt, l1_q_distance,
                            picard_solve, solve, stability_run, step,
@@ -67,7 +66,7 @@ def test_monotone_update_brute_force():
 # -- step oracles --------------------------------------------------------------
 
 def test_constant_state_is_exact_fixed_point():
-    spec = ProblemSpec(domain=interval_domain(0.0, 1.0), flux=flux_burgers(),
+    spec = ProblemSpec(domain=(0.0, 1.0), flux=flux_burgers(),
                        diffusion=diffusion_identity(),
                        u0=lambda x: np.full_like(np.asarray(x, float), 0.7),
                        exterior=exterior_constant(0.7), T=0.1)
@@ -79,7 +78,7 @@ def test_constant_state_is_exact_fixed_point():
 def test_upwind_transport_first_order_against_translate():
     errs = {}
     for dx in (1 / 64, 1 / 128):
-        spec = ProblemSpec(domain=interval_domain(0.0, 1.0),
+        spec = ProblemSpec(domain=(0.0, 1.0),
                            flux=flux_linear(1.0), diffusion=diffusion_zero(),
                            u0=lambda x: np.exp(-100 * (np.asarray(x) - 0.3) ** 2),
                            exterior=exterior_constant(0.0), T=0.25)
@@ -92,7 +91,7 @@ def test_upwind_transport_first_order_against_translate():
 
 
 def test_zero_flux_matches_matrix_exponential_oracle():
-    spec = ProblemSpec(domain=interval_domain(0.0, 1.0), flux=flux_zero(),
+    spec = ProblemSpec(domain=(0.0, 1.0), flux=flux_zero(),
                        diffusion=diffusion_identity(),
                        u0=lambda x: np.exp(-50 * (np.asarray(x) - 0.5) ** 2),
                        exterior=exterior_constant(0.0), T=0.2)
@@ -141,7 +140,7 @@ def test_stefan_above_range_matches_zero_diffusion_bitwise():
 
 
 def test_dyadic_b_constant_data_stays_constant():
-    spec = ProblemSpec(domain=interval_domain(0.0, 1.0), flux=flux_zero(),
+    spec = ProblemSpec(domain=(0.0, 1.0), flux=flux_zero(),
                        diffusion=diffusion_identity(),
                        u0=lambda x: np.full_like(np.asarray(x, float), 0.4),
                        exterior=exterior_constant(0.4), T=0.1)
@@ -314,8 +313,9 @@ def test_chains_honour_config_dt():
     stab = stability_run(spec, [single_atom(z=0.125, w=0.5), zero_measure()],
                          c)
     for rep in (van, stab):
-        assert rep.reference.stats["dt"] == 1e-3
-        assert all(tr.stats["dt"] == 1e-3 for tr in rep.trajectories)
+        for tr in rep.trajectories + [rep.reference]:
+            assert tr.stats["dt"] == 1e-3
+            assert tr.dt == tr.times[1] - tr.times[0]
 
 
 def _solved(measure, spec, c):
@@ -369,9 +369,11 @@ SUITE_RUNS = {
 ])
 def test_time_grids_pinned(driver, dt, n_steps):
     # exact values of the automatic CFL time grid; any drift in the dt rule
-    # moves every stored trajectory
-    stats = SUITE_RUNS[driver]().stats
-    assert (stats["dt"], stats["n_steps"]) == (dt, n_steps)
+    # moves every stored trajectory.  `Trajectory.dt` is the chosen step and
+    # equals the spacing of the stored times exactly.
+    traj = SUITE_RUNS[driver]()
+    assert (traj.stats["dt"], traj.stats["n_steps"]) == (dt, n_steps)
+    assert traj.dt == traj.times[1] - traj.times[0]
 
 
 def test_stability_identical_measures_zero_distances():
@@ -381,6 +383,38 @@ def test_stability_identical_measures_zero_distances():
     assert all(d == 0.0 for d in rep.l1_distances)
     assert all(d == 0.0 for d in rep.l2_b_distances)
     assert all(d == 0.0 for d in rep.measure_distances)
+
+
+def test_one_discretization_per_time_grid(monkeypatch):
+    # solve discretizes once and hands that to time_grid; a chain of m
+    # measures discretizes once for its shared time grid, then once per solve
+    calls = []
+    real = scheme.discretize
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(scheme, "discretize", counted)
+    spec = make_problem("burgers", "identity", "bump", T=0.1)
+    c = conf(1 / 64, Z=0.5)
+    solve(spec, build_stencil(single_atom(), c.dx, c.r, c.Z), c)
+    assert len(calls) == 1
+    calls.clear()
+    vanishing_viscosity_run(spec, 1.0, [1, 4], c)
+    assert len(calls) == 3 + 1
+    calls.clear()
+    stability_run(spec, [single_atom(z=0.125, w=0.5), zero_measure()], c)
+    assert len(calls) == 2 + 1
+
+
+def test_solve_rejects_a_stencil_built_for_another_dx():
+    # the halo at dx = 1/64 (32 cells) covers the dx = 1/32 stencil's reach
+    # (16 offsets), so only the dx check catches the mismatch
+    spec = make_problem("burgers", "identity", "bump", T=0.1)
+    st = build_stencil(single_atom(0.25, 0.5), 1 / 32, 1 / 32, 0.5)
+    with pytest.raises(ConfigMismatch):
+        solve(spec, st, conf(1 / 64, Z=0.5))
 
 
 def test_trajectories_on_different_grids_not_comparable():

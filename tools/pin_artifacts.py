@@ -55,6 +55,10 @@ LOCAL_SHOCK = {"mode": "solve", "problem": "burgers_riemann",
 STORE_EVERY_7 = {"mode": "solve", "problem": "burgers_bump",
                  "measure": "single_atom", "dx": 1.0 / 64, "Z": 0.5,
                  "store_every": 7}
+# Z below the measure's reach leaves a tail (tau > 0) for "drop" to omit
+TAIL_DROP = {"mode": "solve", "problem": "burgers_bump",
+             "measure": TRUNCATED_FRACTIONAL, "dx": 1.0 / 64, "Z": 0.25,
+             "tail_mode": "drop"}
 
 
 def matrix():
@@ -91,6 +95,13 @@ def matrix():
                             "--auto-cfl"], None),
         ("local_shock", ["run"], LOCAL_SHOCK),
         ("store_every_7", ["run"], STORE_EVERY_7),
+        ("tail_drop", ["run"], TAIL_DROP),
+        ("flux_lf", ["run", "--mode", "solve", "--problem", "stefan_mixed",
+                     "--measure", "single_atom", "--dx", "0.03125", "--Z",
+                     "0.5", "--auto-cfl", "--flux", "lf"], None),
+        ("fixed_dt", ["run", "--mode", "solve", "--problem", "burgers_bump",
+                      "--measure", "single_atom", "--dx", "0.03125", "--Z",
+                      "0.5", "--dt", "0.001"], None),
     ]
     for label, measure in SCAN_MEASURES.items():
         ref = json.dumps(measure) if isinstance(measure, dict) else measure
