@@ -124,7 +124,7 @@ def jump_term(bfield: np.ndarray, disc: DiscreteProblem,
     This is the one tail rule every driver and diagnostic uses:
     "exterior_mean" sends the tail mass tau to the mean of b over the two
     halos, "drop" omits the tail (tau treated as 0).  `mass_budget_check`
-    keeps an independent per-offset copy as its oracle."""
+    states the conservation identity independently."""
     if tail_mode == "drop":
         return apply_stencil(bfield, replace(stencil, tau=0.0),
                              disc.grid.n_halo)

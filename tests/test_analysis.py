@@ -1,17 +1,20 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from levyfv import analysis
 from levyfv.errors import ConfigMismatch, MissingExtensionDerivatives
-from levyfv.measures import (FractionalRadial, single_atom, truncate,
-                             zero_measure)
+from levyfv.measures import (AtomicSymmetric, FractionalRadial, single_atom,
+                             truncate, zero_measure)
 from levyfv.problem import (ExteriorData, ProblemSpec, diffusion_identity,
                             diffusion_power, diffusion_stefan,
-                            exterior_constant, flux_burgers, make_problem)
+                            exterior_constant, flux_burgers, flux_from_table,
+                            make_problem)
 from levyfv import stencil
-from levyfv.scheme import SchemeConfig, l1_series, solve
+from levyfv.scheme import (SchemeConfig, _numerical_flux, _tail_value,
+                           l1_series, solve)
 from levyfv.stencil import build_stencil, row_blocks
 
 
@@ -167,6 +170,132 @@ def test_trajectory_checks_in_row_blocks_match_whole_arrays(monkeypatch,
     assert analysis.mass_budget_check(ta, worst / scale * (1 + 1e-9)).passed
     assert not analysis.mass_budget_check(ta,
                                           worst / scale * (1 - 1e-9)).passed
+
+
+def per_offset_worst_defect(traj):
+    """The mass budget defect as first written: the exchange offset by
+    offset over every interior cell, the flux on all n + 1 faces, the whole
+    trajectory at once.  The reference for `mass_budget_check`."""
+    grid, spec, s = traj.grid, traj.spec, traj.stencil
+    dt, h, n = traj.dt, grid.n_halo, grid.n
+    lo, hi = traj.disc.data_range
+    flux_pair = _numerical_flux(traj.config, spec,
+                                spec.flux.lipschitz_on(lo, hi))
+    u = traj.states[:-1]
+    nxt = traj.states[1:, grid.interior]
+    mass_change = grid.dx * (nxt - u[:, grid.interior]).sum(axis=1)
+    fhat = flux_pair(u[:, h - 1:h + n], u[:, h:h + n + 1])
+    boundary = -dt * (fhat[:, -1] - fhat[:, 0])
+    bf = spec.diffusion.b(u)
+    center = bf[:, grid.interior]
+    exchange = np.zeros(u.shape[0])
+    for j, w in zip(s.offsets, s.weights):
+        if w == 0.0:
+            continue
+        exchange += w * (bf[:, h + j:h + j + n] + bf[:, h - j:h - j + n]
+                         - 2.0 * center).sum(axis=1)
+    if s.tau != 0.0 and traj.config.tail_mode != "drop":
+        tail = _tail_value(traj.disc, bf)
+        exchange += s.tau * (tail[:, None] - center).sum(axis=1)
+    exchange *= dt * grid.dx
+    return float(np.abs(mass_change - boundary - exchange).max())
+
+
+def with_random_interiors(traj, seed):
+    """`traj` with random stored interiors and its own (valid) halos, so
+    every step's defect is O(1) and not rounding noise."""
+    rng = np.random.default_rng(seed)
+    lo, hi = traj.disc.data_range
+    states = traj.states.copy()
+    states[:, traj.grid.interior] = rng.uniform(
+        lo, hi, (states.shape[0], traj.grid.n))
+    return replace(traj, states=states)
+
+
+def random_atoms(seed, reach, count=6):
+    rng = np.random.default_rng(seed)
+    return AtomicSymmetric(entries=tuple(
+        (float(z), float(w)) for z, w in zip(rng.uniform(1 / 32, reach, count),
+                                             rng.uniform(0.05, 0.5, count))))
+
+
+TRUNCATED_FRACTIONAL = truncate(FractionalRadial(alpha=1.0), 1 / 16)[1]
+# (measure, Z, tail_mode); dx = 1/32, so n = 32 and Z = 1.5 gives K = 48
+BUDGET_STENCILS = {
+    "atoms": (random_atoms(1, 0.25), 0.25, "exterior_mean"),
+    "atoms_tail": (random_atoms(2, 0.6), 0.25, "exterior_mean"),
+    "atoms_tail_drop": (random_atoms(2, 0.6), 0.25, "drop"),
+    "atoms_wide": (random_atoms(3, 1.5), 1.5, "exterior_mean"),
+    "fractional": (FractionalRadial(alpha=0.7, lo=1 / 16, hi=0.25), 0.25,
+                   "exterior_mean"),
+    "fractional_tail": (TRUNCATED_FRACTIONAL, 0.25, "exterior_mean"),
+    "fractional_tail_drop": (TRUNCATED_FRACTIONAL, 0.25, "drop"),
+    "fractional_wide": (FractionalRadial(alpha=1.5, hi=1.25), 1.5,
+                        "exterior_mean"),
+    "fractional_wide_tail": (TRUNCATED_FRACTIONAL, 1.5, "exterior_mean"),
+    "null": (zero_measure(), 0.25, "exterior_mean"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUDGET_STENCILS))
+def test_telescoped_budget_matches_the_per_offset_formula(name):
+    measure, Z, tail_mode = BUDGET_STENCILS[name]
+    dx = 1 / 32
+    spec = make_problem("burgers", "stefan", "riemann", ell=0.3, T=0.05)
+    config = SchemeConfig(dx=dx, r=dx, Z=Z, tail_mode=tail_mode)
+    st = build_stencil(measure, dx, dx, Z)
+    assert (st.tau > 0.0) == ("tail" in name)
+    assert (st.max_offset >= 32) == ("wide" in name)
+    assert st.weights.any() != (name == "null")
+    traj = with_random_interiors(solve(spec, st, config), seed=len(name))
+    ref = per_offset_worst_defect(traj)
+    assert ref > 1e-3
+    assert analysis.mass_budget_check(traj).params["worst_defect"] == \
+        pytest.approx(ref, rel=1e-12)
+
+
+def test_mass_budget_reads_the_halo_within_reach_only():
+    # reach K = 6 inside a halo of 10 cells, no tail: a halo cell at distance
+    # d <= K from the boundary enters the exchange, one at d > K does not
+    dx = 1 / 32
+    measure = AtomicSymmetric(entries=((6 * dx, 0.5), (2 * dx, 0.25)))
+    traj = run(make_problem("burgers", "identity", "bump", T=0.05), measure,
+               dx, Z=10 * dx)
+    st, h, n = traj.stencil, traj.grid.n_halo, traj.grid.n
+    assert st.tau == 0.0 and h == 10
+    assert int(st.offsets[np.flatnonzero(st.weights)[-1]]) == 6
+    base = analysis.mass_budget_check(traj).params["worst_defect"]
+    base_ref = per_offset_worst_defect(traj)
+    m = len(traj.times) // 2
+    for d in range(1, h + 1):
+        for cell in (h - d, h + n - 1 + d):
+            states = traj.states.copy()
+            states[m, cell] += 8.0
+            bumped = replace(traj, states=states)
+            moved = analysis.mass_budget_check(bumped).params["worst_defect"]
+            if d <= 6:
+                expected = per_offset_worst_defect(bumped) - base_ref
+                assert expected > 1e-4
+                assert moved - base == pytest.approx(expected, rel=1e-12), d
+            else:
+                assert moved == base, d
+
+
+@pytest.mark.parametrize("flux", ["engquist_osher", "lax_friedrichs",
+                                  "table"])
+def test_two_face_flux_is_bit_identical_to_all_faces(flux):
+    table = flux_from_table([-1.0, 0.0, 0.5, 2.0], [1.0, 0.0, -0.25, 1.5])
+    spec = make_problem(table if flux == "table" else "burgers", "zero",
+                        "riemann")
+    config = SchemeConfig(dx=1 / 32, r=1 / 32, Z=0.25,
+                          numerical_flux="lax_friedrichs"
+                          if flux == "lax_friedrichs" else "engquist_osher")
+    flux_pair = _numerical_flux(config, spec, spec.flux.lipschitz_on(-1, 2))
+    h, n = 8, 32
+    u = np.random.default_rng(5).uniform(-1.0, 2.0, (17, n + 2 * h))
+    faces = flux_pair(u[:, h - 1:h + n], u[:, h:h + n + 1])
+    two = flux_pair(u[:, [h - 1, h + n - 1]], u[:, [h, h + n]])
+    assert np.array_equal(two, faces[:, [0, -1]])
 
 
 # -- energy -----------------------------------------------------------------------
