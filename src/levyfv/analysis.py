@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import MissingExtensionDerivatives
+from .errors import ConfigParse, MissingExtensionDerivatives
 from .measures import DyadicA, DyadicB, FractionalRadial, LevyMeasure, \
     truncate
 from .multiplier import MultiplierEval
@@ -274,20 +274,19 @@ def _sgn_plus(v):
     return (v > 0.0).astype(float)
 
 
-def admissible_pair(traj: Trajectory, phi: SpaceTimeBump, k: float,
-                    sign: str) -> bool:
-    """Compatibility of (k, phi, ±) with the exterior datum: the positive
-    (negative) part of b(datum) - b(k) must vanish, up to 1e-10, wherever
-    phi is positive on the halo."""
-    spec = traj.spec
-    xh = traj.disc.halo_x
-    worst = 0.0
-    for t in traj.times[::max(1, len(traj.times) // 16)]:
-        datum = np.asarray(spec.exterior.value(float(t), xh), dtype=float)
-        diff = spec.diffusion.b(datum) - spec.diffusion.b(k)
-        part = _pos(diff) if sign == "plus" else _pos(-diff)
-        worst = max(worst, float(np.max(part * phi.value(float(t), xh))))
-    return worst <= 1e-10
+def admissible_pair(b_datum: np.ndarray, b_levels: np.ndarray,
+                    phi_halo: np.ndarray):
+    """Compatibility of (k, phi, ±) with the exterior datum, for every level
+    k at once: the positive (negative) part of b(datum) - b(k) must vanish,
+    up to 1e-10, wherever phi is positive on the halo.
+
+    `b_datum` and `phi_halo` are (screening times, halo cells) and
+    `b_levels` holds b(k) per level; returns the (plus, minus) verdicts per
+    level."""
+    diff = b_datum - b_levels[:, None, None]
+    plus = np.max(_pos(diff) * phi_halo, axis=(1, 2)) <= 1e-10
+    minus = np.max(_pos(-diff) * phi_halo, axis=(1, 2)) <= 1e-10
+    return plus, minus
 
 
 @dataclass
@@ -316,8 +315,13 @@ def entropy_residual(traj: Trajectory, measure: LevyMeasure, family, levels,
     splitting reuses it to build the zero-order part (no small-jump surrogate)
     and the small-jump second moment.  Nonpositive residuals (up to grid
     tolerance) mean the inequality holds.  Inadmissible (k, phi, ±)
-    combinations are skipped and counted.
+    combinations are skipped and counted; admissibility is screened once per
+    phi, for every level and both signs (`admissible_pair`).  A sign other
+    than "plus" or "minus" is refused (`ConfigParse`).
     """
+    for sign in signs:
+        if sign not in ("plus", "minus"):
+            raise ConfigParse(f"unknown entropy sign {sign!r}")
     spec = traj.spec
     grid = traj.grid
     dt = traj.dt
@@ -327,6 +331,7 @@ def entropy_residual(traj: Trajectory, measure: LevyMeasure, family, levels,
     times = traj.times[:-1]
     b = spec.diffusion.b
     f = spec.flux.f
+    levels = np.atleast_1d(np.asarray(levels, dtype=float))
     lo, hi = traj.disc.data_range
     lf = spec.flux.lipschitz_on(min(lo, float(np.min(levels))),
                                 max(hi, float(np.max(levels))))
@@ -338,6 +343,7 @@ def entropy_residual(traj: Trajectory, measure: LevyMeasure, family, levels,
     u_all = traj.states[:-1]
     u_int = u_all[:, grid.interior]
     bu_all = b(u_all)
+    fu_int = f(u_int)
     op_big = np.empty_like(u_int)
     for rows in row_blocks(u_all.shape[0], grid.n_full):
         op_big[rows] = jump_term(bu_all[rows], traj.disc, stencil_r,
@@ -345,22 +351,30 @@ def entropy_residual(traj: Trajectory, measure: LevyMeasure, family, levels,
 
     bnd_x = np.array(spec.domain, dtype=float)
     u0 = traj.states[0, grid.interior]
+    datum_bnd = np.stack([np.asarray(
+        spec.exterior.value(float(t), bnd_x), dtype=float) for t in times])
+
+    # the admissibility screening reads the datum on the halo at these times
+    xh = traj.disc.halo_x
+    screen_t = traj.times[::max(1, len(traj.times) // 16)]
+    b_datum = b(np.stack([np.asarray(spec.exterior.value(float(t), xh),
+                                     dtype=float) for t in screen_t]))
+    b_levels = b(levels)
 
     rows, skipped = [], 0
     for idx, phi in enumerate(family):
         phi_t = phi.dt(times[:, None], xi[None, :])
         phi_x = phi.dx(times[:, None], xi[None, :])
         phi_v = phi.value(times[:, None], xi[None, :])
-        phi_full = phi.value(times[:, None], xf[None, :])
-        phi_xx_full = phi.dxx(times[:, None], xf[None, :])
+        small_op = 0.5 * sigma2_r * phi.dxx(times[:, None], xf[None, :])
         phi0 = phi.value(0.0, xi)
         phi_bnd = phi.value(times[:, None], bnd_x[None, :])
-        datum_bnd = np.stack([np.asarray(
-            spec.exterior.value(float(t), bnd_x), dtype=float) for t in times])
-        for k in np.atleast_1d(levels):
+        admissible = dict(zip(("plus", "minus"), admissible_pair(
+            b_datum, b_levels, phi.value(screen_t[:, None], xh[None, :]))))
+        for i, k in enumerate(levels):
             fk = float(np.asarray(f(k)))
             for sign in signs:
-                if not admissible_pair(traj, phi, float(k), sign):
+                if not admissible[sign][i]:
                     skipped += 1
                     continue
                 if sign == "plus":
@@ -368,17 +382,16 @@ def entropy_residual(traj: Trajectory, measure: LevyMeasure, family, levels,
                     sgn = _sgn_plus(u_int - k)
                     ent0 = _pos(u0 - k)
                     ent_bnd = _pos(datum_bnd - k)
-                    bent = _pos(b(u_all) - b(k))
+                    bent = _pos(bu_all - b_levels[i])
                 else:
                     ent = _pos(k - u_int)
                     sgn = -_sgn_plus(k - u_int)
                     ent0 = _pos(k - u0)
                     ent_bnd = _pos(k - datum_bnd)
-                    bent = _pos(b(k) - b(u_all))
-                flux_ent = sgn * (f(u_int) - fk)
+                    bent = _pos(b_levels[i] - bu_all)
+                flux_ent = sgn * (fu_int - fk)
                 t1 = -dt * dx * float(np.sum(ent * phi_t + flux_ent * phi_x))
                 t2 = -dt * dx * float(np.sum(op_big * sgn * phi_v))
-                small_op = 0.5 * sigma2_r * phi_xx_full
                 t3 = -dt * dx * float(np.sum(bent * small_op))
                 rhs = dx * float(np.sum(ent0 * phi0))
                 rhs += lf * dt * float(np.sum(ent_bnd * phi_bnd))

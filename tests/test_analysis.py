@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from levyfv import analysis
-from levyfv.errors import ConfigMismatch, MissingExtensionDerivatives
+from levyfv.errors import ConfigMismatch, ConfigParse, \
+    MissingExtensionDerivatives
 from levyfv.measures import (AtomicSymmetric, FractionalRadial, single_atom,
                              truncate, zero_measure)
 from levyfv.problem import (ExteriorData, ProblemSpec, diffusion_identity,
@@ -14,7 +15,7 @@ from levyfv.problem import (ExteriorData, ProblemSpec, diffusion_identity,
                             make_problem)
 from levyfv import stencil
 from levyfv.scheme import (SchemeConfig, _numerical_flux, _tail_value,
-                           l1_series, solve)
+                           jump_term, l1_series, solve)
 from levyfv.stencil import build_stencil, row_blocks
 
 
@@ -400,6 +401,128 @@ def test_residual_counts_inadmissible_pairs():
     rep = analysis.entropy_residual(traj, single_atom(z=0.125, w=0.5), fam,
                                     [0.5], 1 / 16, signs=("minus",))
     assert rep.skipped > 0
+
+
+def per_pair_admissible(traj, phi, k, sign):
+    """Reference screening: one (phi, k, sign) at a time, the datum and
+    b(datum) re-evaluated on the halo at every sampled time."""
+    spec = traj.spec
+    xh = traj.disc.halo_x
+    worst = 0.0
+    for t in traj.times[::max(1, len(traj.times) // 16)]:
+        datum = np.asarray(spec.exterior.value(float(t), xh), dtype=float)
+        diff = spec.diffusion.b(datum) - spec.diffusion.b(k)
+        part = analysis._pos(diff) if sign == "plus" else analysis._pos(-diff)
+        worst = max(worst, float(np.max(part * phi.value(float(t), xh))))
+    return worst <= 1e-10
+
+
+def per_pair_entropy_residual(traj, measure, family, levels, r, signs):
+    """Reference residuals: every loop-invariant recomputed per (phi, k,
+    sign), each pair screened by `per_pair_admissible`."""
+    spec = traj.spec
+    grid = traj.grid
+    dt, dx = traj.dt, grid.dx
+    xi, xf = grid.x_interior(), grid.x_full()
+    times = traj.times[:-1]
+    b, f = spec.diffusion.b, spec.flux.f
+    lo, hi = traj.disc.data_range
+    lf = spec.flux.lipschitz_on(min(lo, float(np.min(levels))),
+                                max(hi, float(np.max(levels))))
+    sigma2_r, outer = truncate(measure, r)
+    stencil_r = build_stencil(outer, dx, r, max(traj.stencil.Z, r))
+    u_all = traj.states[:-1]
+    u_int = u_all[:, grid.interior]
+    op_big = np.empty_like(u_int)
+    for rows in row_blocks(u_all.shape[0], grid.n_full):
+        op_big[rows] = jump_term(b(u_all[rows]), traj.disc, stencil_r,
+                                 traj.config.tail_mode)
+    bnd_x = np.array(spec.domain, dtype=float)
+    u0 = traj.states[0, grid.interior]
+    out, skipped = [], 0
+    for idx, phi in enumerate(family):
+        phi_t = phi.dt(times[:, None], xi[None, :])
+        phi_x = phi.dx(times[:, None], xi[None, :])
+        phi_v = phi.value(times[:, None], xi[None, :])
+        phi_xx_full = phi.dxx(times[:, None], xf[None, :])
+        phi0 = phi.value(0.0, xi)
+        phi_bnd = phi.value(times[:, None], bnd_x[None, :])
+        datum_bnd = np.stack([np.asarray(
+            spec.exterior.value(float(t), bnd_x), dtype=float) for t in times])
+        for k in np.atleast_1d(levels):
+            fk = float(np.asarray(f(k)))
+            for sign in signs:
+                if not per_pair_admissible(traj, phi, float(k), sign):
+                    skipped += 1
+                    continue
+                pos, step = analysis._pos, analysis._sgn_plus
+                if sign == "plus":
+                    ent, sgn, ent0 = pos(u_int - k), step(u_int - k), \
+                        pos(u0 - k)
+                    ent_bnd, bent = pos(datum_bnd - k), pos(b(u_all) - b(k))
+                else:
+                    ent, sgn, ent0 = pos(k - u_int), -step(k - u_int), \
+                        pos(k - u0)
+                    ent_bnd, bent = pos(k - datum_bnd), pos(b(k) - b(u_all))
+                flux_ent = sgn * (f(u_int) - fk)
+                t1 = -dt * dx * float(np.sum(ent * phi_t + flux_ent * phi_x))
+                t2 = -dt * dx * float(np.sum(op_big * sgn * phi_v))
+                small_op = 0.5 * sigma2_r * phi_xx_full
+                t3 = -dt * dx * float(np.sum(bent * small_op))
+                rhs = dx * float(np.sum(ent0 * phi0))
+                rhs += lf * dt * float(np.sum(ent_bnd * phi_bnd))
+                out.append(analysis.ResidualRow(
+                    k=float(k), sign=sign, phi_index=idx,
+                    residual=t1 + t2 + t3 - rhs))
+    return out, skipped
+
+
+# a moving exterior, so the screening sees a different datum at each time;
+# with T = 1 the run stores 33 times, of which the screening samples every
+# other one
+MOVING_EXTERIOR = ExteriorData(
+    value=lambda t, x: 0.3 * np.sin(40.0 * np.asarray(t, float))
+    + 0.1 * np.asarray(x, float) ** 2)
+MOVING_SPEC = ProblemSpec(domain=(0.0, 1.0), flux=flux_burgers(),
+                          diffusion=diffusion_power(2.0),
+                          u0=lambda x: 0.4 * np.cos(3.0 * np.asarray(x, float)),
+                          exterior=MOVING_EXTERIOR, T=1.0)
+# (spec, levels, signs); every case skips some pairs and keeps others
+SCREENING_CASES = {
+    "inadmissible": (make_problem("burgers", "identity", "bump", T=0.2),
+                     [0.5, 0.25, -0.2], ("plus", "minus")),
+    "outside_range": (make_problem("burgers", "stefan", "bump", ell=0.3,
+                                   T=0.2), [1.7, -0.7, 0.6], ("plus", "minus")),
+    "plus_only": (make_problem("burgers", "identity", "bump", T=0.2),
+                  [-0.2, 0.3, 0.6], ("plus",)),
+    "moving_exterior": (MOVING_SPEC, np.linspace(0.2, 0.34, 15),
+                        ("plus", "minus")),
+}
+# one atom inside the splitting radius 1/16 and one outside, so both the
+# small-jump (second moment) and the big-jump (stencil) terms are active
+SPLIT_ATOMS = AtomicSymmetric(entries=((1 / 32, 0.5), (0.125, 0.5)))
+
+
+@pytest.mark.parametrize("name", sorted(SCREENING_CASES))
+def test_screening_matches_the_per_pair_reference(name):
+    spec, levels, signs = SCREENING_CASES[name]
+    traj = run(spec, SPLIT_ATOMS, 1 / 32)
+    fam = analysis.default_test_family(0.0, 1.0, spec.T)
+    rep = analysis.entropy_residual(traj, SPLIT_ATOMS, fam, levels, 1 / 16,
+                                    signs=signs)
+    ref_rows, ref_skipped = per_pair_entropy_residual(
+        traj, SPLIT_ATOMS, fam, levels, 1 / 16, signs)
+    assert rep.skipped == ref_skipped > 0
+    assert rep.rows and rep.rows == ref_rows
+
+
+def test_residual_rejects_an_unknown_sign():
+    traj = run(make_problem("burgers", "identity", "bump", T=0.1),
+               zero_measure(), 1 / 32)
+    fam = analysis.default_test_family(0.0, 1.0, 0.1)
+    with pytest.raises(ConfigParse, match="'Plus'"):
+        analysis.entropy_residual(traj, zero_measure(), fam, [0.5], 1 / 16,
+                                  signs=("Plus",))
 
 
 # -- compactness quantities -------------------------------------------------------

@@ -5,7 +5,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from levyfv import measures
 from levyfv.cli import main, trend_holds, write_trajectory_csv
+from levyfv.errors import QuadratureNotConverged
 from levyfv.measures import zero_measure
 from levyfv.problem import make_problem
 from levyfv.scheme import SchemeConfig, solve
@@ -140,6 +142,26 @@ def test_scan_csv(tmp_path):
     assert set(rows[0]) == {"xi", "m"}
     assert float(rows[0]["m"]) == 0.0
     assert all(float(r["m"]) >= 0.0 for r in rows)
+
+
+def test_scan_failure_writes_no_csv(tmp_path, capsys, monkeypatch):
+    # the symbol fails at one frequency of the scan, after earlier ones
+    # succeeded: exit 3, the frequency named, and no partial CSV
+    symbol = measures.LevyMeasure.multiplier_value
+
+    def failing_at_7_5(self, xi):
+        if float(xi) == 7.5:
+            raise QuadratureNotConverged(
+                f"symbol quadrature error 1.00e-03 at xi={xi}")
+        return symbol(self, xi)
+
+    monkeypatch.setattr(measures.LevyMeasure, "multiplier_value",
+                        failing_at_7_5)
+    out = tmp_path / "scan.csv"
+    assert main(["scan", "--measure", "dyadic_a", "--xi-max", "10",
+                 "--num", "21", "--out", str(out)]) == 3
+    assert "xi=7.5" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_stencil_dump(tmp_path):
