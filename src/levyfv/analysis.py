@@ -16,7 +16,7 @@ from .errors import ConfigParse, MissingExtensionDerivatives
 from .measures import DyadicA, DyadicB, FractionalRadial, LevyMeasure, \
     truncate
 from .multiplier import MultiplierEval
-from .problem import DiffusionFn
+from .problem import DiffusionFn, sample_rows
 from .scheme import Trajectory, _numerical_flux, _tail_value, \
     interior_blocks, jump_term, l1_series
 from .stencil import build_stencil, row_blocks, zero_extended_energy
@@ -152,7 +152,8 @@ def energy_report(traj: Trajectory) -> dict:
     rhs: entropy potential of the initial data, the transport terms weighted
     by b'(ext), and the jump operator applied to b(ext) paired with gamma.
     slack = rhs - lhs; the continuum bound guarantees slack >= 0 up to
-    discretization error.
+    discretization error.  The extension is sampled on the interior, once
+    per integrated stored time and at t = 0; its halo is the stored one.
     """
     spec = traj.spec
     ext = spec.exterior
@@ -167,32 +168,34 @@ def energy_report(traj: Trajectory) -> dict:
     bprime = spec.diffusion.bprime
     f = spec.flux.f
 
-    gamma = traj.gamma()
-    lhs = dt * zero_extended_energy(gamma[:-1], traj.stencil, dx)
+    def transport(u, e, t):
+        """The transport integrand summed over the interior, per time."""
+        f_big = np.sign(u - e) * (f(u) - f(e))
+        return (((u - e) * sample_rows(ext.dt, t, x)
+                 + f_big * sample_rows(ext.grad, t, x)) * bprime(e)).sum(axis=1)
 
     ext0 = np.asarray(ext.value(0.0, x), dtype=float)
     u0 = traj.states[0, grid.interior]
     rhs_initial = dx * float(np.sum(spec.diffusion.entropy_h(u0, ext0)))
 
+    times = traj.times[:-1]
+    gamma = np.empty((len(times), grid.n))
     rhs_transport = 0.0
     rhs_operator = 0.0
-    xf = grid.x_full()
-    for rows in row_blocks(len(traj.times) - 1, grid.n_full):
-        ext_full = np.empty((rows.stop - rows.start, grid.n_full))
-        for i, n in enumerate(range(rows.start, rows.stop)):
-            t = float(traj.times[n])
-            u = traj.states[n, grid.interior]
-            e = np.asarray(ext.value(t, x), dtype=float)
-            et = np.asarray(ext.dt(t, x), dtype=float)
-            egrad = np.asarray(ext.grad(t, x), dtype=float)
-            sgn = np.sign(u - e)
-            f_big = sgn * (f(u) - f(e))
-            rhs_transport -= dt * dx * float(
-                np.sum(((u - e) * et + f_big * egrad) * bprime(e)))
-            ext_full[i] = ext.value(t, xf)
-        op = jump_term(b(ext_full), traj.disc, traj.stencil,
-                       traj.config.tail_mode)
-        rhs_operator += dt * dx * float(np.sum(op * gamma[rows]))
+    for rows in row_blocks(len(times), grid.n_full):
+        u = traj.states[rows, grid.interior]
+        # ext on the full grid: the stored halo, and the interior sampled
+        ext_full = traj.states[rows].copy()
+        e = ext_full[:, grid.interior]
+        e[...] = sample_rows(ext.value, times[rows], x)
+        gamma[rows] = b(u) - b(e)
+        # one sum per stored time, accumulated in time order
+        for s in transport(u, e, times[rows]):
+            rhs_transport -= dt * dx * float(s)
+        rhs_operator += dt * dx * float(np.sum(jump_term(
+            b(ext_full), traj.disc, traj.stencil, traj.config.tail_mode)
+            * gamma[rows]))
+    lhs = dt * zero_extended_energy(gamma, traj.stencil, dx)
 
     rhs = rhs_initial + rhs_transport + rhs_operator
     return {"lhs": lhs, "rhs": rhs, "slack": rhs - lhs,
@@ -351,14 +354,13 @@ def entropy_residual(traj: Trajectory, measure: LevyMeasure, family, levels,
 
     bnd_x = np.array(spec.domain, dtype=float)
     u0 = traj.states[0, grid.interior]
-    datum_bnd = np.stack([np.asarray(
-        spec.exterior.value(float(t), bnd_x), dtype=float) for t in times])
+    datum_bnd = sample_rows(spec.exterior.value, times, bnd_x)
 
-    # the admissibility screening reads the datum on the halo at these times
+    # the admissibility screening reads the stored halo at these times
     xh = traj.disc.halo_x
-    screen_t = traj.times[::max(1, len(traj.times) // 16)]
-    b_datum = b(np.stack([np.asarray(spec.exterior.value(float(t), xh),
-                                     dtype=float) for t in screen_t]))
+    stride = max(1, len(traj.times) // 16)
+    screen_t = traj.times[::stride]
+    b_datum = b(traj.states[::stride][:, grid.halo_mask()])
     b_levels = b(levels)
 
     rows, skipped = [], 0

@@ -298,12 +298,15 @@ def _oscillatory_pieces(g, xi, a, b, mass_side):
                     if b < _INF else integrate.quad(g, split, _INF, limit=200))
             total += v
             err += e
+        # QAWO on a finite interval; on [split, inf) it takes the first 4
+        # periods 2 pi / xi, where g is still steep, and QAWF the flatter rest
+        end = split + 4 * 2.0 * math.pi / xi if b == _INF else b
+        v, e = integrate.quad(g, split, end, weight="cos", wvar=xi,
+                              limit=400, epsabs=1e-12, epsrel=1e-11)
         if b == _INF:
-            v, e = integrate.quad(g, split, _INF, weight="cos", wvar=xi,
-                                  limit=400, epsabs=1e-12)
-        else:
-            v, e = integrate.quad(g, split, b, weight="cos", wvar=xi,
-                                  limit=400, epsabs=1e-12, epsrel=1e-11)
+            v_far, e_far = integrate.quad(g, end, _INF, weight="cos", wvar=xi,
+                                          limit=400, epsabs=1e-12)
+            v, e = v + v_far, e + e_far
         total -= v
         err += e
     if err > max(SYMBOL_REL_TOL * abs(total), 1e-9):

@@ -1,8 +1,8 @@
-"""Symbol evaluation m(xi) = int (1 - cos(xi z)) d mu, with caching."""
+"""Symbol evaluation m(xi) = int (1 - cos(xi z)) d mu."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -14,25 +14,17 @@ from .measures import LevyMeasure
 class MultiplierEval:
     """Evaluator for the (nonnegative, even) symbol of a measure.
 
-    The cache is confined to the instance; evaluation is deterministic (the
-    dyadic families' explicit atoms and the quadrature's certified relative
-    error are constants of `measures`).  Negative round-off within the
-    quadrature error floor is snapped to zero so the m >= 0 invariant
-    survives floating point.
+    Evaluation is deterministic (the dyadic families' explicit atoms and the
+    quadrature's certified relative error are constants of `measures`).
+    Negative round-off within the quadrature error floor is snapped to zero
+    so the m >= 0 invariant survives floating point.
     """
 
     measure: LevyMeasure
-    _cache: dict = field(default_factory=dict, init=False, repr=False)
 
     def m(self, xi) -> float:
-        key = abs(float(xi))              # the symbol is even
-        if key in self._cache:
-            return self._cache[key]
         val = self.measure.multiplier_value(xi)
-        if -1e-10 < val < 0.0:
-            val = 0.0
-        self._cache[key] = val
-        return val
+        return 0.0 if -1e-10 < val < 0.0 else val
 
     def m_many(self, xis) -> np.ndarray:
         vals = self.measure.multiplier_values(xis)

@@ -2,9 +2,9 @@
 
 Fluxes and diffusion nonlinearities are carried with the closed forms the
 scheme and the diagnostics need (monotone splitting, derivative, exact
-antiderivative, Lipschitz constants on a range).  Exterior data is analytic:
-the halo, the operator tail, and the boundary integrals all sample it at
-arbitrary points.
+antiderivative, Lipschitz constants on a range).  Exterior data is analytic
+and elementwise in x: `sample_rows` samples it one row per time, and the
+diagnostics read its halo values from the stored states.
 """
 
 from __future__ import annotations
@@ -249,11 +249,19 @@ def exterior_smoothstep(x0: float, x1: float, left: float,
 # problem specification
 # ---------------------------------------------------------------------------
 
+def sample_rows(fn, times, x) -> np.ndarray:
+    """fn(t, x) at each t in `times`, one row per time (a value constant in
+    x is broadcast along it)."""
+    return np.stack([np.broadcast_to(np.asarray(fn(float(t), x), dtype=float),
+                                     np.shape(x)) for t in times])
+
+
 @dataclass(frozen=True)
 class ProblemSpec:
     """An instance on the interval `domain` = (a, b).  The exterior datum is
-    `exterior.value` restricted to the complement of the interval; the halo,
-    the data range and the entropy screening all read it there."""
+    `exterior.value` restricted to the complement of the interval: the data
+    range samples it on the halo, and `scheme.solve` writes it into the halo
+    of every stored state, where the diagnostics read it."""
 
     domain: tuple                      # (a, b)
     flux: FluxFn
@@ -321,13 +329,10 @@ def discretize(spec: ProblemSpec, dx: float,
     x = grid.x_full()
     u0 = np.asarray(spec.exterior.value(0.0, x), dtype=float).copy()
     u0[grid.interior] = spec.u0(x[grid.interior])
-    lo = float(u0[grid.interior].min())
-    hi = float(u0[grid.interior].max())
-    halo_x = grid.x_halo()
-    for t in np.linspace(0.0, spec.T, 33):
-        vals = np.asarray(spec.exterior.value(t, halo_x), dtype=float)
-        lo = min(lo, float(vals.min()))
-        hi = max(hi, float(vals.max()))
+    vals = sample_rows(spec.exterior.value, np.linspace(0.0, spec.T, 33),
+                       grid.x_halo())
+    lo = min(float(u0[grid.interior].min()), float(vals.min()))
+    hi = max(float(u0[grid.interior].max()), float(vals.max()))
     return DiscreteProblem(grid=grid, spec=spec, u0_full=u0,
                            data_range=(lo, hi))
 

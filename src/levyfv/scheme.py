@@ -23,7 +23,8 @@ from .errors import CflViolation, ConfigMismatch, ConfigParse, \
     DegenerateGrid, NoConvergence, NonfiniteValue
 from .measures import FractionalRadial, LevyMeasure, ScaledMeasure, \
     weighted_tv_distance, zero_measure
-from .problem import DiscreteProblem, ProblemSpec, diffusion_zero, discretize
+from .problem import DiscreteProblem, ProblemSpec, diffusion_zero, \
+    discretize, sample_rows
 from .stencil import StencilWeights, apply_stencil, build_stencil, \
     row_blocks
 
@@ -54,7 +55,9 @@ class SchemeConfig:
 
 @dataclass
 class Trajectory:
-    """States at every accepted step, on the full (interior + halo) grid."""
+    """States at every accepted step, on the full (interior + halo) grid.
+    `times` is the one clock: the halo of `states[n]` is the exterior datum
+    at `times[n]`, written by `solve`."""
 
     times: np.ndarray
     states: np.ndarray               # (n_times, n_full)
@@ -82,9 +85,8 @@ class Trajectory:
     def gamma(self) -> np.ndarray:
         """b(u) - b(extension) on the interior; identically zero outside."""
         b = self.spec.diffusion.b
-        x = self.grid.x_interior()
-        ext = np.stack([np.asarray(self.spec.exterior.value(t, x), dtype=float)
-                        for t in self.times])
+        ext = sample_rows(self.spec.exterior.value, self.times,
+                          self.grid.x_interior())
         return b(self.interior()) - b(ext)
 
 
@@ -158,10 +160,11 @@ def time_grid(disc: DiscreteProblem, stencils, config: SchemeConfig,
 def step(u_full: np.ndarray, disc: DiscreteProblem, stencil: StencilWeights,
          config: SchemeConfig, t: float, dt: float,
          source: np.ndarray | None = None, flux_pair=None) -> np.ndarray:
-    """One forward-Euler update; halo of the result holds the exterior datum
-    at t + dt.  `source` (interior-sized) replaces the jump term when given,
-    which is how the fixed-point iteration freezes its right-hand side.  A
-    stencil with no nonzero weight and no tail has no jump term to add."""
+    """One forward-Euler update of the interior from the state at time t; the
+    result keeps the input's halo until `solve` writes the next datum there.
+    `source` (interior-sized) replaces the jump term when given, which is
+    how the fixed-point iteration freezes its right-hand side.  A stencil
+    with no nonzero weight and no tail has no jump term to add."""
     spec = disc.spec
     grid = disc.grid
     if flux_pair is None:
@@ -185,7 +188,6 @@ def step(u_full: np.ndarray, disc: DiscreteProblem, stencil: StencilWeights,
         raise NonfiniteValue(f"nonfinite state at t={t}")
     out = u_full.copy()
     out[grid.interior] = new_interior
-    disc.refresh_halo(out, min(t + dt, spec.T))
     return out
 
 
@@ -194,7 +196,8 @@ def solve(spec: ProblemSpec, stencil: StencilWeights, config: SchemeConfig,
           source_states: np.ndarray | None = None) -> Trajectory:
     """March to T on `time_grid`.  With `source_states` (one frozen jump
     term per step) the jump operator is not applied, so the CFL bound is
-    that of the conservation law alone."""
+    that of the conservation law alone.  `solve` is the one writer of stored
+    halos: that of stored state n is `exterior.value(times[n], halo_x)`."""
     if stencil.dx != config.dx:
         raise ConfigMismatch(f"stencil built for dx={stencil.dx}, "
                              f"config has dx={config.dx}")
@@ -209,16 +212,17 @@ def solve(spec: ProblemSpec, stencil: StencilWeights, config: SchemeConfig,
     lo, hi = drange
     flux_pair = _numerical_flux(config, spec, spec.flux.lipschitz_on(lo, hi))
 
-    u = disc.u0_full.copy()
-    disc.refresh_halo(u, 0.0)
+    times = np.linspace(0.0, spec.T, n_steps + 1)
     states = np.empty((n_steps + 1, disc.grid.n_full))
-    states[0] = u
+    states[0] = disc.u0_full
+    disc.refresh_halo(states[0], times[0])
     wall = time.perf_counter()
     for n in range(n_steps):
         src = source_states[n] if source_states is not None else None
-        u = step(u, disc, stencil, config, n * dt, dt, source=src,
-                 flux_pair=flux_pair)
-        states[n + 1] = u
+        states[n + 1] = step(states[n], disc, stencil, config,
+                             float(times[n]), dt, source=src,
+                             flux_pair=flux_pair)
+        disc.refresh_halo(states[n + 1], times[n + 1])
     stats = {
         "dt": dt,
         "n_steps": n_steps,
@@ -231,8 +235,7 @@ def solve(spec: ProblemSpec, stencil: StencilWeights, config: SchemeConfig,
         # a-priori bound on the dropped operator tail, per unit time
         b_sup = float(np.max(np.abs(spec.diffusion.b(np.asarray(drange)))))
         stats["drop_tail_bound"] = 2.0 * b_sup * stencil.tau
-    return Trajectory(times=np.linspace(0.0, spec.T, n_steps + 1),
-                      states=states, disc=disc, stencil=stencil,
+    return Trajectory(times=times, states=states, disc=disc, stencil=stencil,
                       config=config, stats=stats)
 
 
@@ -327,36 +330,28 @@ def picard_solve(spec: ProblemSpec, measure: LevyMeasure,
                                   config.tail_mode)
         return out
 
-    def max_l1(states, prev):
-        """max over stored times of dx * sum |states - prev| on the interior,
-        over the blocks of stored times from `row_blocks`."""
-        worst = -math.inf
-        for rows in row_blocks(n_steps + 1, grid.n_full):
-            diff = states[rows, grid.interior] - prev[rows, grid.interior]
-            worst = max(worst, float(np.max(
-                grid.dx * np.abs(diff).sum(axis=1))))
-        return worst
-
-    # iterate 0: the zero trajectory (halo still carries the exterior datum)
-    prev_states = np.zeros((n_steps + 1, grid.n_full))
-    for n in range(n_steps + 1):
-        disc.refresh_halo(prev_states[n], min(n * dt, spec.T))
+    # iterate 0: zeros, with the halo each iterate's `solve` writes
+    prev = Trajectory(times=np.linspace(0.0, spec.T, n_steps + 1),
+                      states=np.zeros((n_steps + 1, grid.n_full)), disc=disc,
+                      stencil=stencil, config=config, stats={"dt": dt})
+    for t, state in zip(prev.times, prev.states):
+        disc.refresh_halo(state, t)
 
     gaps: list[float] = []
     first_norm = None
     traj = None
     converged = False
     for k in range(1, k_max + 1):
-        src = frozen_source(prev_states)
+        src = frozen_source(prev.states)
         traj = solve(spec, stencil, config, dt_override=dt,
                      source_states=src)
-        gap = max_l1(traj.states, prev_states)
+        gap = float(np.max(l1_series(traj, prev)))
         if k == 1:
             # iterate 0 is zero on the interior, so the gap is ||u_1||
             first_norm = gap
         else:
             gaps.append(gap)
-        prev_states = traj.states
+        prev = traj
         if tol > 0.0 and gap <= tol and k > 1:
             converged = True
             break

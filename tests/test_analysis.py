@@ -16,7 +16,7 @@ from levyfv.problem import (ExteriorData, ProblemSpec, diffusion_identity,
 from levyfv import stencil
 from levyfv.scheme import (SchemeConfig, _numerical_flux, _tail_value,
                            jump_term, l1_series, solve)
-from levyfv.stencil import build_stencil, row_blocks
+from levyfv.stencil import build_stencil, row_blocks, zero_extended_energy
 
 
 def run(spec, measure, dx, Z=0.25, r=None, dt=None, enforce=True):
@@ -352,6 +352,129 @@ def test_energy_slack_nonnegative_and_shrinking():
     assert slack[1 / 64] >= -eps
 
 
+def per_time_energy_report(traj):
+    """Reference energy report: the extension sampled per stored time on the
+    interior for gamma, again on the interior and on the full grid for the
+    transport and operator terms."""
+    spec, grid = traj.spec, traj.grid
+    ext = spec.exterior
+    dt, dx = traj.dt, grid.dx
+    x, xf = grid.x_interior(), grid.x_full()
+    b, bprime, f = spec.diffusion.b, spec.diffusion.bprime, spec.flux.f
+    ext_all = np.stack([np.asarray(ext.value(t, x), dtype=float)
+                        for t in traj.times])
+    gamma = b(traj.interior()) - b(ext_all)
+    lhs = dt * zero_extended_energy(gamma[:-1], traj.stencil, dx)
+    ext0 = np.asarray(ext.value(0.0, x), dtype=float)
+    u0 = traj.states[0, grid.interior]
+    rhs_initial = dx * float(np.sum(spec.diffusion.entropy_h(u0, ext0)))
+    rhs_transport = 0.0
+    rhs_operator = 0.0
+    for rows in row_blocks(len(traj.times) - 1, grid.n_full):
+        ext_full = np.empty((rows.stop - rows.start, grid.n_full))
+        for i, n in enumerate(range(rows.start, rows.stop)):
+            t = float(traj.times[n])
+            u = traj.states[n, grid.interior]
+            e = np.asarray(ext.value(t, x), dtype=float)
+            et = np.asarray(ext.dt(t, x), dtype=float)
+            egrad = np.asarray(ext.grad(t, x), dtype=float)
+            sgn = np.sign(u - e)
+            f_big = sgn * (f(u) - f(e))
+            rhs_transport -= dt * dx * float(
+                np.sum(((u - e) * et + f_big * egrad) * bprime(e)))
+            ext_full[i] = ext.value(t, xf)
+        op = jump_term(b(ext_full), traj.disc, traj.stencil,
+                       traj.config.tail_mode)
+        rhs_operator += dt * dx * float(np.sum(op * gamma[rows]))
+    rhs = rhs_initial + rhs_transport + rhs_operator
+    return {"lhs": lhs, "rhs": rhs, "slack": rhs - lhs,
+            "parts": {"initial": rhs_initial, "transport": rhs_transport,
+                      "operator": rhs_operator}}
+
+
+def _moving_value(t, x):
+    x = np.asarray(x, float)
+    return 0.3 * np.sin(40.0 * t) + 0.5 * np.tanh(4.0 * (x - 0.5))
+
+
+# moves in t and in x, with closed-form dt and grad
+MOVING_ENERGY_EXTERIOR = ExteriorData(
+    value=_moving_value,
+    dt=lambda t, x: np.full_like(np.asarray(x, float),
+                                 12.0 * np.cos(40.0 * t)),
+    grad=lambda t, x: 2.0 / np.cosh(4.0 * (np.asarray(x, float) - 0.5)) ** 2)
+# (diffusion, measure, Z, tail mode): an atom inside the halo, and a
+# truncated fractional measure with a tail, sent to the halo mean or dropped
+ENERGY_CASES = {
+    "identity_atom": (diffusion_identity(), single_atom(z=0.125, w=0.5),
+                      0.25, "exterior_mean"),
+    "power_tail": (diffusion_power(2.0),
+                   truncate(FractionalRadial(alpha=1.0), 1 / 16)[1], 0.25,
+                   "exterior_mean"),
+    "stefan_tail_drop": (diffusion_stefan(0.1),
+                         truncate(FractionalRadial(alpha=1.0), 1 / 16)[1],
+                         0.25, "drop"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ENERGY_CASES))
+def test_energy_report_matches_the_per_time_reference(name):
+    diffusion, measure, Z, tail_mode = ENERGY_CASES[name]
+    spec = ProblemSpec(domain=(0.0, 1.0), flux=flux_burgers(),
+                       diffusion=diffusion,
+                       u0=lambda x: 0.4 * np.cos(3.0 * np.asarray(x, float)),
+                       exterior=MOVING_ENERGY_EXTERIOR, T=0.3)
+    c = SchemeConfig(dx=1 / 32, r=1 / 32, Z=Z, tail_mode=tail_mode)
+    traj = solve(spec, build_stencil(measure, c.dx, c.r, c.Z), c)
+    ref = per_time_energy_report(traj)
+    assert ref["parts"]["transport"] != 0.0
+    assert ref["parts"]["operator"] != 0.0
+    assert analysis.energy_report(traj) == ref
+
+
+def test_energy_report_takes_derivatives_constant_in_x():
+    # dt and grad may return one number per time instead of one per point
+    def value(t, x):
+        return np.full_like(np.asarray(x, float), 0.3 * np.sin(40.0 * t))
+
+    arrays = ExteriorData(
+        value=value,
+        dt=lambda t, x: np.full_like(np.asarray(x, float),
+                                     12.0 * np.cos(40.0 * t)),
+        grad=lambda t, x: np.zeros_like(np.asarray(x, float)))
+    scalars = replace(arrays, dt=lambda t, x: 12.0 * np.cos(40.0 * t),
+                      grad=lambda t, x: 0.0)
+    reports = []
+    for ext in (arrays, scalars):
+        spec = ProblemSpec(domain=(0.0, 1.0), flux=flux_burgers(),
+                           diffusion=diffusion_identity(),
+                           u0=lambda x: 0.4 * np.cos(3.0 * np.asarray(x, float)),
+                           exterior=ext, T=0.3)
+        reports.append(analysis.energy_report(
+            run(spec, single_atom(z=0.125, w=0.5), 1 / 32)))
+    assert reports[0]["parts"]["transport"] != 0.0
+    assert reports[0] == reports[1]
+
+
+def test_energy_report_samples_the_extension_once_per_integrated_time():
+    calls = []
+
+    def counted(t, x):
+        calls.append(t)
+        return _moving_value(t, x)
+
+    spec = ProblemSpec(domain=(0.0, 1.0), flux=flux_burgers(),
+                       diffusion=diffusion_identity(),
+                       u0=lambda x: 0.4 * np.cos(3.0 * np.asarray(x, float)),
+                       exterior=replace(MOVING_ENERGY_EXTERIOR,
+                                        value=counted), T=0.3)
+    traj = run(spec, single_atom(z=0.125, w=0.5), 1 / 32)
+    calls.clear()
+    analysis.energy_report(traj)
+    # once per stored time the report integrates (all but T), once at t = 0
+    assert sorted(calls) == [0.0] + traj.times[:-1].tolist()
+
+
 # -- entropy residuals ---------------------------------------------------------
 
 def test_residual_constant_solution_is_zero():
@@ -514,6 +637,25 @@ def test_screening_matches_the_per_pair_reference(name):
         traj, SPLIT_ATOMS, fam, levels, 1 / 16, signs)
     assert rep.skipped == ref_skipped > 0
     assert rep.rows and rep.rows == ref_rows
+
+
+def test_screening_reads_the_stored_halo():
+    # the extension is sampled at the two end points alone, once per
+    # integrated stored time; the halo datum comes from the stored states
+    xs = []
+
+    def counted(t, x):
+        xs.append(np.asarray(x).tolist())
+        return MOVING_EXTERIOR.value(t, x)
+
+    spec = replace(MOVING_SPEC, exterior=ExteriorData(value=counted))
+    traj = run(spec, SPLIT_ATOMS, 1 / 32)
+    xs.clear()
+    fam = analysis.default_test_family(0.0, 1.0, spec.T)
+    rep = analysis.entropy_residual(traj, SPLIT_ATOMS, fam,
+                                    np.linspace(0.2, 0.34, 15), 1 / 16)
+    assert rep.skipped > 0 and rep.rows
+    assert xs == [[0.0, 1.0]] * (len(traj.times) - 1)
 
 
 def test_residual_rejects_an_unknown_sign():

@@ -7,9 +7,10 @@ from scipy.linalg import expm
 from levyfv.errors import CflViolation, ConfigMismatch, NoConvergence
 from levyfv.measures import (AtomicSymmetric, DyadicB, FractionalRadial,
                              single_atom, truncate, zero_measure)
-from levyfv.problem import (PROBLEM_PRESETS, ProblemSpec, diffusion_identity,
-                            diffusion_zero, exterior_constant, flux_burgers,
-                            flux_linear, flux_zero, make_problem)
+from levyfv.problem import (PROBLEM_PRESETS, DiscreteProblem, ExteriorData,
+                            ProblemSpec, diffusion_identity, diffusion_zero,
+                            exterior_constant, flux_burgers, flux_linear,
+                            flux_zero, make_problem)
 from levyfv import scheme
 from levyfv.scheme import (SchemeConfig, cfl_max_dt, l1_q_distance,
                            picard_solve, solve, stability_run, step,
@@ -417,6 +418,43 @@ def test_solve_rejects_a_stencil_built_for_another_dx():
         solve(spec, st, conf(1 / 64, Z=0.5))
 
 
+# an exterior datum moving in t, so a halo written at another time than its
+# stored time shows
+MOVING_EXTERIOR = ExteriorData(value=lambda t, x: np.full_like(
+    np.asarray(x, float), 0.3 * np.sin(40.0 * t)))
+MOVING_SPEC = ProblemSpec(domain=(0.0, 1.0), flux=flux_burgers(),
+                          diffusion=diffusion_identity(),
+                          u0=lambda x: 0.2 * np.cos(3.0 * np.asarray(x, float)),
+                          exterior=MOVING_EXTERIOR, T=0.37)
+
+
+def test_stored_halo_is_the_exterior_datum_at_its_stored_time():
+    c = conf(1 / 32)
+    traj = solve(MOVING_SPEC, build_stencil(single_atom(), c.dx, c.r, c.Z), c)
+    assert traj.times[-1] == MOVING_SPEC.T
+    halo = traj.grid.halo_mask()
+    for t, state in zip(traj.times, traj.states):
+        assert np.array_equal(state[halo],
+                              MOVING_EXTERIOR.value(t, traj.disc.halo_x))
+
+
+def test_picard_iterate_zero_writes_its_halos_on_the_stored_times(
+        monkeypatch):
+    seen = []
+    real = DiscreteProblem.refresh_halo
+
+    def recording(self, u_full, t):
+        seen.append(float(t))
+        return real(self, u_full, t)
+
+    monkeypatch.setattr(DiscreteProblem, "refresh_halo", recording)
+    res = picard_solve(MOVING_SPEC, single_atom(z=0.3, w=0.5),
+                       conf(1 / 32, Z=0.5), k_max=2, tol=0.0)
+    times = res.trajectory.times.tolist()
+    # iterate 0, then one solve per iterate, each on the same stored times
+    assert seen == times * 3
+
+
 def test_trajectories_on_different_grids_not_comparable():
     spec = make_problem("burgers", "zero", "riemann")
     a = solve(spec, build_stencil(zero_measure(), 1 / 32, 1 / 32, 0.125),
@@ -435,23 +473,26 @@ def test_null_stencil_solve_skips_the_jump_term(monkeypatch):
     spec = replace(base, u0=lambda x: np.where(np.asarray(x) < 0.5, 1.0, -0.0))
     c = conf(1 / 64, Z=0.125)
     st = build_stencil(zero_measure(), c.dx, c.r, c.Z)
-    counts = {"step": 0, "jump_term": 0}
+    counts = {"step": 0, "jump_term": 0, "refresh_halo": 0}
 
-    def counted(name):
-        real = getattr(scheme, name)
-
+    def counted(name, real):
         def wrapper(*args, **kwargs):
             counts[name] += 1
             return real(*args, **kwargs)
         return wrapper
 
-    for name in counts:
-        monkeypatch.setattr(scheme, name, counted(name))
+    for name in ("step", "jump_term"):
+        monkeypatch.setattr(scheme, name, counted(name, getattr(scheme, name)))
+    monkeypatch.setattr(DiscreteProblem, "refresh_halo", counted(
+        "refresh_halo", DiscreteProblem.refresh_halo))
     traj = solve(spec, st, c)
     n_steps = traj.stats["n_steps"]
-    assert counts == {"step": n_steps, "jump_term": 0}
+    # solve writes every stored halo, the initial one included
+    assert counts == {"step": n_steps, "jump_term": 0,
+                      "refresh_halo": n_steps + 1}
     frozen = solve(spec, st, c, dt_override=traj.stats["dt"],
                    source_states=np.zeros((n_steps, traj.grid.n)))
+    assert counts["refresh_halo"] == 2 * (n_steps + 1)
     assert frozen.states.tobytes() == traj.states.tobytes()
     assert np.signbit(traj.states[0]).any()
     assert not np.signbit(traj.states[1:]).any()
