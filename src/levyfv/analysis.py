@@ -599,13 +599,13 @@ def counterexample_gallery() -> list:
         rows.append(GalleryRow("dyadic_b", "coercive_lower_bound", xi, val,
                                bound, val >= bound - 1e-10))
     for n in range(1, 13):
-        _, outer = bmeas.truncated(2.0 ** -n)
+        _, outer = truncate(bmeas, 2.0 ** -n)
         val = outer.multiplier_value(math.pi * 2.0 ** (n + 1))
         rows.append(GalleryRow("dyadic_b", "truncation_zero", float(n), val,
                                0.0, abs(val) <= 1e-10))
 
     # finite-measure sandwich on a truncation of measure B
-    _, trunc6 = bmeas.truncated(2.0 ** -6)
+    _, trunc6 = truncate(bmeas, 2.0 ** -6)
     mass = trunc6.total_mass()
     ev_t = MultiplierEval(trunc6)
     grid = np.linspace(0.1, 600.0, 6000)
@@ -621,7 +621,7 @@ def counterexample_gallery() -> list:
     prev = np.zeros_like(xis)
     monotone = True
     for n in (2, 4, 8, 16, 32):
-        _, outer = frac.truncated(1.0 / n)
+        _, outer = truncate(frac, 1.0 / n)
         vals = MultiplierEval(outer).m_many(xis)
         if np.any(vals < prev - 1e-12):
             monotone = False

@@ -87,11 +87,6 @@ class LevyMeasure:
         """Pairs (radius, per-side weight) inside the band, or None."""
         return None
 
-    def _side_cell_mass(self, a, b) -> float:
-        """One-sided mass of [a, b]; continuous kinds only."""
-        raise NotImplementedError(
-            f"no cell masses for {type(self).__name__}")
-
     def validate(self) -> None:
         """Structural checks; kinds with atom lists override."""
 
@@ -153,11 +148,6 @@ class LevyMeasure:
         """Integral of |z|^2 over {|z| < r}, strict."""
         return self.second_moment_between(0.0, r, include_b=False)
 
-    def truncated(self, r: float):
-        """Split at r: returns (sigma2, outer measure restricted to |z| >= r)."""
-        sigma2 = self.second_moment_below(r)
-        return sigma2, replace(self, lo=max(self.lo, r))
-
     def multiplier_value(self, xi) -> float:
         """Symbol m(xi) = integral of (1 - cos(xi . z)) d mu."""
         total = 0.0
@@ -191,13 +181,6 @@ class LevyMeasure:
     def leaves(self) -> Iterator[tuple[float, "LevyMeasure"]]:
         """Flatten sums/scalings into (coefficient, leaf) with windows folded."""
         yield 1.0, self
-
-    def side_cell_mass(self, a, b) -> float:
-        """One-sided mass of [a, b] for a continuous leaf."""
-        a2, b2 = max(a, self.lo), min(b, self.hi)
-        if a2 >= b2:
-            return 0.0
-        return self._side_cell_mass(a2, b2)
 
 
 # ---------------------------------------------------------------------------
@@ -237,12 +220,6 @@ class FractionalRadial(LevyMeasure):
             return _INF
         p = 2.0 - self.alpha
         return self._coef() * (b ** p - a ** p) / p
-
-    def _side_cell_mass(self, a, b):
-        # one side of the line
-        al = self.alpha
-        upper = 0.0 if b == _INF else b ** -al
-        return self.coeff * (a ** -al - upper) / al
 
     def _multiplier(self, xi, a, b, ia, ib):
         return _power_law_multiplier(abs(float(xi)), a, b, self.alpha,
@@ -473,9 +450,6 @@ class RadialDensity(LevyMeasure):
     def _second(self, a, b, ia, ib):
         return 2.0 * self._quad(lambda z: z * z * self.g(z), a, b)
 
-    def _side_cell_mass(self, a, b):
-        return self._quad(self.g, a, b)
-
     def _multiplier(self, xi, a, b, ia, ib):
         return 2.0 * _oscillatory_band_integral(self.g, abs(float(xi)), a, b,
                                                 mass_side=None)
@@ -539,7 +513,8 @@ def truncate(measure: LevyMeasure, r: float):
     """Split at radius r: (inner second moment sigma^2,  outer part mu|{|z|>=r})."""
     if r <= 0:
         raise ValueError("truncation radius must be positive")
-    return measure.truncated(r)
+    return (measure.second_moment_below(r),
+            replace(measure, lo=max(measure.lo, r)))
 
 
 def _atom_dict(leaves):

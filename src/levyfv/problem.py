@@ -290,12 +290,13 @@ def validate_problem(spec: ProblemSpec) -> None:
 
 @dataclass
 class DiscreteProblem:
-    """Grid-sampled instance: cell-centered initial data plus an exterior
-    sampler bound to the analytic extension."""
+    """Grid-sampled instance: the initial datum at the interior cell centers
+    plus an exterior sampler bound to the analytic extension.  The halo of
+    every state, the initial one included, is written by `refresh_halo`."""
 
     grid: Grid1d
     spec: ProblemSpec
-    u0_full: np.ndarray
+    u0: np.ndarray                     # (n,), interior cells only
     data_range: tuple
     halo_x: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -315,7 +316,8 @@ class DiscreteProblem:
 
 def discretize(spec: ProblemSpec, dx: float,
                halo_width: float) -> DiscreteProblem:
-    """Cell-centered sampling of the initial datum with an exterior halo.
+    """Cell-centered sampling of the initial datum on the interior, on a grid
+    with an exterior halo.
 
     The recorded data range is taken over the sampled initial datum and the
     exterior values on the halo at 33 times across [0, T]; it is exact for
@@ -326,15 +328,13 @@ def discretize(spec: ProblemSpec, dx: float,
     if n_halo < 1:
         raise HaloTooSmall("halo must cover at least one cell")
     grid = make_grid(a, b, dx, n_halo)
-    x = grid.x_full()
-    u0 = np.asarray(spec.exterior.value(0.0, x), dtype=float).copy()
-    u0[grid.interior] = spec.u0(x[grid.interior])
+    u0 = np.empty(grid.n)
+    u0[:] = spec.u0(grid.x_interior())
     vals = sample_rows(spec.exterior.value, np.linspace(0.0, spec.T, 33),
                        grid.x_halo())
-    lo = min(float(u0[grid.interior].min()), float(vals.min()))
-    hi = max(float(u0[grid.interior].max()), float(vals.max()))
-    return DiscreteProblem(grid=grid, spec=spec, u0_full=u0,
-                           data_range=(lo, hi))
+    lo = min(float(u0.min()), float(vals.min()))
+    hi = max(float(u0.max()), float(vals.max()))
+    return DiscreteProblem(grid=grid, spec=spec, u0=u0, data_range=(lo, hi))
 
 
 # ---------------------------------------------------------------------------

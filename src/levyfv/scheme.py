@@ -160,11 +160,11 @@ def time_grid(disc: DiscreteProblem, stencils, config: SchemeConfig,
 def step(u_full: np.ndarray, disc: DiscreteProblem, stencil: StencilWeights,
          config: SchemeConfig, t: float, dt: float,
          source: np.ndarray | None = None, flux_pair=None) -> np.ndarray:
-    """One forward-Euler update of the interior from the state at time t; the
-    result keeps the input's halo until `solve` writes the next datum there.
-    `source` (interior-sized) replaces the jump term when given, which is
-    how the fixed-point iteration freezes its right-hand side.  A stencil
-    with no nonzero weight and no tail has no jump term to add."""
+    """One forward-Euler update from the full-grid state at time t: returns
+    the n new interior values, which `solve` stores.  `source`
+    (interior-sized) replaces the jump term when given, which is how the
+    fixed-point iteration freezes its right-hand side.  A stencil with no
+    nonzero weight and no tail has no jump term to add."""
     spec = disc.spec
     grid = disc.grid
     if flux_pair is None:
@@ -186,9 +186,7 @@ def step(u_full: np.ndarray, disc: DiscreteProblem, stencil: StencilWeights,
         new_interior += dt * source
     if not np.all(np.isfinite(new_interior)):
         raise NonfiniteValue(f"nonfinite state at t={t}")
-    out = u_full.copy()
-    out[grid.interior] = new_interior
-    return out
+    return new_interior
 
 
 def solve(spec: ProblemSpec, stencil: StencilWeights, config: SchemeConfig,
@@ -196,8 +194,10 @@ def solve(spec: ProblemSpec, stencil: StencilWeights, config: SchemeConfig,
           source_states: np.ndarray | None = None) -> Trajectory:
     """March to T on `time_grid`.  With `source_states` (one frozen jump
     term per step) the jump operator is not applied, so the CFL bound is
-    that of the conservation law alone.  `solve` is the one writer of stored
-    halos: that of stored state n is `exterior.value(times[n], halo_x)`."""
+    that of the conservation law alone.  `solve` is the one writer of
+    stored states and writes each value once: the interior of row 0 is
+    `disc.u0`, that of row n + 1 is what `step` returns from row n, and the
+    halo of row n is `exterior.value(times[n], halo_x)`."""
     if stencil.dx != config.dx:
         raise ConfigMismatch(f"stencil built for dx={stencil.dx}, "
                              f"config has dx={config.dx}")
@@ -213,15 +213,16 @@ def solve(spec: ProblemSpec, stencil: StencilWeights, config: SchemeConfig,
     flux_pair = _numerical_flux(config, spec, spec.flux.lipschitz_on(lo, hi))
 
     times = np.linspace(0.0, spec.T, n_steps + 1)
+    interior = disc.grid.interior
     states = np.empty((n_steps + 1, disc.grid.n_full))
-    states[0] = disc.u0_full
+    states[0, interior] = disc.u0
     disc.refresh_halo(states[0], times[0])
     wall = time.perf_counter()
     for n in range(n_steps):
         src = source_states[n] if source_states is not None else None
-        states[n + 1] = step(states[n], disc, stencil, config,
-                             float(times[n]), dt, source=src,
-                             flux_pair=flux_pair)
+        states[n + 1, interior] = step(states[n], disc, stencil, config,
+                                       float(times[n]), dt, source=src,
+                                       flux_pair=flux_pair)
         disc.refresh_halo(states[n + 1], times[n + 1])
     stats = {
         "dt": dt,

@@ -25,17 +25,24 @@ BLOCK_VALUES = 1 << 16       # values per block of rows in batched passes
 
 @dataclass(frozen=True)
 class StencilWeights:
+    """Shift weights of `build_stencil`: `weights[j - 1]` belongs to the
+    offsets +j and -j, for j = 1..K."""
+
     dx: float
     r: float
     Z: float
-    offsets: np.ndarray      # positive cell offsets, ascending
-    weights: np.ndarray      # per offset; the mirrored weight is implied
+    weights: np.ndarray      # per offset 1..K; the mirrored weight is implied
     sigma2: float            # second moment carried by the surrogate
     tau: float               # mass beyond Z
 
     @property
+    def offsets(self) -> np.ndarray:
+        """Positive cell offsets 1..K, ascending."""
+        return np.arange(1, self.weights.size + 1)
+
+    @property
     def max_offset(self) -> int:
-        return int(self.offsets[-1]) if self.offsets.size else 0
+        return self.weights.size
 
     @property
     def weight_sum(self) -> float:
@@ -66,8 +73,9 @@ def build_stencil(measure: LevyMeasure, dx: float, r: float,
     Requires 0 < dx <= r <= Z.  Z is snapped to the nearest multiple of dx.
     Atoms are assigned to the half-open cell containing them (mirrored pairs
     are binned by their positive representative, preserving symmetry exactly);
-    continuous kinds contribute the closed-form or quadrature mass of each
-    cell intersected with [r, Z].  The measure's structural checks run first
+    a continuous leaf gives each cell half its `mass_between` on the cell
+    intersected with [r, Z], the band mass the truncations, tails and moments
+    use.  Offsets are always 1..K.  The measure's structural checks run first
     (no quadrature), so a nonpositive or unmirrored atom raises NonSymmetric
     instead of yielding a non-monotone stencil.
     """
@@ -90,14 +98,13 @@ def build_stencil(measure: LevyMeasure, dx: float, r: float,
                 a = max((j - 0.5) * dx, r)
                 b = min((j + 0.5) * dx, Z_eff)
                 if b > a:
-                    weights[j - 1] += coef * leaf.side_cell_mass(a, b)
+                    weights[j - 1] += coef * 0.5 * leaf.mass_between(a, b)
 
     sigma2 = measure.second_moment_below(r)
     weights[0] += sigma2 / (2.0 * dx * dx)
     tau = measure.mass_above(Z_eff)
-    return StencilWeights(dx=dx, r=r, Z=Z_eff,
-                          offsets=np.arange(1, K + 1),
-                          weights=weights, sigma2=sigma2, tau=tau)
+    return StencilWeights(dx=dx, r=r, Z=Z_eff, weights=weights,
+                          sigma2=sigma2, tau=tau)
 
 
 def apply_stencil(values: np.ndarray, s: StencilWeights, n_halo: int,
@@ -126,10 +133,8 @@ def apply_stencil(values: np.ndarray, s: StencilWeights, n_halo: int,
     center = values[..., c0:c0 + n_int]
     nonzero = np.flatnonzero(s.weights)
     if nonzero.size:
-        last = nonzero[-1] + 1
-        J = int(s.offsets[last - 1])
-        w = np.zeros(J)
-        w[s.offsets[:last] - 1] = s.weights[:last]
+        J = int(nonzero[-1]) + 1
+        w = s.weights[:J]
         kernel = np.concatenate([w[::-1], [-2.0 * w.sum()], w])
         seg = values[..., c0 - J:c0 + n_int + J] - values[..., c0:c0 + 1]
         rows = seg.reshape(-1, seg.shape[-1])

@@ -88,9 +88,7 @@ def test_discretize_interval_constant_data():
                        u0=lambda x: np.ones_like(np.asarray(x, dtype=float)),
                        exterior=exterior_constant(0.0), T=0.5)
     disc = discretize(spec, 1.0 / 16, 0.25)
-    assert np.all(disc.u0_full[disc.grid.interior] == 1.0)
-    h = disc.grid.n_halo
-    assert np.all(disc.u0_full[:h] == 0.0) and np.all(disc.u0_full[-h:] == 0.0)
+    assert disc.u0.shape == (disc.grid.n,) and np.all(disc.u0 == 1.0)
     assert disc.data_range == (0.0, 1.0)
 
 

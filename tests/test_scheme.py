@@ -55,12 +55,12 @@ def test_monotone_update_brute_force():
     c = conf(dx, Z=0.5)
     for _ in range(40):
         u = rng.uniform(0.0, 1.0, size=disc.grid.n_full)
-        base = step(u, disc, st, c, 0.0, dt)[disc.grid.interior]
+        base = step(u, disc, st, c, 0.0, dt)
         p = int(rng.integers(0, disc.grid.n_full))
         delta = float(rng.uniform(0.01, 0.2))
         u2 = u.copy()
         u2[p] += delta
-        bumped = step(u2, disc, st, c, 0.0, dt)[disc.grid.interior]
+        bumped = step(u2, disc, st, c, 0.0, dt)
         assert np.all(bumped >= base - 1e-12)
 
 
@@ -110,7 +110,7 @@ def test_zero_flux_matches_matrix_exponential_oracle():
 
     # single explicit step equals the Euler step of the linear system
     one = step(traj.states[0].copy(), traj.disc, st, c, 0.0,
-               traj.stats["dt"])[traj.grid.interior]
+               traj.stats["dt"])
     assert np.allclose(one, u0 + traj.stats["dt"] * (A @ u0), atol=1e-14)
 
     exact = expm(spec.T * A) @ u0
@@ -436,6 +436,22 @@ def test_stored_halo_is_the_exterior_datum_at_its_stored_time():
     for t, state in zip(traj.times, traj.states):
         assert np.array_equal(state[halo],
                               MOVING_EXTERIOR.value(t, traj.disc.halo_x))
+
+
+@pytest.mark.parametrize("measure", [
+    single_atom(),                                  # tail only at Z = 0.25
+    FractionalRadial(alpha=1.0, lo=1 / 16),         # cells and a tail
+])
+def test_solve_stores_what_step_returns_from_the_stored_row(measure):
+    c = conf(1 / 32)
+    traj = solve(MOVING_SPEC, build_stencil(measure, c.dx, c.r, c.Z), c)
+    interior = traj.grid.interior
+    assert traj.states[0, interior].tobytes() == traj.disc.u0.tobytes()
+    for n in range(traj.stats["n_steps"]):
+        new = step(traj.states[n], traj.disc, traj.stencil, c,
+                   float(traj.times[n]), traj.dt)
+        assert new.shape == (traj.grid.n,)
+        assert new.tobytes() == traj.states[n + 1, interior].tobytes()
 
 
 def test_picard_iterate_zero_writes_its_halos_on_the_stored_times(

@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 from scipy import integrate
 
 from levyfv.errors import BadRadii, HaloTooSmall, NonSymmetric, ShapeMismatch
-from levyfv.measures import (AtomicSymmetric, FractionalRadial, single_atom,
+from levyfv.measures import (AtomicSymmetric, FractionalRadial, RadialDensity,
+                             ScaledMeasure, SumMeasure, single_atom,
                              truncate, zero_measure)
 from levyfv.multiplier import MultiplierEval
 from levyfv.stencil import (apply_stencil, bilinear_energy, build_stencil,
@@ -54,6 +57,53 @@ def test_fractional_cell_masses_against_quadrature_oracle():
     oracle, _ = integrate.quad(lambda z: 2 * min(z * z, 1.0) * z ** (-1 - alpha),
                                0.0, Z, points=[r, 1.0], limit=200)
     assert discrete_total == pytest.approx(oracle, rel=0.05)
+
+
+def _one_sided_cell_mass(leaf, a, b):
+    """One side's mass of the cell [a, b] clipped to the leaf's window: the
+    closed form coeff (a^-alpha - b^-alpha) / alpha, or the quadrature of g."""
+    a, b = max(a, leaf.lo), min(b, leaf.hi)
+    if a >= b:
+        return 0.0
+    if isinstance(leaf, FractionalRadial):
+        al = leaf.alpha
+        return leaf.coeff * (a ** -al - b ** -al) / al
+    return integrate.quad(leaf.g, a, b, limit=200, epsabs=1e-12,
+                          epsrel=1e-10)[0]
+
+
+CELL_MEASURES = [
+    *(FractionalRadial(alpha=al) for al in (0.3, 0.7, 1.0, 1.5, 1.9)),
+    FractionalRadial(alpha=0.7, lo=0.0625, hi=0.75),
+    FractionalRadial(alpha=1.5, coeff=0.3, hi=0.4),
+    FractionalRadial(alpha=1.0, lo=0.11),
+    SumMeasure(hi=0.9, parts=(
+        ScaledMeasure(factor=0.5, inner=FractionalRadial(alpha=1.9)),
+        ScaledMeasure(factor=3.0,
+                      inner=FractionalRadial(alpha=0.3, lo=0.2)))),
+    RadialDensity(g=lambda z: math.exp(-z * z) / z ** 1.5),
+    RadialDensity(g=lambda z: 1.0 / (1.0 + z) ** 3, lo=0.05, hi=0.6),
+]
+CELL_GRIDS = [(1 / 32, 1 / 32, 1.0), (1 / 32, 1 / 16, 1.0),
+              (1 / 64, 1 / 64, 0.5), (0.1, 0.1, 1.0), (0.02, 0.05, 0.77),
+              (1 / 16, 1 / 8, 2.0), (0.03, 0.03, 0.3)]
+
+
+@pytest.mark.parametrize("dx, r, Z", CELL_GRIDS)
+def test_cell_weights_are_the_one_sided_cell_masses(dx, r, Z):
+    # half of the leaf's band mass is its one-sided mass to the last bit
+    for m in CELL_MEASURES:
+        st = build_stencil(m, dx, r, Z)
+        K = st.weights.size
+        ref = np.zeros(K)
+        for coef, leaf in m.leaves():
+            for j in range(1, K + 1):
+                a, b = max((j - 0.5) * dx, r), min((j + 0.5) * dx, st.Z)
+                if b > a:
+                    ref[j - 1] += coef * _one_sided_cell_mass(leaf, a, b)
+        ref[0] += m.second_moment_below(r) / (2.0 * dx * dx)
+        assert st.weights.tolist() == ref.tolist()
+        assert np.array_equal(st.offsets, np.arange(1, K + 1))
 
 
 def test_symmetry_and_nonnegativity():

@@ -49,6 +49,14 @@ SCAN_MEASURES = {
                       "inner": {"kind": "dyadic_b", "lo": 0.03125}},
     "sum": SUM_OF_SCALED,
 }
+# the stencil runs above reach continuous cells only through alpha = 1 leaves
+STENCIL_MEASURES = {
+    "frac07_window": {"kind": "fractional", "alpha": 0.7, "lo": 0.0625,
+                      "hi": 0.75},
+    "frac15_hi": {"kind": "fractional", "alpha": 1.5, "hi": 1.25},
+    "scaled_frac19": {"kind": "scaled", "factor": 0.5,
+                      "inner": {"kind": "fractional", "alpha": 1.9}},
+}
 LOCAL_SHOCK = {"mode": "solve", "problem": "burgers_riemann",
                "measure": "none", "dx": 1.0 / 4096, "r": 1.0 / 4096,
                "Z": 1.0 / 256, "store_every": 64}
@@ -103,11 +111,12 @@ def matrix():
                       "--measure", "single_atom", "--dx", "0.03125", "--Z",
                       "0.5", "--dt", "0.001"], None),
     ]
-    for label, measure in SCAN_MEASURES.items():
+    for label, measure in {**SCAN_MEASURES, **STENCIL_MEASURES}.items():
         ref = json.dumps(measure) if isinstance(measure, dict) else measure
-        runs.append((f"scan_{label}", ["scan", "--measure", ref, "--xi-max",
-                                       "60", "--num", "241", "--out",
-                                       "scan.csv"], None))
+        if label in SCAN_MEASURES:
+            runs.append((f"scan_{label}", ["scan", "--measure", ref,
+                                           "--xi-max", "60", "--num", "241",
+                                           "--out", "scan.csv"], None))
         runs.append((f"stencil_{label}", ["stencil", "--measure", ref,
                                           "--dx", "0.03125", "--r", "0.0625",
                                           "--Z", "1", "--out", "st.csv"],
