@@ -12,14 +12,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigParse, MissingExtensionDerivatives
+from .errors import ConfigMismatch, ConfigParse, MissingExtensionDerivatives
 from .measures import DyadicA, DyadicB, FractionalRadial, LevyMeasure, \
     truncate
 from .multiplier import MultiplierEval
-from .problem import DiffusionFn, sample_rows
-from .scheme import Trajectory, _numerical_flux, _tail_value, \
-    interior_blocks, jump_term, l1_series
-from .stencil import build_stencil, row_blocks, zero_extended_energy
+from .problem import DiffusionFn, DiscreteProblem, sample_rows
+from .scheme import L1Series, SchemeConfig, Trajectory, _numerical_flux, \
+    _tail_value, jump_term, l1_series, replay
+from .stencil import StencilWeights, build_stencil, row_blocks, \
+    zero_extended_energy
 
 
 @dataclass
@@ -47,82 +48,130 @@ def two_grid_tolerance(coarse: float, fine: float) -> float:
 # a priori bounds
 # ---------------------------------------------------------------------------
 
+class MaxPrinciple:
+    """Observer of a march (`scheme.solve`, `scheme.replay`): every interior
+    value must stay inside the recorded data range of `disc`."""
+
+    def __init__(self, disc: DiscreteProblem, tol: float = 1e-12):
+        self.disc = disc
+        self.tol = tol
+        self.umin, self.umax = math.inf, -math.inf
+
+    def __call__(self, rows, times, block):
+        u = block[:, self.disc.grid.interior]
+        self.umin = min(self.umin, u.min())
+        self.umax = max(self.umax, u.max())
+
+    def result(self) -> CheckResult:
+        lo, hi = self.disc.data_range
+        # rounding is monotone, so min(u - lo) = min(u) - lo exactly
+        slack = float(min(self.umin - lo, hi - self.umax))
+        return CheckResult("max_principle", slack >= -self.tol, slack,
+                           {"range": [lo, hi], "tol": self.tol})
+
+
 def max_principle_check(traj: Trajectory, tol: float = 1e-12) -> CheckResult:
-    """Every interior value must stay inside the recorded data range."""
-    lo, hi = traj.disc.data_range
-    umin, umax = math.inf, -math.inf
-    for _, u in interior_blocks(traj):
-        umin, umax = min(umin, u.min()), max(umax, u.max())
-    # rounding is monotone, so min(u - lo) = min(u) - lo exactly
-    slack = float(min(umin - lo, hi - umax))
-    return CheckResult("max_principle", slack >= -tol, slack,
-                       {"range": [lo, hi], "tol": tol})
+    """`MaxPrinciple` over the stored states of `traj`."""
+    check = MaxPrinciple(traj.disc, tol)
+    replay(traj, [check])
+    return check.result()
 
 
-def l1_contraction_check(traj_u: Trajectory, traj_v: Trajectory,
-                         per_step_tol: float = 1e-12):
-    """The interior L1 distance of two runs with shared exterior data must be
-    nonincreasing in time.  Returns (series, verdict)."""
-    series = l1_series(traj_u, traj_v)
+def contraction_verdict(series: np.ndarray,
+                        per_step_tol: float = 1e-12) -> CheckResult:
+    """The interior L1 distance of two runs with shared exterior data, one
+    value per step (`scheme.L1Series`), must be nonincreasing in time."""
     increments = np.diff(series)
     slack = float(-increments.max()) if increments.size else 0.0
     scale = max(float(series[0]), 1.0)
     ok = bool(np.all(increments <= per_step_tol * scale))
-    return series, CheckResult("l1_contraction", ok, slack,
-                               {"initial": float(series[0]),
-                                "final": float(series[-1]),
-                                "tol": per_step_tol})
+    return CheckResult("l1_contraction", ok, slack,
+                       {"initial": float(series[0]),
+                        "final": float(series[-1]), "tol": per_step_tol})
+
+
+class L1Contraction(L1Series):
+    """Observer of a march: its `L1Series` to the stored trajectory `other`,
+    whose result is the series' `contraction_verdict`."""
+
+    def __init__(self, other: Trajectory, per_step_tol: float = 1e-12):
+        super().__init__(other)
+        self.per_step_tol = per_step_tol
+
+    def result(self) -> CheckResult:
+        return contraction_verdict(super().result(), self.per_step_tol)
+
+
+def l1_contraction_check(traj_u: Trajectory, traj_v: Trajectory,
+                         per_step_tol: float = 1e-12):
+    """`contraction_verdict` of the L1 series of two stored trajectories.
+    Returns (series, verdict)."""
+    series = l1_series(traj_u, traj_v)
+    return series, contraction_verdict(series, per_step_tol)
 
 
 def order_preservation_check(traj_u: Trajectory, traj_v: Trajectory,
                              tol: float = 1e-12) -> CheckResult:
     """u0 <= v0 and shared exterior data imply u <= v at every step."""
+    for tr in (traj_u, traj_v):
+        tr.require_every_step()
+    if traj_u.states.shape != traj_v.states.shape:
+        raise ConfigMismatch("trajectories have different shapes")
+    inside = traj_u.grid.interior
     slack = math.inf
-    for _, u, v in interior_blocks(traj_u, traj_v):
-        slack = min(slack, float((v - u).min()))
+    for rows in row_blocks(*traj_u.states.shape):
+        slack = min(slack, float((traj_v.states[rows, inside]
+                                  - traj_u.states[rows, inside]).min()))
     return CheckResult("order_preservation", slack >= -tol, slack, {})
 
 
-def mass_budget_check(traj: Trajectory, tol: float = 1e-12) -> CheckResult:
-    """Bookkeeping identity: per step, the interior mass change equals the
-    boundary flux difference plus the nonlocal exchange.
+class MassBudget:
+    """Observer of a march (`scheme.solve`, `scheme.replay`) of `disc` with
+    `stencil` and `config` at step `dt`: the bookkeeping identity, per
+    step, that the interior mass change equals the boundary flux difference
+    plus the nonlocal exchange.
 
     Summed over the interior, the exchanges between two interior cells
     cancel: offset j leaves the interior sums of b(u) shifted by +j and by
     -j minus twice the unshifted one, each a difference of two prefix sums
     of b(u) over the cells the live offsets reach.  One product with the
     live weights gives a block's exchange and the flux is evaluated at the
-    two boundary faces alone, so a block of stored steps costs
-    O(rows (n + J)), J the last nonzero offset; a null stencil does no
-    exchange work.  The check states the conservation identity
-    independently: nothing goes through `apply_stencil`.  Steps are
-    processed in blocks of bounded size, so no temporary spans the whole
-    trajectory."""
-    grid = traj.grid
-    spec = traj.spec
-    dt = traj.dt
-    lo, hi = traj.disc.data_range
-    flux_pair = _numerical_flux(traj.config, spec,
-                                spec.flux.lipschitz_on(lo, hi))
-    b = spec.diffusion.b
-    s = traj.stencil
-    h = grid.n_halo
-    n = grid.n
-    live = s.weights != 0.0
-    w, j = s.weights[live], s.offsets[live]
-    J = int(j[-1]) if j.size else 0
-    tau = 0.0 if traj.config.tail_mode == "drop" else s.tau
-    worst = 0.0
-    peak = float(np.abs(traj.states[0, grid.interior]).max())
-    for rows in row_blocks(len(traj.times) - 1, grid.n_full):
-        u = traj.states[rows]
-        nxt = traj.states[rows.start + 1:rows.stop + 1, grid.interior]
-        peak = max(peak, float(np.abs(nxt).max()))
+    two boundary faces alone, so a block of steps costs O(rows (n + J)), J
+    the last nonzero offset; a null stencil does no exchange work.  The
+    check states the conservation identity independently: nothing goes
+    through `apply_stencil`.  It needs consecutive steps."""
+
+    def __init__(self, disc: DiscreteProblem, stencil: StencilWeights,
+                 config: SchemeConfig, dt: float, tol: float = 1e-12):
+        spec = disc.spec
+        lo, hi = disc.data_range
+        self.disc = disc
+        self.dt = dt
+        self.tol = tol
+        self.flux_pair = _numerical_flux(config, spec,
+                                         spec.flux.lipschitz_on(lo, hi))
+        live = stencil.weights != 0.0
+        self.w, self.j = stencil.weights[live], stencil.offsets[live]
+        self.J = int(self.j[-1]) if self.j.size else 0
+        self.tau = 0.0 if config.tail_mode == "drop" else stencil.tau
+        self.worst = 0.0
+        self.peak = 0.0
+
+    def __call__(self, rows, times, block):
+        grid = self.disc.grid
+        dt, w, j, J, tau = self.dt, self.w, self.j, self.J, self.tau
+        h = grid.n_halo
+        n = grid.n
+        if rows.start == 0:
+            self.peak = float(np.abs(block[0, grid.interior]).max())
+        u = block[:-1]
+        nxt = block[1:, grid.interior]
+        self.peak = max(self.peak, float(np.abs(nxt).max()))
         mass_change = grid.dx * (nxt - u[:, grid.interior]).sum(axis=1)
-        fhat = flux_pair(u[:, [h - 1, h + n - 1]], u[:, [h, h + n]])
+        fhat = self.flux_pair(u[:, [h - 1, h + n - 1]], u[:, [h, h + n]])
         defect = mass_change + dt * (fhat[:, 1] - fhat[:, 0])
         if J or tau != 0.0:
-            bf = b(u)
+            bf = self.disc.spec.diffusion.b(u)
             # P[:, k] sums b over full cells h - J .. h - J + k - 1
             P = np.zeros((u.shape[0], n + 2 * J + 1))
             np.cumsum(bf[:, h - J:h + n + J], axis=1, out=P[:, 1:])
@@ -131,12 +180,24 @@ def mass_budget_check(traj: Trajectory, tol: float = 1e-12) -> CheckResult:
                        + P[:, J - j + n] - P[:, J - j] - 2.0 * center[:, None])
             exchange = shifted @ w
             if tau != 0.0:
-                exchange += tau * (n * _tail_value(traj.disc, bf) - center)
+                exchange += tau * (n * _tail_value(self.disc, bf) - center)
             defect -= dt * grid.dx * exchange
-        worst = max(worst, float(np.abs(defect).max()))
-    scale = max(1.0, peak)
-    return CheckResult("mass_budget", worst <= tol * scale, -worst,
-                       {"worst_defect": worst, "tol": tol})
+        self.worst = max(self.worst, float(np.abs(defect).max()))
+
+    def result(self) -> CheckResult:
+        scale = max(1.0, self.peak)
+        return CheckResult("mass_budget", self.worst <= self.tol * scale,
+                           -self.worst,
+                           {"worst_defect": self.worst, "tol": self.tol})
+
+
+def mass_budget_check(traj: Trajectory, tol: float = 1e-12) -> CheckResult:
+    """`MassBudget` over the stored states of `traj`, which must store every
+    step."""
+    traj.require_every_step()
+    check = MassBudget(traj.disc, traj.stencil, traj.config, traj.dt, tol)
+    replay(traj, [check])
+    return check.result()
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +215,9 @@ def energy_report(traj: Trajectory) -> dict:
     slack = rhs - lhs; the continuum bound guarantees slack >= 0 up to
     discretization error.  The extension is sampled on the interior, once
     per integrated stored time and at t = 0; its halo is the stored one.
+    The trajectory must store every step.
     """
+    traj.require_every_step()
     spec = traj.spec
     ext = spec.exterior
     if ext.dt is None or ext.grad is None:
@@ -320,8 +383,10 @@ def entropy_residual(traj: Trajectory, measure: LevyMeasure, family, levels,
     tolerance) mean the inequality holds.  Inadmissible (k, phi, ±)
     combinations are skipped and counted; admissibility is screened once per
     phi, for every level and both signs (`admissible_pair`).  A sign other
-    than "plus" or "minus" is refused (`ConfigParse`).
+    than "plus" or "minus" is refused (`ConfigParse`), and so is a
+    trajectory that does not store every step (`ConfigMismatch`).
     """
+    traj.require_every_step()
     for sign in signs:
         if sign not in ("plus", "minus"):
             raise ConfigParse(f"unknown entropy sign {sign!r}")

@@ -22,9 +22,9 @@ from .measures import (FractionalRadial, measure_from_config, single_atom,
                        truncate, validate_measure, zero_measure)
 from .multiplier import MultiplierEval, write_multiplier_scan
 from .problem import (diffusion_identity, diffusion_power, diffusion_stefan,
-                      make_problem, problem_from_config)
+                      discretize, make_problem, problem_from_config)
 from .scheme import (SchemeConfig, build_stencil, picard_solve, solve,
-                     stability_run, vanishing_viscosity_run)
+                     stability_run, time_grid, vanishing_viscosity_run)
 from .stencil import fourier_energy_check
 
 
@@ -156,6 +156,22 @@ def _scheme_config(cfg):
         raise ConfigParse(f"bad scheme config: {exc!r}") from exc
 
 
+def companion_spec(spec, data_range):
+    """The solve mode's companion problem: the initial datum raised by a
+    Gaussian bump at mid-domain, clipped to `data_range`, so the L1
+    contraction check has a second run with the same exterior data."""
+    lo, hi = data_range
+    a, b = spec.domain
+    mid = 0.5 * (a + b)
+
+    def perturbed(x, _u0=spec.u0):
+        bump = 0.05 * (hi - lo + 1e-12) * np.exp(
+            -((np.asarray(x, dtype=float) - mid) / (0.1 * (b - a))) ** 2)
+        return np.clip(_u0(x) + bump, lo, hi)
+
+    return replace(spec, u0=perturbed)
+
+
 def cmd_run(cfg, out_dir) -> int:
     os.makedirs(out_dir, exist_ok=True)
     mode = cfg.get("mode", "solve")
@@ -188,25 +204,23 @@ def cmd_run(cfg, out_dir) -> int:
 
     if mode == "solve":
         stencil = build_stencil(measure, sconf.dx, sconf.r, sconf.Z)
-        traj = solve(spec, stencil, sconf)
-        record(analysis.max_principle_check(traj))
-        record(analysis.mass_budget_check(traj))
+        disc = discretize(spec, sconf.dx, stencil.Z)
+        dt, _ = time_grid(disc, [stencil], sconf)
+        observers = [analysis.MaxPrinciple(disc),
+                     analysis.MassBudget(disc, stencil, sconf, dt)]
         if cfg.get("contraction", True):
-            # companion run with a perturbed datum, same time grid
-            lo, hi = traj.disc.data_range
-            a, bdom = spec.domain
-            mid = 0.5 * (a + bdom)
-
-            def perturbed(x, _u0=spec.u0):
-                bump = 0.05 * (hi - lo + 1e-12) * np.exp(
-                    -((np.asarray(x, dtype=float) - mid) / (0.1 * (bdom - a)))
-                    ** 2)
-                return np.clip(_u0(x) + bump, lo, hi)
-
-            other = solve(replace(spec, u0=perturbed), stencil, sconf,
-                          dt_override=traj.dt)
-            _, verdict = analysis.l1_contraction_check(traj, other)
-            record(verdict)
+            # companion run with a perturbed datum on the same time grid,
+            # stored whole for the base run's L1 observer
+            other = solve(companion_spec(spec, disc.data_range), stencil,
+                          replace(sconf, store_every=1), dt_override=dt)
+            observers.append(analysis.L1Contraction(other))
+        # the moduli and the energy form read every step of the base run
+        keep = (1 if cfg.get("moduli", False) or cfg.get("energy", False)
+                else sconf.store_every)
+        traj = solve(spec, stencil, replace(sconf, store_every=keep),
+                     dt_override=dt, observers=observers)
+        for check in observers:
+            record(check.result())
         if cfg.get("moduli", False):
             tables = analysis.translation_moduli(
                 traj.gamma(), traj.dt, sconf.dx,
@@ -217,7 +231,7 @@ def cmd_run(cfg, out_dir) -> int:
             checks["energy"]["pass"] = bool(checks["energy"]["slack"]
                                             >= -1e-6)
         write_trajectory_csv(os.path.join(out_dir, "trajectory.csv"), traj,
-                             every=sconf.store_every)
+                             every=sconf.store_every // keep)
         report["stats"] = {k: v for k, v in traj.stats.items()
                            if k != "wall_time_s"}
         report["_wall_time_s"] = traj.stats["wall_time_s"]

@@ -40,7 +40,7 @@ class SchemeConfig:
     numerical_flux: str = "engquist_osher"   # or "lax_friedrichs"
     tail_mode: str = "exterior_mean"         # or "drop"
     enforce_cfl: bool = True
-    store_every: int = 1             # cadence for exported trajectories
+    store_every: int = 1             # cadence of stored states
 
     def __post_init__(self):
         if self.numerical_flux not in ("engquist_osher", "lax_friedrichs"):
@@ -55,7 +55,9 @@ class SchemeConfig:
 
 @dataclass
 class Trajectory:
-    """States at every accepted step, on the full (interior + halo) grid.
+    """Stored states on the full (interior + halo) grid: every
+    `config.store_every`-th step of the march, so `times` is the time grid
+    `[::store_every]` and `stats["n_steps"]` counts every step taken.
     `times` is the one clock: the halo of `states[n]` is the exterior datum
     at `times[n]`, written by `solve`."""
 
@@ -82,8 +84,19 @@ class Trajectory:
     def interior(self) -> np.ndarray:
         return self.states[:, self.grid.interior]
 
+    def require_every_step(self) -> None:
+        """Refuse a thinned trajectory (`ConfigMismatch`): a pass that needs
+        consecutive steps would otherwise read rows `store_every` steps
+        apart as if they were one step apart."""
+        if len(self.times) != self.stats["n_steps"] + 1:
+            raise ConfigMismatch(
+                f"trajectory stores {len(self.times)} of "
+                f"{self.stats['n_steps'] + 1} states; this pass needs "
+                f"every step (store_every=1)")
+
     def gamma(self) -> np.ndarray:
         """b(u) - b(extension) on the interior; identically zero outside."""
+        self.require_every_step()
         b = self.spec.diffusion.b
         ext = sample_rows(self.spec.exterior.value, self.times,
                           self.grid.x_interior())
@@ -191,13 +204,22 @@ def step(u_full: np.ndarray, disc: DiscreteProblem, stencil: StencilWeights,
 
 def solve(spec: ProblemSpec, stencil: StencilWeights, config: SchemeConfig,
           dt_override: float | None = None,
-          source_states: np.ndarray | None = None) -> Trajectory:
+          source_states: np.ndarray | None = None,
+          observers=()) -> Trajectory:
     """March to T on `time_grid`.  With `source_states` (one frozen jump
     term per step) the jump operator is not applied, so the CFL bound is
     that of the conservation law alone.  `solve` is the one writer of
-    stored states and writes each value once: the interior of row 0 is
-    `disc.u0`, that of row n + 1 is what `step` returns from row n, and the
-    halo of row n is `exterior.value(times[n], halo_x)`."""
+    stored states and writes each value once: the interior of step 0 is
+    `disc.u0`, that of step n + 1 is what `step` returns from step n, and
+    the halo of step n is `exterior.value(times[n], halo_x)`.
+
+    The march goes in the blocks `row_blocks(n_steps, n_full)`; after each
+    block every observer is called as `observer(rows, times, block)` with
+    the full-grid states of steps `rows.start .. rows.stop` inclusive and
+    their times, so observers see every step.  Only the steps n with
+    `n % config.store_every == 0` are stored.  With `store_every == 1` the
+    blocks are views into the stored states; otherwise one work buffer of
+    a block's rows is reused."""
     if stencil.dx != config.dx:
         raise ConfigMismatch(f"stencil built for dx={stencil.dx}, "
                              f"config has dx={config.dx}")
@@ -212,18 +234,34 @@ def solve(spec: ProblemSpec, stencil: StencilWeights, config: SchemeConfig,
     lo, hi = drange
     flux_pair = _numerical_flux(config, spec, spec.flux.lipschitz_on(lo, hi))
 
+    every = config.store_every
     times = np.linspace(0.0, spec.T, n_steps + 1)
     interior = disc.grid.interior
-    states = np.empty((n_steps + 1, disc.grid.n_full))
-    states[0, interior] = disc.u0
-    disc.refresh_halo(states[0], times[0])
+    blocks = row_blocks(n_steps, disc.grid.n_full)
+    states = np.empty((n_steps // every + 1, disc.grid.n_full))
+    work = states if every == 1 else np.empty(
+        (blocks[0].stop + 1, disc.grid.n_full))
+    work[0, interior] = disc.u0
+    disc.refresh_halo(work[0], times[0])
+    if every > 1:
+        states[0] = work[0]
     wall = time.perf_counter()
-    for n in range(n_steps):
-        src = source_states[n] if source_states is not None else None
-        states[n + 1, interior] = step(states[n], disc, stencil, config,
-                                       float(times[n]), dt, source=src,
-                                       flux_pair=flux_pair)
-        disc.refresh_halo(states[n + 1], times[n + 1])
+    for rows in blocks:
+        block = (states[rows.start:rows.stop + 1] if every == 1
+                 else work[:rows.stop - rows.start + 1])
+        for i, n in enumerate(range(rows.start, rows.stop)):
+            src = source_states[n] if source_states is not None else None
+            block[i + 1, interior] = step(block[i], disc, stencil, config,
+                                          float(times[n]), dt, source=src,
+                                          flux_pair=flux_pair)
+            disc.refresh_halo(block[i + 1], times[n + 1])
+        for observe in observers:
+            observe(rows, times[rows.start:rows.stop + 1], block)
+        if every > 1:
+            first = (rows.start // every + 1) * every
+            states[first // every:rows.stop // every + 1] = \
+                block[first - rows.start::every]
+            work[0] = block[-1]
     stats = {
         "dt": dt,
         "n_steps": n_steps,
@@ -236,47 +274,76 @@ def solve(spec: ProblemSpec, stencil: StencilWeights, config: SchemeConfig,
         # a-priori bound on the dropped operator tail, per unit time
         b_sup = float(np.max(np.abs(spec.diffusion.b(np.asarray(drange)))))
         stats["drop_tail_bound"] = 2.0 * b_sup * stencil.tau
-    return Trajectory(times=times, states=states, disc=disc, stencil=stencil,
-                      config=config, stats=stats)
+    return Trajectory(times=times[::every], states=states, disc=disc,
+                      stencil=stencil, config=config, stats=stats)
+
+
+def replay(traj: Trajectory, observers) -> None:
+    """Hand the stored states of `traj` to `observers` in the blocks and the
+    form `solve` uses, so a check over a stored trajectory and the same check
+    observing the march see the same rows in the same block shapes."""
+    n_rows, n_full = traj.states.shape
+    # a trajectory of one stored state still shows it to the observers
+    for rows in row_blocks(max(n_rows - 1, 1), n_full):
+        for observe in observers:
+            observe(rows, traj.times[rows.start:rows.stop + 1],
+                    traj.states[rows.start:rows.stop + 1])
 
 
 # ---------------------------------------------------------------------------
 # trajectory comparison helpers
 # ---------------------------------------------------------------------------
 
-def interior_blocks(*trajs: Trajectory):
-    """Yield (rows, interior states of each trajectory) over the blocks of
-    stored times from `row_blocks`, so a pass over whole trajectories never
-    builds a temporary as large as one.  The trajectories must have equal
-    shapes."""
-    shape = trajs[0].states.shape
-    if any(tr.states.shape != shape for tr in trajs):
-        raise ConfigMismatch("trajectories have different shapes")
-    for rows in row_blocks(shape[0], shape[1]):
-        yield (rows, *(tr.states[rows, tr.grid.interior] for tr in trajs))
+class L1Series:
+    """Observer of a march (`solve`, `replay`): dx * sum |u - v| on the
+    interior at every step it sees, u the march and v the stored trajectory
+    `other`, which must store every step on the same times with the same
+    exterior data (`ConfigMismatch`)."""
 
+    def __init__(self, other: Trajectory):
+        other.require_every_step()
+        self.other = other
+        self.out = np.empty(len(other.times))
+        self.seen = 0
 
-def _check_comparable(a: Trajectory, b: Trajectory) -> None:
-    if a.states.shape != b.states.shape or a.grid != b.grid:
-        raise ConfigMismatch("trajectories live on different grids")
-    if not np.allclose(a.times, b.times, rtol=0.0, atol=1e-12):
-        raise ConfigMismatch("trajectories use different time steps")
-    h = a.grid.n_halo
-    for rows in row_blocks(*a.states.shape):
+    def __call__(self, rows, times, block):
+        other = self.other
+        if rows.stop >= len(other.times):
+            raise ConfigMismatch("trajectories use different time steps")
+        if block.shape[1] != other.states.shape[1]:
+            raise ConfigMismatch("trajectories live on different grids")
+        # row 0 of a later block is the last row of the one before
+        first = 1 if rows.start else 0
+        new = slice(rows.start + first, rows.stop + 1)
+        u = block[first:]
+        v = other.states[new]
+        if not np.allclose(times[first:], other.times[new], rtol=0.0,
+                           atol=1e-12):
+            raise ConfigMismatch("trajectories use different time steps")
+        h = other.grid.n_halo
         for side in (slice(None, h), slice(-h, None)):
-            if not np.array_equal(a.states[rows, side],
-                                  b.states[rows, side]):
+            if not np.array_equal(u[:, side], v[:, side]):
                 raise ConfigMismatch(
                     "trajectories carry different exterior data")
+        inside = other.grid.interior
+        self.out[new] = np.abs(u[:, inside] - v[:, inside]).sum(axis=1)
+        self.seen = rows.stop + 1
+
+    def result(self) -> np.ndarray:
+        """The series, one value per step of `other`."""
+        if self.seen != len(self.out):
+            raise ConfigMismatch("trajectories use different time steps")
+        return self.other.grid.dx * self.out
 
 
 def l1_series(a: Trajectory, b: Trajectory) -> np.ndarray:
-    """dx * sum |u - v| on the interior, one value per stored time."""
-    _check_comparable(a, b)
-    out = np.empty(len(a.times))
-    for rows, u, v in interior_blocks(a, b):
-        out[rows] = np.abs(u - v).sum(axis=1)
-    return a.grid.dx * out
+    """dx * sum |u - v| on the interior, one value per step."""
+    a.require_every_step()
+    if a.states.shape != b.states.shape or a.grid != b.grid:
+        raise ConfigMismatch("trajectories live on different grids")
+    series = L1Series(b)
+    replay(a, [series])
+    return series.result()
 
 
 def l1_q_distance(a: Trajectory, b: Trajectory) -> float:
@@ -317,24 +384,28 @@ def picard_solve(spec: ProblemSpec, measure: LevyMeasure,
     mass = measure.total_mass()
     if not math.isfinite(mass):
         raise ValueError("fixed-point construction needs a finite measure")
+    # each iterate's source is the jump term of every step of the last one
+    config = replace(config, store_every=1)
     stencil = build_stencil(measure, config.dx, config.r, config.Z)
     disc = discretize(spec, config.dx, stencil.Z)
     grid = disc.grid
     dt, n_steps = time_grid(disc, [stencil], config)
     bfun = spec.diffusion.b
 
-    def frozen_source(traj_states):
+    def frozen_source(traj):
         """Jump term of each stored state, interior-sized, one row per step."""
+        traj.require_every_step()
         out = np.empty((n_steps, grid.n))
         for rows in row_blocks(n_steps, grid.n_full):
-            out[rows] = jump_term(bfun(traj_states[rows]), disc, stencil,
+            out[rows] = jump_term(bfun(traj.states[rows]), disc, stencil,
                                   config.tail_mode)
         return out
 
     # iterate 0: zeros, with the halo each iterate's `solve` writes
     prev = Trajectory(times=np.linspace(0.0, spec.T, n_steps + 1),
                       states=np.zeros((n_steps + 1, grid.n_full)), disc=disc,
-                      stencil=stencil, config=config, stats={"dt": dt})
+                      stencil=stencil, config=config,
+                      stats={"dt": dt, "n_steps": n_steps})
     for t, state in zip(prev.times, prev.states):
         disc.refresh_halo(state, t)
 
@@ -343,7 +414,7 @@ def picard_solve(spec: ProblemSpec, measure: LevyMeasure,
     traj = None
     converged = False
     for k in range(1, k_max + 1):
-        src = frozen_source(prev.states)
+        src = frozen_source(prev)
         traj = solve(spec, stencil, config, dt_override=dt,
                      source_states=src)
         gap = float(np.max(l1_series(traj, prev)))
@@ -386,7 +457,9 @@ def _chain(spec: ProblemSpec, measures, config: SchemeConfig) -> tuple:
 
     Every stencil is built from the same (dx, Z), so all carry the same
     offsets and halo and the trajectories are shape-comparable; all are
-    solved on the one time grid of the whole chain."""
+    solved on the one time grid of the whole chain, storing every step, as
+    the distances between them integrate over every step."""
+    config = replace(config, store_every=1)
     stencils = [build_stencil(m, config.dx, config.r, config.Z)
                 for m in measures]
     dt, _ = time_grid(discretize(spec, config.dx, stencils[0].Z), stencils,

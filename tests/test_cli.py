@@ -317,3 +317,118 @@ def test_trajectory_csv_bytes_match_per_value_loop(tmp_path):
             want.append(f"{t!r},{i},{float(v)!r}\n")
     assert path.read_bytes() == "".join(want).encode()
     assert b"-0.0\n" in path.read_bytes()
+
+
+# -- thinned storage in the run modes -------------------------------------------
+
+TRUNCATED_FRACTIONAL = {"kind": "fractional", "alpha": 1.0, "lo": 0.0625}
+# a null stencil; jumps with a tail (Z = 0.25 below the measure's reach)
+# under each tail rule
+SOLVE_STENCILS = {
+    "null": {"measure": "none"},
+    "tail_exterior_mean": {"measure": TRUNCATED_FRACTIONAL},
+    "tail_drop": {"measure": TRUNCATED_FRACTIONAL, "tail_mode": "drop"},
+}
+
+
+def run_config(tmp_path, name, cfg):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / name
+    code = main(["run", "--config", str(path), "--out", str(out)])
+    return code, out
+
+
+def time_blocks(path):
+    """The lines of a trajectory CSV grouped by time, in file order."""
+    blocks = {}
+    for line in path.read_text().splitlines()[1:]:
+        blocks.setdefault(line.split(",", 1)[0], []).append(line)
+    return list(blocks.values())
+
+
+@pytest.mark.parametrize("every", [1, 7])
+@pytest.mark.parametrize("name", sorted(SOLVE_STENCILS))
+def test_solve_mode_checks_equal_the_checks_on_two_full_trajectories(
+        tmp_path, name, every):
+    from levyfv import analysis
+    from levyfv.cli import companion_spec
+    from levyfv.measures import measure_from_config
+    from levyfv.problem import problem_from_config
+    cfg = {"mode": "solve", "problem": "burgers_bump", "dx": 1 / 64,
+           "Z": 0.25, "store_every": every, **SOLVE_STENCILS[name]}
+    code, out = run_config(tmp_path, "run", cfg)
+    assert code == 0
+    report = json.loads((out / "report.json").read_text())
+
+    c = SchemeConfig(dx=cfg["dx"], r=cfg["dx"], Z=cfg["Z"],
+                     tail_mode=cfg.get("tail_mode", "exterior_mean"))
+    spec = problem_from_config(cfg["problem"])
+    st = build_stencil(measure_from_config(cfg["measure"]), c.dx, c.r, c.Z)
+    base = solve(spec, st, c)
+    other = solve(companion_spec(spec, base.disc.data_range), st, c,
+                  dt_override=base.dt)
+    assert base.stats["n_steps"] % 7
+    expected = [analysis.max_principle_check(base),
+                analysis.mass_budget_check(base),
+                analysis.l1_contraction_check(base, other)[1]]
+    assert list(report["checks"]) == sorted(res.name for res in expected)
+    for res in expected:
+        assert report["checks"][res.name] == json.loads(
+            json.dumps(res.as_dict()))
+    write_trajectory_csv(tmp_path / "full.csv", base, every=every)
+    assert (out / "trajectory.csv").read_bytes() == \
+        (tmp_path / "full.csv").read_bytes()
+
+
+@pytest.mark.parametrize("mode, extra", [
+    ("picard", {"measure": "single_atom"}),
+    ("vanishing", {"n_list": [1, 4]}),
+    ("stability", {"r_list": [0.25, 0.125, 0.0625]}),
+])
+def test_drivers_write_the_same_artifacts_at_any_cadence(tmp_path, mode,
+                                                         extra):
+    cfg = {"mode": mode, "problem": "burgers_bump", "dx": 1 / 32, "Z": 0.5,
+           "T": 0.25, **extra}
+    runs = {every: run_config(tmp_path, f"every_{every}",
+                              {**cfg, "store_every": every})
+            for every in (1, 7)}
+    assert [code for code, _ in runs.values()] == [0, 0]
+    (_, full), (_, thin) = runs[1], runs[7]
+    reports = [json.loads((o / "report.json").read_text()) for o in (full,
+                                                                   thin)]
+    for rep in reports:
+        rep.pop("timestamp")
+        rep["config"].pop("store_every")
+    assert reports[0] == reports[1]
+    assert sorted(p.name for p in full.iterdir()) == \
+        sorted(p.name for p in thin.iterdir())
+    for path in full.iterdir():
+        if path.name == "trajectory.csv":
+            assert time_blocks(thin / path.name) == \
+                time_blocks(path)[::7]
+        elif path.name != "report.json":
+            assert (thin / path.name).read_bytes() == path.read_bytes()
+
+
+def test_solve_mode_holds_one_full_trajectory(tmp_path):
+    # the base run stores every 64th state and its checks observe the
+    # march; only the companion is stored whole
+    import tracemalloc
+    from levyfv.problem import discretize, problem_from_config
+    from levyfv.scheme import time_grid
+    cfg = {"mode": "solve", "problem": "burgers_riemann", "measure": "none",
+           "dx": 1 / 1024, "r": 1 / 1024, "Z": 1 / 64, "store_every": 64}
+    c = SchemeConfig(dx=cfg["dx"], r=cfg["r"], Z=cfg["Z"])
+    disc = discretize(problem_from_config(cfg["problem"]), c.dx, c.Z)
+    _, n_steps = time_grid(disc, [build_stencil(zero_measure(), c.dx, c.r,
+                                                c.Z)], c)
+    full_nbytes = 8 * (n_steps + 1) * disc.grid.n_full
+    tracemalloc.start()
+    try:
+        code, _ = run_config(tmp_path, "run", cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 1.3 * full_nbytes

@@ -11,7 +11,7 @@ from levyfv.problem import (PROBLEM_PRESETS, DiscreteProblem, ExteriorData,
                             ProblemSpec, diffusion_identity, diffusion_zero,
                             exterior_constant, flux_burgers, flux_linear,
                             flux_zero, make_problem)
-from levyfv import scheme
+from levyfv import analysis, scheme
 from levyfv.scheme import (SchemeConfig, cfl_max_dt, l1_q_distance,
                            picard_solve, solve, stability_run, step,
                            vanishing_viscosity_run)
@@ -568,3 +568,106 @@ def test_picard_norms_in_row_blocks_match_whole_arrays(monkeypatch):
     u = [tr.interior() for tr in iterates]
     assert res.first_iterate_norm == float(np.max(l1(u[0])))
     assert res.gaps == [float(np.max(l1(b - a))) for a, b in zip(u, u[1:])]
+
+
+# -- thinned storage and observers ----------------------------------------------
+
+# a null stencil; jumps with a tail (Z below the measure's reach) under each
+# tail rule
+THINNED_STENCILS = {
+    "null": (zero_measure(), "exterior_mean"),
+    "tail_exterior_mean": (FractionalRadial(alpha=1.0, lo=1 / 16),
+                           "exterior_mean"),
+    "tail_drop": (FractionalRadial(alpha=1.0, lo=1 / 16), "drop"),
+}
+
+
+def _thinned_case(name, every):
+    measure, tail_mode = THINNED_STENCILS[name]
+    c = conf(1 / 64, Z=0.25, tail_mode=tail_mode, store_every=every)
+    spec = make_problem("burgers", "identity", "bump", T=0.3)
+    return spec, build_stencil(measure, c.dx, c.r, c.Z), c
+
+
+@pytest.mark.parametrize("every", [1, 7])
+@pytest.mark.parametrize("name", sorted(THINNED_STENCILS))
+def test_thinned_solve_stores_every_kth_state_of_the_full_one(name, every):
+    from dataclasses import replace
+    spec, st, c = _thinned_case(name, every)
+    full = solve(spec, st, replace(c, store_every=1))
+    seen = []
+
+    def observer(rows, times, block):
+        # steps rows.start .. rows.stop, inclusive
+        assert block.shape == (rows.stop - rows.start + 1, full.grid.n_full)
+        assert times.tobytes() == full.times[rows.start:rows.stop
+                                             + 1].tobytes()
+        assert block.tobytes() == full.states[rows.start:rows.stop
+                                              + 1].tobytes()
+        seen.append(rows)
+
+    thin = solve(spec, st, c, observers=[observer])
+    n_steps = full.stats["n_steps"]
+    assert n_steps % 7 and thin.stats["n_steps"] == n_steps
+    assert thin.stats["dt"] == full.stats["dt"]
+    assert seen == scheme.row_blocks(n_steps, full.grid.n_full)
+    assert thin.states.tobytes() == full.states[::every].tobytes()
+    assert thin.times.tobytes() == full.times[::every].tobytes()
+
+
+THINNED_PASSES = {
+    "l1_series": lambda tr: scheme.l1_series(tr, tr),
+    "gamma": lambda tr: tr.gamma(),
+    "order_preservation": lambda tr: analysis.order_preservation_check(tr,
+                                                                       tr),
+    "mass_budget": analysis.mass_budget_check,
+    "energy_report": analysis.energy_report,
+    "entropy_residual": lambda tr: analysis.entropy_residual(
+        tr, FractionalRadial(alpha=1.0, lo=1 / 16),
+        analysis.default_test_family(0.0, 1.0, tr.spec.T)[:1], [0.5],
+        1 / 16),
+}
+
+
+@pytest.mark.parametrize("name", sorted(THINNED_PASSES))
+def test_passes_over_consecutive_steps_refuse_a_thinned_trajectory(name):
+    spec, st, c = _thinned_case("tail_exterior_mean", 7)
+    thin = solve(spec, st, c)
+    with pytest.raises(ConfigMismatch, match="every step"):
+        THINNED_PASSES[name](thin)
+
+
+def test_picard_frozen_source_refuses_a_thinned_iterate(monkeypatch):
+    from dataclasses import replace
+    real_solve = scheme.solve
+
+    def thinning_solve(spec, stencil, config, **kwargs):
+        return real_solve(spec, stencil, replace(config, store_every=3),
+                          **kwargs)
+
+    # the gap would refuse the thinned iterate first
+    monkeypatch.setattr(scheme, "l1_series", lambda a, b: np.zeros(1))
+    monkeypatch.setattr(scheme, "solve", thinning_solve)
+    with pytest.raises(ConfigMismatch, match="every step"):
+        picard_solve(make_problem("burgers", "identity", "bump", T=0.2),
+                     single_atom(z=0.3, w=0.5), conf(1 / 32, Z=0.5),
+                     k_max=3, tol=0.0)
+
+
+def test_drivers_store_every_step_whatever_the_cadence():
+    spec = make_problem("burgers", "identity", "bump", T=0.2)
+    measure = single_atom(z=0.3, w=0.5)
+    chain = [truncate(FractionalRadial(alpha=1.0), 1 / n)[1] for n in (4, 8)]
+    runs = {}
+    for every in (1, 7):
+        c = conf(1 / 32, Z=0.5, store_every=every)
+        runs[every] = (picard_solve(spec, measure, c, k_max=3, tol=0.0),
+                       vanishing_viscosity_run(spec, 1.0, [1, 4], c),
+                       stability_run(spec, chain, c))
+    (pa, va, sa), (pb, vb, sb) = runs[1], runs[7]
+    assert pa.gaps == pb.gaps
+    assert pa.first_iterate_norm == pb.first_iterate_norm
+    assert pa.trajectory.states.tobytes() == pb.trajectory.states.tobytes()
+    assert va.l1_distances == vb.l1_distances
+    assert (sa.l1_distances, sa.l2_b_distances) == (sb.l1_distances,
+                                                    sb.l2_b_distances)

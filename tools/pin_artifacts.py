@@ -67,6 +67,19 @@ STORE_EVERY_7 = {"mode": "solve", "problem": "burgers_bump",
 TAIL_DROP = {"mode": "solve", "problem": "burgers_bump",
              "measure": TRUNCATED_FRACTIONAL, "dx": 1.0 / 64, "Z": 0.25,
              "tail_mode": "drop"}
+# thinned storage: a tail under "exterior_mean", and the energy and moduli
+# branch, which reads every step of the base run
+TAIL_STORE_EVERY_7 = {"mode": "solve", "problem": "burgers_bump",
+                      "measure": TRUNCATED_FRACTIONAL, "dx": 1.0 / 64,
+                      "Z": 0.25, "store_every": 7}
+ENERGY_STORE_EVERY_5 = {"mode": "solve", "problem": "burgers_bump",
+                        "measure": "single_atom", "dx": 1.0 / 64, "Z": 0.5,
+                        "store_every": 5, "energy": True, "moduli": True}
+PICARD_STORE_EVERY_3 = {"mode": "picard", "problem": "burgers_bump",
+                        "measure": "single_atom", "dx": 1.0 / 32, "Z": 0.5,
+                        "store_every": 3}
+STABILITY_STORE_EVERY_3 = {"mode": "stability", "problem": "burgers_bump",
+                           "dx": 1.0 / 32, "Z": 1.0, "store_every": 3}
 
 
 def matrix():
@@ -104,6 +117,10 @@ def matrix():
         ("local_shock", ["run"], LOCAL_SHOCK),
         ("store_every_7", ["run"], STORE_EVERY_7),
         ("tail_drop", ["run"], TAIL_DROP),
+        ("tail_store_every_7", ["run"], TAIL_STORE_EVERY_7),
+        ("energy_store_every_5", ["run"], ENERGY_STORE_EVERY_5),
+        ("picard_store_every_3", ["run"], PICARD_STORE_EVERY_3),
+        ("stability_store_every_3", ["run"], STABILITY_STORE_EVERY_3),
         ("flux_lf", ["run", "--mode", "solve", "--problem", "stefan_mixed",
                      "--measure", "single_atom", "--dx", "0.03125", "--Z",
                      "0.5", "--auto-cfl", "--flux", "lf"], None),
