@@ -387,8 +387,9 @@ def entropy_residual(traj: Trajectory, measure: LevyMeasure, family, levels,
     trajectory that does not store every step (`ConfigMismatch`).
     """
     traj.require_every_step()
+    signs_of = {"plus": 1.0, "minus": -1.0}
     for sign in signs:
-        if sign not in ("plus", "minus"):
+        if sign not in signs_of:
             raise ConfigParse(f"unknown entropy sign {sign!r}")
     spec = traj.spec
     grid = traj.grid
@@ -428,6 +429,11 @@ def entropy_residual(traj: Trajectory, measure: LevyMeasure, family, levels,
     b_datum = b(traj.states[::stride][:, grid.halo_mask()])
     b_levels = b(levels)
 
+    # built once per admissible (level, sign), as no phi enters them, with
+    # s = +1 ("plus") or -1 ("minus"): (s(u - k))^+, its flux, the signed
+    # jump term, (s(b(u) - b(k)))^+, and the entropies of u0 and of the
+    # boundary datum; negation is exact, so both signs share one expression
+    integrands = {}
     rows, skipped = [], 0
     for idx, phi in enumerate(family):
         phi_t = phi.dt(times[:, None], xi[None, :])
@@ -436,29 +442,25 @@ def entropy_residual(traj: Trajectory, measure: LevyMeasure, family, levels,
         small_op = 0.5 * sigma2_r * phi.dxx(times[:, None], xf[None, :])
         phi0 = phi.value(0.0, xi)
         phi_bnd = phi.value(times[:, None], bnd_x[None, :])
-        admissible = dict(zip(("plus", "minus"), admissible_pair(
+        admissible = dict(zip(signs_of, admissible_pair(
             b_datum, b_levels, phi.value(screen_t[:, None], xh[None, :]))))
         for i, k in enumerate(levels):
-            fk = float(np.asarray(f(k)))
             for sign in signs:
                 if not admissible[sign][i]:
                     skipped += 1
                     continue
-                if sign == "plus":
-                    ent = _pos(u_int - k)
-                    sgn = _sgn_plus(u_int - k)
-                    ent0 = _pos(u0 - k)
-                    ent_bnd = _pos(datum_bnd - k)
-                    bent = _pos(bu_all - b_levels[i])
-                else:
-                    ent = _pos(k - u_int)
-                    sgn = -_sgn_plus(k - u_int)
-                    ent0 = _pos(k - u0)
-                    ent_bnd = _pos(k - datum_bnd)
-                    bent = _pos(b_levels[i] - bu_all)
-                flux_ent = sgn * (fu_int - fk)
+                if (i, sign) not in integrands:
+                    s = signs_of[sign]
+                    sgn = s * _sgn_plus(s * (u_int - k))
+                    fk = float(np.asarray(f(k)))
+                    integrands[i, sign] = (
+                        _pos(s * (u_int - k)), sgn * (fu_int - fk),
+                        op_big * sgn, _pos(s * (bu_all - b_levels[i])),
+                        _pos(s * (u0 - k)), _pos(s * (datum_bnd - k)))
+                ent, flux_ent, op_sgn, bent, ent0, ent_bnd = \
+                    integrands[i, sign]
                 t1 = -dt * dx * float(np.sum(ent * phi_t + flux_ent * phi_x))
-                t2 = -dt * dx * float(np.sum(op_big * sgn * phi_v))
+                t2 = -dt * dx * float(np.sum(op_sgn * phi_v))
                 t3 = -dt * dx * float(np.sum(bent * small_op))
                 rhs = dx * float(np.sum(ent0 * phi0))
                 rhs += lf * dt * float(np.sum(ent_bnd * phi_bnd))

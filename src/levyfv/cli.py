@@ -143,7 +143,8 @@ def _scheme_config(cfg):
             dx=float(cfg["dx"]),
             r=float(cfg.get("r", cfg["dx"])),
             Z=float(cfg.get("Z", 1.0)),
-            dt=None if cfg.get("auto_cfl", True) and "dt" not in cfg
+            # auto_cfl (default: no dt given) drops a given dt
+            dt=None if cfg.get("auto_cfl", "dt" not in cfg)
             else float(cfg["dt"]),
             numerical_flux={"eo": "engquist_osher",
                             "lf": "lax_friedrichs"}.get(cfg.get("flux", "eo"),
@@ -154,6 +155,14 @@ def _scheme_config(cfg):
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigParse(f"bad scheme config: {exc!r}") from exc
+
+
+def _alpha(cfg):
+    """The vanishing and stability modes' fractional order, in (0, 2)."""
+    alpha = cfg.get("alpha", 1.0)
+    if not isinstance(alpha, (int, float)) or not 0.0 < alpha < 2.0:
+        raise ConfigParse(f"alpha must lie in (0, 2), got {alpha!r}")
+    return float(alpha)
 
 
 def companion_spec(spec, data_range):
@@ -236,6 +245,8 @@ def cmd_run(cfg, out_dir) -> int:
                            if k != "wall_time_s"}
         report["_wall_time_s"] = traj.stats["wall_time_s"]
     elif mode == "picard":
+        if not math.isfinite(measure.total_mass()):
+            raise ConfigParse("picard mode needs a finite-mass measure")
         res = picard_solve(spec, measure, sconf,
                            k_max=int(cfg.get("k_max", 12)),
                            tol=float(cfg.get("tol", 1e-6)))
@@ -247,14 +258,13 @@ def cmd_run(cfg, out_dir) -> int:
         report["gaps"] = res.gaps
     elif mode == "vanishing":
         n_list = cfg.get("n_list", [1, 4, 16, 64])
-        rep = vanishing_viscosity_run(spec, float(cfg.get("alpha", 1.0)),
-                                      n_list, sconf)
+        rep = vanishing_viscosity_run(spec, _alpha(cfg), n_list, sconf)
         record(trend_check("vanishing_trend", rep.l1_distances,
                            {"n_list": list(n_list),
                             "distances": list(map(float, rep.l1_distances))}))
     elif mode == "stability":
         r_list = cfg.get("r_list", [0.25, 0.125, 0.0625, 0.03125, 0.015625])
-        base = FractionalRadial(alpha=float(cfg.get("alpha", 1.0)))
+        base = FractionalRadial(alpha=_alpha(cfg))
         measures = [truncate(base, r)[1] for r in r_list]
         rep = stability_run(spec, measures, sconf, labels=r_list[:-1])
         record(trend_check(
@@ -483,7 +493,6 @@ def main(argv=None) -> int:
             }
             cfg.update({k: v for k, v in overrides.items() if v is not None})
             if args.auto_cfl:
-                cfg.pop("dt", None)
                 cfg["auto_cfl"] = True
             if args.moduli:
                 cfg["moduli"] = True

@@ -155,10 +155,13 @@ def time_grid(disc: DiscreteProblem, stencils, config: SchemeConfig,
     each stencil on `disc`'s data range (T/64 for a stencil without one),
     the smallest over `stencils`, so trajectories of a chain share one grid.
     Every stencil must share `disc`'s halo.  dt is then rounded down so that
-    a whole number of steps hits the horizon."""
+    a whole number of steps hits the horizon.  A given dt that is not
+    positive and finite is refused (`ConfigParse`)."""
     spec = disc.spec
     if dt is None:
         dt = config.dt
+    if dt is not None and not 0.0 < dt < math.inf:
+        raise ConfigParse(f"dt must be positive and finite, got {dt}")
     if dt is None:
         dts = []
         for st in stencils:
@@ -171,13 +174,13 @@ def time_grid(disc: DiscreteProblem, stencils, config: SchemeConfig,
 
 
 def step(u_full: np.ndarray, disc: DiscreteProblem, stencil: StencilWeights,
-         config: SchemeConfig, t: float, dt: float,
-         source: np.ndarray | None = None, flux_pair=None) -> np.ndarray:
-    """One forward-Euler update from the full-grid state at time t: returns
-    the n new interior values, which `solve` stores.  `source`
-    (interior-sized) replaces the jump term when given, which is how the
-    fixed-point iteration freezes its right-hand side.  A stencil with no
-    nonzero weight and no tail has no jump term to add."""
+         config: SchemeConfig, dt: float, source: np.ndarray | None = None,
+         flux_pair=None) -> np.ndarray:
+    """One forward-Euler update from the full-grid state (its halo holds the
+    exterior datum): returns the n new interior values, which `solve` stores
+    and checks to be finite; `step` does not check.  `source` (n values)
+    replaces the jump term when given (Picard's frozen right-hand side).
+    A stencil with no nonzero weight and no tail adds no jump term."""
     spec = disc.spec
     grid = disc.grid
     if flux_pair is None:
@@ -197,8 +200,6 @@ def step(u_full: np.ndarray, disc: DiscreteProblem, stencil: StencilWeights,
         new_interior += 0.0
     else:
         new_interior += dt * source
-    if not np.all(np.isfinite(new_interior)):
-        raise NonfiniteValue(f"nonfinite state at t={t}")
     return new_interior
 
 
@@ -213,13 +214,14 @@ def solve(spec: ProblemSpec, stencil: StencilWeights, config: SchemeConfig,
     `disc.u0`, that of step n + 1 is what `step` returns from step n, and
     the halo of step n is `exterior.value(times[n], halo_x)`.
 
-    The march goes in the blocks `row_blocks(n_steps, n_full)`; after each
-    block every observer is called as `observer(rows, times, block)` with
-    the full-grid states of steps `rows.start .. rows.stop` inclusive and
-    their times, so observers see every step.  Only the steps n with
-    `n % config.store_every == 0` are stored.  With `store_every == 1` the
-    blocks are views into the stored states; otherwise one work buffer of
-    a block's rows is reused."""
+    The march goes in the blocks `row_blocks(n_steps, n_full)`, each in one
+    reused buffer.  After each block's steps its new interior values are
+    checked to be finite (`NonfiniteValue`, naming the start time of the
+    first step that was not); then every observer is called as
+    `observer(rows, times, block)` with the full-grid states of steps
+    `rows.start .. rows.stop` inclusive and their times, so observers see
+    every step, and the steps n with `n % config.store_every == 0` are
+    copied out of the buffer into the stored states."""
     if stencil.dx != config.dx:
         raise ConfigMismatch(f"stencil built for dx={stencil.dx}, "
                              f"config has dx={config.dx}")
@@ -239,29 +241,28 @@ def solve(spec: ProblemSpec, stencil: StencilWeights, config: SchemeConfig,
     interior = disc.grid.interior
     blocks = row_blocks(n_steps, disc.grid.n_full)
     states = np.empty((n_steps // every + 1, disc.grid.n_full))
-    work = states if every == 1 else np.empty(
-        (blocks[0].stop + 1, disc.grid.n_full))
+    work = np.empty((blocks[0].stop + 1, disc.grid.n_full))
     work[0, interior] = disc.u0
     disc.refresh_halo(work[0], times[0])
-    if every > 1:
-        states[0] = work[0]
+    states[0] = work[0]
     wall = time.perf_counter()
     for rows in blocks:
-        block = (states[rows.start:rows.stop + 1] if every == 1
-                 else work[:rows.stop - rows.start + 1])
+        block = work[:rows.stop - rows.start + 1]
         for i, n in enumerate(range(rows.start, rows.stop)):
             src = source_states[n] if source_states is not None else None
             block[i + 1, interior] = step(block[i], disc, stencil, config,
-                                          float(times[n]), dt, source=src,
-                                          flux_pair=flux_pair)
+                                          dt, source=src, flux_pair=flux_pair)
             disc.refresh_halo(block[i + 1], times[n + 1])
+        finite = np.isfinite(block[1:, interior]).all(axis=1)
+        if not finite.all():
+            n = rows.start + int(np.argmin(finite))
+            raise NonfiniteValue(f"nonfinite state at t={float(times[n])}")
         for observe in observers:
             observe(rows, times[rows.start:rows.stop + 1], block)
-        if every > 1:
-            first = (rows.start // every + 1) * every
-            states[first // every:rows.stop // every + 1] = \
-                block[first - rows.start::every]
-            work[0] = block[-1]
+        first = (rows.start // every + 1) * every
+        states[first // every:rows.stop // every + 1] = \
+            block[first - rows.start::every]
+        work[0] = block[-1]
     stats = {
         "dt": dt,
         "n_steps": n_steps,
@@ -381,8 +382,9 @@ def picard_solve(spec: ProblemSpec, measure: LevyMeasure,
     tol = 0 runs exactly k_max iterations (envelope-measurement mode);
     otherwise failing to reach tol raises NoConvergence.
     """
-    mass = measure.total_mass()
-    if not math.isfinite(mass):
+    if k_max < 1:
+        raise ConfigParse(f"k_max must be >= 1, got {k_max}")
+    if not math.isfinite(measure.total_mass()):
         raise ValueError("fixed-point construction needs a finite measure")
     # each iterate's source is the jump term of every step of the last one
     config = replace(config, store_every=1)
@@ -431,7 +433,6 @@ def picard_solve(spec: ProblemSpec, measure: LevyMeasure,
         raise NoConvergence(f"gap {gaps[-1] if gaps else first_norm:.3e} "
                             f"above tol {tol} after {k_max} iterations",
                             gaps=gaps)
-    traj.stats["picard_gaps"] = gaps
     return PicardResult(trajectory=traj, gaps=gaps,
                         first_iterate_norm=first_norm,
                         iterations=k, converged=converged or tol == 0.0)

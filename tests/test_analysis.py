@@ -618,6 +618,8 @@ SCREENING_CASES = {
                                    T=0.2), [1.7, -0.7, 0.6], ("plus", "minus")),
     "plus_only": (make_problem("burgers", "identity", "bump", T=0.2),
                   [-0.2, 0.3, 0.6], ("plus",)),
+    "minus_only": (make_problem("burgers", "identity", "bump", T=0.2),
+                   [-0.2, 0.3, 0.6], ("minus",)),
     "moving_exterior": (MOVING_SPEC, np.linspace(0.2, 0.34, 15),
                         ("plus", "minus")),
 }

@@ -110,6 +110,50 @@ def test_negative_atom_weight_exit_3(tmp_path):
                  "--out", str(tmp_path / "scan.csv")]) == 3
 
 
+SOLVE_ARGS = ["--mode", "solve", "--problem", "burgers_bump", "--measure",
+              "single_atom", "--dx", "0.03125", "--Z", "0.5", "--T", "0.1"]
+
+
+# bad run parameters: each is refused where it is parsed or validated
+@pytest.mark.parametrize("args, cfg", [
+    (SOLVE_ARGS + ["--dt", "0"], {}),
+    (SOLVE_ARGS + ["--dt", "nan"], {}),
+    (SOLVE_ARGS + ["--dt", "-0.1"], {}),
+    (SOLVE_ARGS + ["--dt", "-0.1"], {"enforce_cfl": False}),
+    (SOLVE_ARGS + ["--mode", "picard"], {"k_max": 0}),
+    (SOLVE_ARGS + ["--mode", "picard"], {"k_max": 0, "tol": 0}),
+    (SOLVE_ARGS + ["--mode", "picard", "--measure", "fractional"], {}),
+    (SOLVE_ARGS + ["--mode", "vanishing"], {"alpha": 3}),
+    (SOLVE_ARGS + ["--mode", "stability"], {"alpha": 3}),
+    (SOLVE_ARGS + ["--mode", "stability"], {"alpha": "x"}),
+], ids=["dt_zero", "dt_nan", "dt_negative", "dt_negative_unenforced",
+        "picard_k_max_0", "picard_k_max_0_tol_0", "picard_infinite_mass",
+        "vanishing_alpha_3", "stability_alpha_3", "stability_alpha_text"])
+def test_bad_run_parameter_exit_2(tmp_path, capsys, args, cfg):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["run", *args, "--config", str(path),
+                 "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: ")
+
+
+def test_auto_cfl_in_a_config_drops_its_dt_as_the_flag_does(tmp_path):
+    path = tmp_path / "cfg.json"
+    dts = {}
+    for name, cfg, flags in (("key", {"dt": 0.001, "auto_cfl": True}, []),
+                             ("flag", {"dt": 0.001}, ["--auto-cfl"]),
+                             ("none", {}, []),
+                             ("dt", {"dt": 0.001}, [])):
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / name
+        assert main(["run", *SOLVE_ARGS, *flags, "--config", str(path),
+                     "--out", str(out)]) == 0
+        dts[name] = json.loads((out / "report.json").read_text())["stats"][
+            "dt"]
+    assert dts["key"] == dts["flag"] == dts["none"] > 0.001 == dts["dt"]
+
+
 def test_runtime_error_exit_3(tmp_path):
     # explicit dt above the monotonicity bound with enforcement on
     cfg = tmp_path / "cfg.json"

@@ -55,12 +55,12 @@ def test_monotone_update_brute_force():
     c = conf(dx, Z=0.5)
     for _ in range(40):
         u = rng.uniform(0.0, 1.0, size=disc.grid.n_full)
-        base = step(u, disc, st, c, 0.0, dt)
+        base = step(u, disc, st, c, dt)
         p = int(rng.integers(0, disc.grid.n_full))
         delta = float(rng.uniform(0.01, 0.2))
         u2 = u.copy()
         u2[p] += delta
-        bumped = step(u2, disc, st, c, 0.0, dt)
+        bumped = step(u2, disc, st, c, dt)
         assert np.all(bumped >= base - 1e-12)
 
 
@@ -109,8 +109,7 @@ def test_zero_flux_matches_matrix_exponential_oracle():
     u0 = traj.states[0, traj.grid.interior]
 
     # single explicit step equals the Euler step of the linear system
-    one = step(traj.states[0].copy(), traj.disc, st, c, 0.0,
-               traj.stats["dt"])
+    one = step(traj.states[0].copy(), traj.disc, st, c, traj.stats["dt"])
     assert np.allclose(one, u0 + traj.stats["dt"] * (A @ u0), atol=1e-14)
 
     exact = expm(spec.T * A) @ u0
@@ -184,6 +183,46 @@ def test_nonfinite_values_detected():
         with pytest.raises(NonfiniteValue):
             solve(spec, st, SchemeConfig(dx=dx, r=dx, Z=4 * dx, dt=1.0,
                                          enforce_cfl=False))
+
+
+@pytest.mark.parametrize("every", [1, 7])
+def test_nonfinite_mid_block_names_the_step_and_no_observer_sees_it(
+        monkeypatch, every):
+    # far above the CFL bound the march overflows; `solve` checks a whole
+    # block at once and must name the first step that left the finite range
+    from levyfv import stencil
+    from levyfv.errors import NonfiniteValue
+    spec = make_problem("burgers", "identity", "bump", T=40.0)
+    c = conf(1 / 32, Z=0.5, dt=0.9, enforce_cfl=False, store_every=every)
+    st = build_stencil(single_atom(), c.dx, c.r, c.Z)
+    disc = scheme.discretize(spec, c.dx, st.Z)
+    dt, n_steps = scheme.time_grid(disc, [st], c)
+    times = np.linspace(0.0, spec.T, n_steps + 1)
+    u = np.empty(disc.grid.n_full)
+    u[disc.grid.interior] = disc.u0
+    disc.refresh_halo(u, times[0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for bad in range(n_steps):
+            new = step(u, disc, st, c, dt)
+            if not np.isfinite(new).all():
+                break
+            u[disc.grid.interior] = new
+            disc.refresh_halo(u, times[bad + 1])
+    assert bad < n_steps - 1
+    # blocks of m steps with the bad step strictly inside one
+    m = next(m for m in range(3, n_steps) if 0 < bad % m < m - 1)
+    monkeypatch.setattr(stencil, "BLOCK_VALUES", m * disc.grid.n_full)
+    seen = []
+
+    def observer(rows, times, block):
+        assert np.isfinite(block[:, disc.grid.interior]).all()
+        seen.append(rows)
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NonfiniteValue) as exc:
+            solve(spec, st, c, observers=[observer])
+    assert str(exc.value) == f"nonfinite state at t={float(times[bad])}"
+    assert seen and seen[-1].stop <= bad < seen[-1].stop + m
 
 
 # -- fixed-point construction ---------------------------------------------------
@@ -448,8 +487,7 @@ def test_solve_stores_what_step_returns_from_the_stored_row(measure):
     interior = traj.grid.interior
     assert traj.states[0, interior].tobytes() == traj.disc.u0.tobytes()
     for n in range(traj.stats["n_steps"]):
-        new = step(traj.states[n], traj.disc, traj.stencil, c,
-                   float(traj.times[n]), traj.dt)
+        new = step(traj.states[n], traj.disc, traj.stencil, c, traj.dt)
         assert new.shape == (traj.grid.n,)
         assert new.tobytes() == traj.states[n + 1, interior].tobytes()
 

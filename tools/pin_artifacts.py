@@ -6,9 +6,12 @@ can be compared byte for byte.
 Every run calls `python -m levyfv.cli` on TREE/src (default: the checkout
 that holds this script) in its own directory under OUT_DIR, and records its
 exit code and console output next to the files it wrote.  The two lines of
-each report's `timestamp` (`written_at`, `wall_time_s`) are stripped, and
-the acceptance criteria's `CRITERION` lines are kept with their runtimes
-masked.  Behaviour is pinned when
+each report's `timestamp` (`written_at`, `wall_time_s`) are stripped.  In
+the console output TREE is written `<root>` and the line of a warning's
+source `#`: numpy warnings name their file and line, and a line added above
+the warning site changes nothing the program does.  The acceptance
+criteria's `CRITERION` lines are kept with their runtimes masked.
+Behaviour is pinned when
 
     diff -r OUT_PARENT OUT_CHANGE
 
@@ -80,6 +83,11 @@ PICARD_STORE_EVERY_3 = {"mode": "picard", "problem": "burgers_bump",
                         "store_every": 3}
 STABILITY_STORE_EVERY_3 = {"mode": "stability", "problem": "burgers_bump",
                            "dx": 1.0 / 32, "Z": 1.0, "store_every": 3}
+# a step far above the CFL bound overflows mid-run: exit 3 names its time
+NONFINITE = {"mode": "solve", "problem": "burgers_bump",
+             "measure": "single_atom", "dx": 1.0 / 32, "Z": 0.5, "dt": 0.9,
+             "enforce_cfl": False, "T": 40.0, "store_every": 7,
+             "contraction": False}
 
 
 def matrix():
@@ -121,6 +129,7 @@ def matrix():
         ("energy_store_every_5", ["run"], ENERGY_STORE_EVERY_5),
         ("picard_store_every_3", ["run"], PICARD_STORE_EVERY_3),
         ("stability_store_every_3", ["run"], STABILITY_STORE_EVERY_3),
+        ("nonfinite", ["run"], NONFINITE),
         ("flux_lf", ["run", "--mode", "solve", "--problem", "stefan_mixed",
                      "--measure", "single_atom", "--dx", "0.03125", "--Z",
                      "0.5", "--auto-cfl", "--flux", "lf"], None),
@@ -142,6 +151,7 @@ def matrix():
 
 
 STAMP = re.compile(r'^\s*"(written_at|wall_time_s)": ')
+WARNED_AT = re.compile(r"^(\S+\.py):\d+:", re.MULTILINE)
 
 
 def strip_timestamps(path):
@@ -174,8 +184,9 @@ def run_matrix(root, out):
         proc = subprocess.run([sys.executable, "-m", "levyfv.cli", *args],
                               cwd=where, env=env, capture_output=True,
                               text=True)
+        console = f"exit {proc.returncode}\n{proc.stdout}{proc.stderr}"
         with open(os.path.join(where, "console.txt"), "w") as fh:
-            fh.write(f"exit {proc.returncode}\n{proc.stdout}{proc.stderr}")
+            fh.write(WARNED_AT.sub(r"\1:#:", console.replace(root, "<root>")))
         for fname in os.listdir(where):
             if fname.endswith(".json") and fname != "cfg.json":
                 strip_timestamps(os.path.join(where, fname))
