@@ -8,7 +8,6 @@ from .measures import (
     FractionalRadial,
     LevyMeasure,
     MomentReport,
-    RadialDensity,
     ScaledMeasure,
     SumMeasure,
     measure_from_config,

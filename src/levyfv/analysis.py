@@ -18,7 +18,7 @@ from .measures import DyadicA, DyadicB, FractionalRadial, LevyMeasure, \
 from .multiplier import MultiplierEval
 from .problem import DiffusionFn, DiscreteProblem, sample_rows
 from .scheme import L1Series, SchemeConfig, Trajectory, _numerical_flux, \
-    _tail_value, jump_term, l1_series, replay
+    _tail_value, jump_term, l1_series, paired_rows, replay
 from .stencil import StencilWeights, build_stencil, row_blocks, \
     zero_extended_energy
 
@@ -112,16 +112,21 @@ def l1_contraction_check(traj_u: Trajectory, traj_v: Trajectory,
 
 def order_preservation_check(traj_u: Trajectory, traj_v: Trajectory,
                              tol: float = 1e-12) -> CheckResult:
-    """u0 <= v0 and shared exterior data imply u <= v at every step."""
+    """u0 <= v0 and exterior data u <= v imply u <= v at every step.  The
+    runs must be comparable, with ordered halos (`paired_rows`)."""
     for tr in (traj_u, traj_v):
         tr.require_every_step()
     if traj_u.states.shape != traj_v.states.shape:
         raise ConfigMismatch("trajectories have different shapes")
     inside = traj_u.grid.interior
     slack = math.inf
-    for rows in row_blocks(*traj_u.states.shape):
-        slack = min(slack, float((traj_v.states[rows, inside]
-                                  - traj_u.states[rows, inside]).min()))
+
+    def observe(rows, times, block):
+        nonlocal slack
+        _, u, v = paired_rows(traj_v, rows, times, block, ordered=True)
+        slack = min(slack, float((v[:, inside] - u[:, inside]).min()))
+
+    replay(traj_u, [observe])
     return CheckResult("order_preservation", slack >= -tol, slack, {})
 
 

@@ -165,6 +165,17 @@ def _alpha(cfg):
     return float(alpha)
 
 
+def _positive_list(cfg, key, default):
+    """A chain mode's list of positive finite numbers (`n_list`, `r_list`),
+    returned as given."""
+    vals = cfg.get(key, default)
+    if not isinstance(vals, list) or not all(
+            isinstance(v, (int, float)) and 0.0 < v < math.inf for v in vals):
+        raise ConfigParse(f"{key} must be a list of positive numbers, "
+                          f"got {vals!r}")
+    return vals
+
+
 def companion_spec(spec, data_range):
     """The solve mode's companion problem: the initial datum raised by a
     Gaussian bump at mid-domain, clipped to `data_range`, so the L1
@@ -247,9 +258,11 @@ def cmd_run(cfg, out_dir) -> int:
     elif mode == "picard":
         if not math.isfinite(measure.total_mass()):
             raise ConfigParse("picard mode needs a finite-mass measure")
-        res = picard_solve(spec, measure, sconf,
-                           k_max=int(cfg.get("k_max", 12)),
-                           tol=float(cfg.get("tol", 1e-6)))
+        try:
+            k_max, tol = int(cfg.get("k_max", 12)), float(cfg.get("tol", 1e-6))
+        except (TypeError, ValueError) as exc:
+            raise ConfigParse(f"bad picard parameter: {exc!r}") from exc
+        res = picard_solve(spec, measure, sconf, k_max=k_max, tol=tol)
         write_gaps_csv(os.path.join(out_dir, "gaps.csv"), res.gaps)
         write_trajectory_csv(os.path.join(out_dir, "trajectory.csv"),
                              res.trajectory, every=sconf.store_every)
@@ -257,13 +270,14 @@ def cmd_run(cfg, out_dir) -> int:
                                     {"iterations": res.iterations}))
         report["gaps"] = res.gaps
     elif mode == "vanishing":
-        n_list = cfg.get("n_list", [1, 4, 16, 64])
+        n_list = _positive_list(cfg, "n_list", [1, 4, 16, 64])
         rep = vanishing_viscosity_run(spec, _alpha(cfg), n_list, sconf)
         record(trend_check("vanishing_trend", rep.l1_distances,
                            {"n_list": list(n_list),
                             "distances": list(map(float, rep.l1_distances))}))
     elif mode == "stability":
-        r_list = cfg.get("r_list", [0.25, 0.125, 0.0625, 0.03125, 0.015625])
+        r_list = _positive_list(cfg, "r_list",
+                                [0.25, 0.125, 0.0625, 0.03125, 0.015625])
         base = FractionalRadial(alpha=_alpha(cfg))
         measures = [truncate(base, r)[1] for r in r_list]
         rep = stability_run(spec, measures, sconf, labels=r_list[:-1])

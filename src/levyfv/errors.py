@@ -16,8 +16,7 @@ class MassAtOrigin(LevyFvError):
 
 
 class DivergentLevyMoment(LevyFvError):
-    """The (|z|^2 ^ 1)-moment diverges, or its quadrature fails to certify
-    its error."""
+    """The (|z|^2 ^ 1)-moment is not finite: it diverges, or it overflows."""
 
 
 class QuadratureNotConverged(LevyFvError):

@@ -11,7 +11,6 @@ FractionalRadial   power-law density c |z|^(-1-alpha), the stable family
 AtomicSymmetric    finite list of mirrored atom pairs (one representative each)
 DyadicA            atoms at 2^-k with pair weight 1 (infinite mass, moment 1/3)
 DyadicB            atoms at 2^-k with pair weight 2^k (infinite mass, moment 1)
-RadialDensity      generic radial density g(|z|), one dimension
 SumMeasure         finite sum of measures
 ScaledMeasure      positive multiple of a measure
 
@@ -24,7 +23,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 from scipy import integrate
@@ -240,52 +239,44 @@ def _power_law_multiplier(xi, a, b, alpha, coeff):
             si = float(sici(xi * z)[0])
             return -(1.0 - math.cos(xi * z)) / z + xi * si
         return 2.0 * coeff * (anti(b) - anti(a))
-    return 2.0 * coeff * _oscillatory_band_integral(
-        lambda z: z ** (-1.0 - alpha), xi, a, b,
-        mass_side=lambda a_, b_: (a_ ** -alpha -
-                                  (0.0 if b_ == _INF else b_ ** -alpha)) / alpha)
+    return 2.0 * coeff * _oscillatory_band_integral(xi, a, b, alpha)
 
 
-def _oscillatory_band_integral(g, xi, a, b, mass_side):
-    """int_a^b (1 - cos(xi z)) g(z) dz for a decaying density g >= 0.
+def _oscillatory_band_integral(xi, a, b, alpha):
+    """int_a^b (1 - cos(xi z)) z^(-1-alpha) dz, for xi > 0 and alpha != 1.
 
-    Near the origin 1 - cos tames the singularity; past 1/xi the two parts
-    are integrated separately, with scipy's oscillatory rules for the cosine.
-    Convergence is enforced through the returned error estimates, so scipy's
-    advisory warnings are silenced here.
+    Near the origin 1 - cos tames the singularity; past 1/xi the mass part
+    is taken in closed form and the cosine part with scipy's oscillatory
+    rules.  Convergence is enforced through the returned error estimates, so
+    scipy's advisory warnings are silenced here.
     """
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        return _oscillatory_pieces(g, xi, a, b, mass_side)
-
-
-def _oscillatory_pieces(g, xi, a, b, mass_side):
+    g = lambda z: z ** (-1.0 - alpha)
     split = min(max(a, 1.0 / xi), b)
     total, err = 0.0, 0.0
-    if split > a:
-        v, e = integrate.quad(lambda z: (1.0 - math.cos(xi * z)) * g(z),
-                              a, split, limit=200, epsabs=1e-13, epsrel=1e-11)
-        total += v
-        err += e
-    if b > split:
-        if mass_side is not None:
-            total += mass_side(split, b)
-        else:
-            v, e = (integrate.quad(g, split, b, limit=200)
-                    if b < _INF else integrate.quad(g, split, _INF, limit=200))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", integrate.IntegrationWarning)
+        if split > a:
+            v, e = integrate.quad(lambda z: (1.0 - math.cos(xi * z)) * g(z),
+                                  a, split, limit=200, epsabs=1e-13,
+                                  epsrel=1e-11)
             total += v
             err += e
-        # QAWO on a finite interval; on [split, inf) it takes the first 4
-        # periods 2 pi / xi, where g is still steep, and QAWF the flatter rest
-        end = split + 4 * 2.0 * math.pi / xi if b == _INF else b
-        v, e = integrate.quad(g, split, end, weight="cos", wvar=xi,
-                              limit=400, epsabs=1e-12, epsrel=1e-11)
-        if b == _INF:
-            v_far, e_far = integrate.quad(g, end, _INF, weight="cos", wvar=xi,
-                                          limit=400, epsabs=1e-12)
-            v, e = v + v_far, e + e_far
-        total -= v
-        err += e
+        if b > split:
+            total += (split ** -alpha
+                      - (0.0 if b == _INF else b ** -alpha)) / alpha
+            # QAWO on a finite interval; on [split, inf) it takes the first
+            # 4 periods 2 pi / xi, where g is still steep, and QAWF the
+            # flatter rest
+            end = split + 4 * 2.0 * math.pi / xi if b == _INF else b
+            v, e = integrate.quad(g, split, end, weight="cos", wvar=xi,
+                                  limit=400, epsabs=1e-12, epsrel=1e-11)
+            if b == _INF:
+                v_far, e_far = integrate.quad(g, end, _INF, weight="cos",
+                                              wvar=xi, limit=400,
+                                              epsabs=1e-12)
+                v, e = v + v_far, e + e_far
+            total -= v
+            err += e
     if err > max(SYMBOL_REL_TOL * abs(total), 1e-9):
         raise QuadratureNotConverged(
             f"symbol quadrature error {err:.2e} at xi={xi}")
@@ -411,51 +402,6 @@ class DyadicB(_DyadicFamily):
 
 
 # ---------------------------------------------------------------------------
-# generic radial density (one dimension)
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class RadialDensity(LevyMeasure):
-    """Density g(|z|) dz on the line; g >= 0 evaluable, integrability declared.
-
-    `finite_mass` documents whether  int g  converges near 0; None means
-    "decide by quadrature", which raises DivergentLevyMoment on failure.
-    """
-
-    g: Callable[[float], float] = None
-    finite_mass: bool | None = None
-
-    def _quad(self, f, a, b):
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", integrate.IntegrationWarning)
-                v, e = integrate.quad(f, a, b, limit=200, epsabs=1e-12,
-                                      epsrel=1e-10)
-        except Exception as exc:  # pragma: no cover - scipy failure paths
-            raise DivergentLevyMoment(str(exc)) from exc
-        if not math.isfinite(v) or e > max(1e-8 * abs(v), 1e-9):
-            raise DivergentLevyMoment(
-                f"quadrature error {e:.2e} on [{a}, {b}]")
-        return v
-
-    def _mass(self, a, b, ia, ib):
-        if a <= 0.0 and self.finite_mass is False:
-            return _INF
-        if a <= 0.0 and self.finite_mass is None:
-            # probe: if g blows up non-integrably this raises
-            return 2.0 * self._quad(self.g, 0.0, min(b, 1.0)) + (
-                2.0 * self._quad(self.g, 1.0, b) if b > 1.0 else 0.0)
-        return 2.0 * self._quad(self.g, a, b)
-
-    def _second(self, a, b, ia, ib):
-        return 2.0 * self._quad(lambda z: z * z * self.g(z), a, b)
-
-    def _multiplier(self, xi, a, b, ia, ib):
-        return 2.0 * _oscillatory_band_integral(self.g, abs(float(xi)), a, b,
-                                                mass_side=None)
-
-
-# ---------------------------------------------------------------------------
 # composites (read through `leaves()` only)
 # ---------------------------------------------------------------------------
 
@@ -499,8 +445,8 @@ class ScaledMeasure(LevyMeasure):
 def validate_measure(measure: LevyMeasure) -> MomentReport:
     """Check structure and return the (|z|^2 ^ 1)-moment and total mass.
 
-    Total mass may be inf (structural divergence).  A levy moment that fails
-    to converge raises DivergentLevyMoment.
+    Total mass may be inf (structural divergence).  A levy moment that is
+    not finite (it diverges, or it overflows) raises DivergentLevyMoment.
     """
     measure.validate()
     moment = measure.levy_moment()
@@ -616,8 +562,6 @@ def _continuous_tv(c1, c2):
                 if leaf.lo <= z <= leaf.hi:
                     if isinstance(leaf, FractionalRadial):
                         val += coef * leaf.coeff * z ** (-1.0 - leaf.alpha)
-                    elif isinstance(leaf, RadialDensity):
-                        val += coef * leaf.g(z)
                     else:
                         raise UnsupportedPair(
                             f"cannot evaluate density of {type(leaf).__name__}")

@@ -156,7 +156,8 @@ def time_grid(disc: DiscreteProblem, stencils, config: SchemeConfig,
     the smallest over `stencils`, so trajectories of a chain share one grid.
     Every stencil must share `disc`'s halo.  dt is then rounded down so that
     a whole number of steps hits the horizon.  A given dt that is not
-    positive and finite is refused (`ConfigParse`)."""
+    positive and finite is refused (`ConfigParse`), and so is a CFL bound of
+    0 (`CflViolation`), which leaves no dt to pick."""
     spec = disc.spec
     if dt is None:
         dt = config.dt
@@ -166,6 +167,9 @@ def time_grid(disc: DiscreteProblem, stencils, config: SchemeConfig,
         dts = []
         for st in stencils:
             dtmax = cfl_max_dt(spec, st, config.dx, disc.data_range)
+            if dtmax == 0.0:
+                raise CflViolation("monotonicity bound is 0: no dt keeps "
+                                   "the update order preserving")
             dts.append(CFL_SAFETY * dtmax if math.isfinite(dtmax)
                        else spec.T / 64.0)
         dt = min(dts)
@@ -295,11 +299,38 @@ def replay(traj: Trajectory, observers) -> None:
 # trajectory comparison helpers
 # ---------------------------------------------------------------------------
 
+def paired_rows(other: Trajectory, rows, times, block, ordered=False):
+    """The rule that makes a march comparable with the stored trajectory
+    `other`, checked on one observed block (see `solve`): the same time
+    count, grid width and times, and equal halos (with `ordered`, the
+    march's halos below `other`'s), else `ConfigMismatch`.  Returns
+    (new, u, v): the rows `u` of `block` not seen in an earlier block (row 0
+    of a later block is the last row of the one before), their step indices
+    `new`, and `other`'s states `v` at those steps."""
+    if rows.stop >= len(other.times):
+        raise ConfigMismatch("trajectories use different time steps")
+    if block.shape[1] != other.states.shape[1]:
+        raise ConfigMismatch("trajectories live on different grids")
+    first = 1 if rows.start else 0
+    new = slice(rows.start + first, rows.stop + 1)
+    u = block[first:]
+    v = other.states[new]
+    if not np.allclose(times[first:], other.times[new], rtol=0.0, atol=1e-12):
+        raise ConfigMismatch("trajectories use different time steps")
+    h = other.grid.n_halo
+    for side in (slice(None, h), slice(-h, None)):
+        uh, vh = u[:, side], v[:, side]
+        if ordered and not np.all(uh <= vh):
+            raise ConfigMismatch("trajectories carry unordered exterior data")
+        if not ordered and not np.array_equal(uh, vh):
+            raise ConfigMismatch("trajectories carry different exterior data")
+    return new, u, v
+
+
 class L1Series:
     """Observer of a march (`solve`, `replay`): dx * sum |u - v| on the
     interior at every step it sees, u the march and v the stored trajectory
-    `other`, which must store every step on the same times with the same
-    exterior data (`ConfigMismatch`)."""
+    `other`, which must store every step and be comparable (`paired_rows`)."""
 
     def __init__(self, other: Trajectory):
         other.require_every_step()
@@ -308,25 +339,8 @@ class L1Series:
         self.seen = 0
 
     def __call__(self, rows, times, block):
-        other = self.other
-        if rows.stop >= len(other.times):
-            raise ConfigMismatch("trajectories use different time steps")
-        if block.shape[1] != other.states.shape[1]:
-            raise ConfigMismatch("trajectories live on different grids")
-        # row 0 of a later block is the last row of the one before
-        first = 1 if rows.start else 0
-        new = slice(rows.start + first, rows.stop + 1)
-        u = block[first:]
-        v = other.states[new]
-        if not np.allclose(times[first:], other.times[new], rtol=0.0,
-                           atol=1e-12):
-            raise ConfigMismatch("trajectories use different time steps")
-        h = other.grid.n_halo
-        for side in (slice(None, h), slice(-h, None)):
-            if not np.array_equal(u[:, side], v[:, side]):
-                raise ConfigMismatch(
-                    "trajectories carry different exterior data")
-        inside = other.grid.interior
+        new, u, v = paired_rows(self.other, rows, times, block)
+        inside = self.other.grid.interior
         self.out[new] = np.abs(u[:, inside] - v[:, inside]).sum(axis=1)
         self.seen = rows.stop + 1
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadRadii, HaloTooSmall, ShapeMismatch
-from .measures import LevyMeasure
+from .measures import LevyMeasure, validate_measure
 from .multiplier import MultiplierEval
 
 BLOCK_VALUES = 1 << 16       # values per block of rows in batched passes
@@ -75,13 +75,14 @@ def build_stencil(measure: LevyMeasure, dx: float, r: float,
     are binned by their positive representative, preserving symmetry exactly);
     a continuous leaf gives each cell half its `mass_between` on the cell
     intersected with [r, Z], the band mass the truncations, tails and moments
-    use.  Offsets are always 1..K.  The measure's structural checks run first
-    (no quadrature), so a nonpositive or unmirrored atom raises NonSymmetric
-    instead of yielding a non-monotone stencil.
+    use.  Offsets are always 1..K.  `validate_measure` runs first, so a
+    nonpositive or unmirrored atom raises NonSymmetric instead of yielding a
+    non-monotone stencil, and a levy moment that is not finite raises
+    DivergentLevyMoment instead of yielding inf weights.
     """
     if not (0.0 < dx <= r <= Z):
         raise BadRadii(f"need 0 < dx <= r <= Z, got dx={dx}, r={r}, Z={Z}")
-    measure.validate()
+    validate_measure(measure)
     K = max(1, int(round(Z / dx)))
     Z_eff = K * dx
     weights = np.zeros(K)

@@ -130,6 +130,25 @@ def test_order_preservation_with_ordered_exterior():
     assert analysis.order_preservation_check(a, b).passed
 
 
+def test_order_preservation_refuses_runs_that_are_not_comparable():
+    # the L1 series' rule, with ordered halos in place of equal ones: an
+    # exterior of v below that of u, or other times on as many steps, is
+    # refused instead of compared
+    spec = make_problem("burgers", "identity", "bump", T=0.2)
+    low = run(spec, single_atom(), 1 / 32, Z=0.5, dt=0.01)
+    high = run(replace(spec, exterior=exterior_constant(0.5)), single_atom(),
+               1 / 32, Z=0.5, dt=0.01)
+    res = analysis.order_preservation_check(low, high)
+    assert res.passed and res.worst_slack == 0.0
+    with pytest.raises(ConfigMismatch, match="unordered exterior data"):
+        analysis.order_preservation_check(high, low)
+    later = run(replace(spec, T=0.25), single_atom(), 1 / 32, Z=0.5,
+                dt=0.0125)
+    assert later.states.shape == low.states.shape
+    with pytest.raises(ConfigMismatch, match="different time steps"):
+        analysis.order_preservation_check(low, later)
+
+
 def test_mass_budget_identity():
     spec = make_problem("burgers", "identity", "riemann")
     res = analysis.mass_budget_check(run(spec, single_atom(z=0.1, w=0.5),

@@ -126,9 +126,15 @@ SOLVE_ARGS = ["--mode", "solve", "--problem", "burgers_bump", "--measure",
     (SOLVE_ARGS + ["--mode", "vanishing"], {"alpha": 3}),
     (SOLVE_ARGS + ["--mode", "stability"], {"alpha": 3}),
     (SOLVE_ARGS + ["--mode", "stability"], {"alpha": "x"}),
+    (SOLVE_ARGS + ["--mode", "picard"], {"k_max": "abc"}),
+    (SOLVE_ARGS + ["--mode", "picard"], {"tol": "x"}),
+    (SOLVE_ARGS + ["--mode", "vanishing"], {"n_list": [0]}),
+    (SOLVE_ARGS + ["--mode", "stability"], {"r_list": [0.25, 0]}),
 ], ids=["dt_zero", "dt_nan", "dt_negative", "dt_negative_unenforced",
         "picard_k_max_0", "picard_k_max_0_tol_0", "picard_infinite_mass",
-        "vanishing_alpha_3", "stability_alpha_3", "stability_alpha_text"])
+        "vanishing_alpha_3", "stability_alpha_3", "stability_alpha_text",
+        "picard_k_max_text", "picard_tol_text", "vanishing_n_list_0",
+        "stability_r_list_0"])
 def test_bad_run_parameter_exit_2(tmp_path, capsys, args, cfg):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
@@ -152,6 +158,37 @@ def test_auto_cfl_in_a_config_drops_its_dt_as_the_flag_does(tmp_path):
         dts[name] = json.loads((out / "report.json").read_text())["stats"][
             "dt"]
     assert dts["key"] == dts["flag"] == dts["none"] > 0.001 == dts["dt"]
+
+def test_overflowing_measure_exit_3(tmp_path, capsys):
+    # 2 * coeff overflows: the levy moment is inf, so no stencil of inf
+    # weights is written and no run divides by a CFL bound of 0
+    measure = json.dumps({"kind": "fractional", "alpha": 1.0, "coeff": 1e308,
+                          "lo": 0.1})
+    st = tmp_path / "st.csv"
+    assert main(["stencil", "--measure", measure, "--dx", "0.03125",
+                 "--r", "0.03125", "--Z", "1", "--out", str(st)]) == 3
+    assert not st.exists()
+    out = tmp_path / "o"
+    assert main(["run", "--mode", "solve", "--measure", measure,
+                 "--dx", "0.03125", "--Z", "0.5", "--auto-cfl",
+                 "--out", str(out)]) == 3
+    assert not (out / "trajectory.csv").exists()
+    assert capsys.readouterr().err.splitlines() == [
+        "runtime error: levy moment diverges"] * 2
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_cfl_bound_of_zero_exit_3(tmp_path, capsys):
+    # the flux's Lipschitz constant overflows to inf: a given dt and the
+    # automatic one are refused alike
+    problem = json.dumps({"flux": {"x": [0, 1e-10, 1], "y": [0, 1e300, 0]},
+                          "data": "bump"})
+    args = ["run", "--mode", "solve", "--problem", problem, "--measure",
+            "single_atom", "--dx", "0.03125", "--Z", "0.5"]
+    assert main(args + ["--dt", "0.001", "--out", str(tmp_path / "a")]) == 3
+    assert main(args + ["--auto-cfl", "--out", str(tmp_path / "b")]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and all("monotonicity bound" in ln for ln in err)
 
 
 def test_runtime_error_exit_3(tmp_path):

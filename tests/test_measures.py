@@ -6,7 +6,7 @@ from scipy import integrate
 
 from levyfv.errors import DivergentLevyMoment, MassAtOrigin, NonSymmetric
 from levyfv.measures import (AtomicSymmetric, DyadicA, DyadicB,
-                             FractionalRadial, RadialDensity, ScaledMeasure,
+                             FractionalRadial, ScaledMeasure,
                              SumMeasure, single_atom, truncate,
                              validate_measure, weighted_tv_distance,
                              zero_measure)
@@ -47,7 +47,8 @@ def test_mass_at_origin_rejected():
 
 
 def test_divergent_levy_moment_detected():
-    bad = RadialDensity(g=lambda z: z ** -4)
+    # 2 * coeff overflows, so the closed-form moment is inf
+    bad = FractionalRadial(alpha=1.0, coeff=1e308)
     with pytest.raises(DivergentLevyMoment):
         validate_measure(bad)
 
@@ -149,6 +150,28 @@ def test_tv_mixed_kinds_split_singular_parts():
     assert weighted_tv_distance(mix, frac) == pytest.approx(2 * 0.3, rel=1e-12)
 
 
+def test_tv_generic_continuous_path():
+    # two leaves on one side, or two power laws, leave the closed form for
+    # the quadrature of the density difference
+    whole = truncate(FractionalRadial(alpha=1.0), 0.1)[1]
+    halves = SumMeasure(parts=(ScaledMeasure(factor=0.5, inner=whole),
+                               ScaledMeasure(factor=0.5, inner=whole)))
+    assert weighted_tv_distance(halves, whole) == 0.0
+    assert weighted_tv_distance(whole, halves) == 0.0
+    m = {al: truncate(FractionalRadial(alpha=al), 0.1)[1]
+         for al in (0.9, 1.0, 1.1)}
+    # 2 (int_0.1^1 (1 - z^0.1) dz + int_1^inf (z^-1.9 - z^-2) dz)
+    exact = 2.0 * (0.9 - (1.0 - 0.1 ** 1.1) / 1.1 + 1.0 / 0.9 - 1.0)
+    assert weighted_tv_distance(m[0.9], m[1.0]) == pytest.approx(exact,
+                                                                 rel=1e-9)
+    for a, b, c in ((0.9, 1.0, 1.1), (1.0, 1.1, 0.9), (1.1, 0.9, 1.0)):
+        dab = weighted_tv_distance(m[a], m[b])
+        assert dab > 0.0
+        assert dab == weighted_tv_distance(m[b], m[a])
+        assert dab <= (weighted_tv_distance(m[a], m[c])
+                       + weighted_tv_distance(m[c], m[b]))
+
+
 def test_scaled_and_sum_compose():
     m = ScaledMeasure(factor=0.25, inner=DyadicB())
     assert m.levy_moment() == pytest.approx(0.25, rel=1e-12)
@@ -160,33 +183,6 @@ def test_zero_measure_is_empty():
     rep = validate_measure(zero_measure())
     assert rep.levy_moment == 0.0
     assert rep.total_mass == 0.0
-
-
-def test_radial_density_agrees_with_power_law_closed_forms():
-    # the same measure written as a raw density must reproduce the power-law
-    # moments, symbol, and stencil through the generic quadrature path
-    raw = RadialDensity(g=lambda z: z ** -2, finite_mass=False)
-    ref = FractionalRadial(alpha=1.0)
-    assert raw.levy_moment() == pytest.approx(ref.levy_moment(), rel=1e-8)
-    s_raw, out_raw = truncate(raw, 0.25)
-    s_ref, out_ref = truncate(ref, 0.25)
-    assert s_raw == pytest.approx(s_ref, rel=1e-9)
-    assert out_raw.total_mass() == pytest.approx(out_ref.total_mass(),
-                                                 rel=1e-9)
-    for xi in (0.7, 3.0, 11.0):
-        assert out_raw.multiplier_value(xi) == pytest.approx(
-            out_ref.multiplier_value(xi), rel=1e-6)
-
-
-def test_radial_density_stencil_matches_power_law():
-    from levyfv.stencil import build_stencil
-    raw = truncate(RadialDensity(g=lambda z: z ** -2, finite_mass=False),
-                   0.25)[1]
-    ref = truncate(FractionalRadial(alpha=1.0), 0.25)[1]
-    a = build_stencil(raw, 0.05, 0.25, 1.0)
-    b = build_stencil(ref, 0.05, 0.25, 1.0)
-    assert np.allclose(a.weights, b.weights, rtol=1e-8)
-    assert a.tau == pytest.approx(b.tau, rel=1e-9)
 
 
 def test_measure_config_composites():

@@ -1,13 +1,10 @@
-import math
-
 import numpy as np
 import pytest
 from scipy import integrate
 
 from levyfv.errors import BadRadii, HaloTooSmall, NonSymmetric, ShapeMismatch
-from levyfv.measures import (AtomicSymmetric, FractionalRadial, RadialDensity,
-                             ScaledMeasure, SumMeasure, single_atom,
-                             truncate, zero_measure)
+from levyfv.measures import (AtomicSymmetric, FractionalRadial, ScaledMeasure,
+                             SumMeasure, single_atom, truncate, zero_measure)
 from levyfv.multiplier import MultiplierEval
 from levyfv.stencil import (apply_stencil, bilinear_energy, build_stencil,
                             fourier_energy_check, zero_extended_energy)
@@ -60,16 +57,13 @@ def test_fractional_cell_masses_against_quadrature_oracle():
 
 
 def _one_sided_cell_mass(leaf, a, b):
-    """One side's mass of the cell [a, b] clipped to the leaf's window: the
-    closed form coeff (a^-alpha - b^-alpha) / alpha, or the quadrature of g."""
+    """One side's mass of the cell [a, b] clipped to the leaf's window, in
+    closed form: coeff (a^-alpha - b^-alpha) / alpha."""
     a, b = max(a, leaf.lo), min(b, leaf.hi)
     if a >= b:
         return 0.0
-    if isinstance(leaf, FractionalRadial):
-        al = leaf.alpha
-        return leaf.coeff * (a ** -al - b ** -al) / al
-    return integrate.quad(leaf.g, a, b, limit=200, epsabs=1e-12,
-                          epsrel=1e-10)[0]
+    al = leaf.alpha
+    return leaf.coeff * (a ** -al - b ** -al) / al
 
 
 CELL_MEASURES = [
@@ -81,8 +75,6 @@ CELL_MEASURES = [
         ScaledMeasure(factor=0.5, inner=FractionalRadial(alpha=1.9)),
         ScaledMeasure(factor=3.0,
                       inner=FractionalRadial(alpha=0.3, lo=0.2)))),
-    RadialDensity(g=lambda z: math.exp(-z * z) / z ** 1.5),
-    RadialDensity(g=lambda z: 1.0 / (1.0 + z) ** 3, lo=0.05, hi=0.6),
 ]
 CELL_GRIDS = [(1 / 32, 1 / 32, 1.0), (1 / 32, 1 / 16, 1.0),
               (1 / 64, 1 / 64, 0.5), (0.1, 0.1, 1.0), (0.02, 0.05, 0.77),

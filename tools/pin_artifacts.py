@@ -89,6 +89,20 @@ NONFINITE = {"mode": "solve", "problem": "burgers_bump",
              "enforce_cfl": False, "T": 40.0, "store_every": 7,
              "contraction": False}
 
+# tabulated flux and diffusion given inline (`problem_from_config`'s mapping
+# branch and `PiecewiseLinear`); the solve flux has f(0) != 0
+TABLE_SOLVE = {"mode": "solve", "problem": {
+    "flux": {"x": [-1, 0, 0.5, 2], "y": [0.3, 0.1, 0.6, 0.2]},
+    "diffusion": {"x": [-1, 0.2, 0.6, 2], "y": [0.5, 0.5, 1.0, 1.3]},
+    "data": "bump", "domain": [0.0, 2.0], "T": 0.2},
+    "measure": "single_atom", "dx": 1.0 / 32, "Z": 0.5, "energy": True,
+    "moduli": True}
+TABLE_PICARD = {"mode": "picard", "problem": {
+    "flux": {"x": [-1, 0, 2], "y": [0.2, 0.0, 1.0]},
+    "diffusion": {"x": [0, 1], "y": [0, 1]}, "data": "riemann_up", "T": 0.2},
+    "measure": {"kind": "atoms", "entries": [[0.25, 0.25]]},
+    "dx": 1.0 / 32, "Z": 0.5}
+
 
 def matrix():
     """(run name, CLI arguments, config written to cfg.json or None)."""
@@ -130,6 +144,8 @@ def matrix():
         ("picard_store_every_3", ["run"], PICARD_STORE_EVERY_3),
         ("stability_store_every_3", ["run"], STABILITY_STORE_EVERY_3),
         ("nonfinite", ["run"], NONFINITE),
+        ("table_solve", ["run"], TABLE_SOLVE),
+        ("table_picard", ["run"], TABLE_PICARD),
         ("flux_lf", ["run", "--mode", "solve", "--problem", "stefan_mixed",
                      "--measure", "single_atom", "--dx", "0.03125", "--Z",
                      "0.5", "--auto-cfl", "--flux", "lf"], None),
