@@ -40,7 +40,8 @@ from .errors import (
 )
 
 _INF = math.inf
-SYMBOL_REL_TOL = 1e-8     # relative error the symbol quadrature certifies
+# relative error the symbol and the weighted-TV quadratures certify
+SYMBOL_REL_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -511,7 +512,8 @@ def weighted_tv_distance(mu1: LevyMeasure, mu2: LevyMeasure) -> float:
     Atomic and absolutely continuous parts are mutually singular, so the
     distance splits cleanly.  Atoms of either measure at near-identical radii
     are one atom.  Continuous parts are compared in closed form when they
-    share a power law, by quadrature otherwise.
+    share a power law, by quadrature otherwise, whose summed error estimate
+    must stay within the symbol's rule (`QuadratureNotConverged`).
     """
     a1, c1 = _split_leaves(mu1)
     a2, c2 = _split_leaves(mu2)
@@ -573,6 +575,7 @@ def _continuous_tv(c1, c2):
                     *[leaf.hi for _, leaf in c1 + c2 if leaf.hi < _INF]})
     edges = [e for e in edges if e > 0.0]
     total = 0.0
+    error = 0.0
     prev = 0.0
     for e in edges + [_INF]:
         if e <= prev:
@@ -581,7 +584,12 @@ def _continuous_tv(c1, c2):
         v, err = integrate.quad(f, prev, e, limit=400, epsabs=1e-12,
                                 epsrel=1e-9)
         total += 2.0 * v
+        error += 2.0 * err
         prev = e
+    if error > max(SYMBOL_REL_TOL * abs(total), 1e-9):
+        raise QuadratureNotConverged(
+            f"weighted TV quadrature error {error:.2e} on a total of "
+            f"{total:.6e}")
     return total
 
 

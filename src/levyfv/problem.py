@@ -207,18 +207,26 @@ def diffusion_from_table(xs, ys) -> DiffusionFn:
 @dataclass(frozen=True)
 class ExteriorData:
     """Analytic exterior extension: value and optional closed-form
-    derivatives, all vectorized over x."""
+    derivatives, all vectorized over x.
+
+    `steady` states that `value` does not depend on t.  It is a fact about
+    the datum, not an option: `scheme.solve` then writes the halo once per
+    march, and `discretize`'s sampled data range is exact.  A moving datum
+    (`steady=False`) has its halo written at every step, and `solve`
+    certifies the CFL bound against the halos it wrote."""
 
     value: Callable            # (t, x) -> array
     dt: Callable | None = None
     grad: Callable | None = None
+    steady: bool = False
 
 
 def exterior_constant(c: float) -> ExteriorData:
     return ExteriorData(
         value=lambda t, x: np.full_like(np.asarray(x, dtype=float), c),
         dt=lambda t, x: np.zeros_like(np.asarray(x, dtype=float)),
-        grad=lambda t, x: np.zeros_like(np.asarray(x, dtype=float)))
+        grad=lambda t, x: np.zeros_like(np.asarray(x, dtype=float)),
+        steady=True)
 
 
 def exterior_smoothstep(x0: float, x1: float, left: float,
@@ -242,7 +250,7 @@ def exterior_smoothstep(x0: float, x1: float, left: float,
 
     return ExteriorData(value=value,
                         dt=lambda t, x: np.zeros_like(np.asarray(x, dtype=float)),
-                        grad=grad)
+                        grad=grad, steady=True)
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +313,8 @@ class DiscreteProblem:
 
     def refresh_halo(self, u_full: np.ndarray, t: float) -> None:
         """Write the extension at time t into the halo of `u_full` (leading
-        axes are a batch).  The extension is elementwise in x, so it is
+        axes are a batch, all written at t: one call covers every row of a
+        steady datum).  The extension is elementwise in x, so it is
         evaluated at the halo centers alone."""
         vals = np.asarray(self.spec.exterior.value(t, self.halo_x),
                           dtype=float)
@@ -320,8 +329,11 @@ def discretize(spec: ProblemSpec, dx: float,
     with an exterior halo.
 
     The recorded data range is taken over the sampled initial datum and the
-    exterior values on the halo at 33 times across [0, T]; it is exact for
-    the piecewise constant/plateau presets used in the tests.
+    exterior values on the halo at 33 times across [0, T].  For a steady
+    exterior it is exact, since every sample is the same halo; every preset
+    is steady.  For a moving one it is a sample: `scheme.solve` widens it by
+    the halos it writes and certifies the CFL bound on that before it steps
+    on them.
     """
     a, b = spec.domain
     n_halo = int(math.ceil(halo_width / dx - 1e-12))

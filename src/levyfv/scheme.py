@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -157,7 +158,9 @@ def time_grid(disc: DiscreteProblem, stencils, config: SchemeConfig,
     Every stencil must share `disc`'s halo.  dt is then rounded down so that
     a whole number of steps hits the horizon.  A given dt that is not
     positive and finite is refused (`ConfigParse`), and so is a CFL bound of
-    0 (`CflViolation`), which leaves no dt to pick."""
+    0 (`CflViolation`), which leaves no dt to pick, and a dt so small that
+    n_steps reaches 2**52 (`CflViolation`): the grid's consecutive times
+    would no longer be distinct doubles."""
     spec = disc.spec
     if dt is None:
         dt = config.dt
@@ -174,7 +177,31 @@ def time_grid(disc: DiscreteProblem, stencils, config: SchemeConfig,
                        else spec.T / 64.0)
         dt = min(dts)
     n_steps = max(1, int(math.ceil(spec.T / dt - 1e-12)))
+    if n_steps >= 2 ** 52:
+        raise CflViolation(f"dt={dt} needs {n_steps} steps to reach "
+                           f"T={spec.T}: the time grid cannot represent them")
     return spec.T / n_steps, n_steps
+
+
+def _certify_halos(halos: np.ndarray, times: np.ndarray, halo_range: tuple,
+                   dt: float, bound) -> tuple:
+    """Widen the running range `halo_range` by `halos`, one row of halo
+    values per time in `times`, and return it.  Refuse them (`CflViolation`,
+    naming the time of the first row that broke it) when the widened range
+    puts `bound(range)`, the CFL bound, below dt."""
+    lo = np.minimum.accumulate(np.minimum(halos.min(axis=1), halo_range[0]))
+    hi = np.maximum.accumulate(np.maximum(halos.max(axis=1), halo_range[1]))
+    # the bound shrinks as the range widens: the last row is the tightest
+    if dt > bound((float(lo[-1]), float(hi[-1]))) * (1.0 + 1e-9):
+        for k in range(len(halos)):
+            dtmax = bound((float(lo[k]), float(hi[k])))
+            if dt > dtmax * (1.0 + 1e-9):
+                raise CflViolation(
+                    f"exterior datum at t={float(times[k])} leaves the "
+                    f"range the CFL bound was taken on: dt={dt} above "
+                    f"monotonicity bound {dtmax} on "
+                    f"({float(lo[k])}, {float(hi[k])})")
+    return float(lo[-1]), float(hi[-1])
 
 
 def step(u_full: np.ndarray, disc: DiscreteProblem, stencil: StencilWeights,
@@ -219,9 +246,20 @@ def solve(spec: ProblemSpec, stencil: StencilWeights, config: SchemeConfig,
     the halo of step n is `exterior.value(times[n], halo_x)`.
 
     The march goes in the blocks `row_blocks(n_steps, n_full)`, each in one
-    reused buffer.  After each block's steps its new interior values are
-    checked to be finite (`NonfiniteValue`, naming the start time of the
-    first step that was not); then every observer is called as
+    reused buffer.  The halo is written on one of two paths:
+    - a steady exterior (`ExteriorData.steady`) is written into every row
+      of the buffer by one `refresh_halo` call before the march; `step`
+      writes interiors only and the last row carries the halo into the
+      next block, so it is never written again;
+    - a moving exterior has the halos of a block's rows written first, one
+      `refresh_halo` per row at its time.  With `config.enforce_cfl` they
+      are then certified before the block is stepped: the data range
+      widened by every halo written so far must keep dt within the CFL
+      bound, else `CflViolation` names the time of the first halo row that
+      broke it.
+    After each block's steps its new interior values are checked to be
+    finite (`NonfiniteValue`, naming the start time of the first step that
+    was not); then every observer is called as
     `observer(rows, times, block)` with the full-grid states of steps
     `rows.start .. rows.stop` inclusive and their times, so observers see
     every step, and the steps n with `n % config.store_every == 0` are
@@ -241,22 +279,31 @@ def solve(spec: ProblemSpec, stencil: StencilWeights, config: SchemeConfig,
     flux_pair = _numerical_flux(config, spec, spec.flux.lipschitz_on(lo, hi))
 
     every = config.store_every
+    steady = spec.exterior.steady
     times = np.linspace(0.0, spec.T, n_steps + 1)
     interior = disc.grid.interior
     blocks = row_blocks(n_steps, disc.grid.n_full)
     states = np.empty((n_steps // every + 1, disc.grid.n_full))
     work = np.empty((blocks[0].stop + 1, disc.grid.n_full))
     work[0, interior] = disc.u0
-    disc.refresh_halo(work[0], times[0])
+    disc.refresh_halo(work if steady else work[0], times[0])
     states[0] = work[0]
+    halo_range = drange
     wall = time.perf_counter()
     for rows in blocks:
         block = work[:rows.stop - rows.start + 1]
+        if not steady:
+            for i, n in enumerate(range(rows.start, rows.stop)):
+                disc.refresh_halo(block[i + 1], times[n + 1])
+            if config.enforce_cfl:
+                halo_range = _certify_halos(
+                    block[1:, disc.grid.halo_mask()],
+                    times[rows.start + 1:rows.stop + 1], halo_range, dt,
+                    partial(cfl_max_dt, cfl_spec, stencil, config.dx))
         for i, n in enumerate(range(rows.start, rows.stop)):
             src = source_states[n] if source_states is not None else None
             block[i + 1, interior] = step(block[i], disc, stencil, config,
                                           dt, source=src, flux_pair=flux_pair)
-            disc.refresh_halo(block[i + 1], times[n + 1])
         finite = np.isfinite(block[1:, interior]).all(axis=1)
         if not finite.all():
             n = rows.start + int(np.argmin(finite))
@@ -422,8 +469,11 @@ def picard_solve(spec: ProblemSpec, measure: LevyMeasure,
                       states=np.zeros((n_steps + 1, grid.n_full)), disc=disc,
                       stencil=stencil, config=config,
                       stats={"dt": dt, "n_steps": n_steps})
-    for t, state in zip(prev.times, prev.states):
-        disc.refresh_halo(state, t)
+    if spec.exterior.steady:
+        disc.refresh_halo(prev.states, prev.times[0])
+    else:
+        for t, state in zip(prev.times, prev.states):
+            disc.refresh_halo(state, t)
 
     gaps: list[float] = []
     first_norm = None

@@ -191,6 +191,21 @@ def test_cfl_bound_of_zero_exit_3(tmp_path, capsys):
     assert len(err) == 2 and all("monotonicity bound" in ln for ln in err)
 
 
+def test_unrepresentable_step_count_exit_3(tmp_path, capsys):
+    # a positive but tiny CFL bound asks for about 3.4e306 steps, which no
+    # time grid of doubles can hold: refused before anything is marched
+    problem = json.dumps({"flux": {"x": [0, 1e-5, 1], "y": [0, 1e300, 0]},
+                          "data": "bump"})
+    out = tmp_path / "o"
+    assert main(["run", "--mode", "solve", "--problem", problem, "--measure",
+                 "single_atom", "--dx", "0.03125", "--Z", "0.5",
+                 "--auto-cfl", "--out", str(out)]) == 3
+    assert not (out / "trajectory.csv").exists()
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("runtime error: ")
+    assert "cannot represent" in err[0]
+
+
 def test_runtime_error_exit_3(tmp_path):
     # explicit dt above the monotonicity bound with enforcement on
     cfg = tmp_path / "cfg.json"

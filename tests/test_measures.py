@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from levyfv.errors import DivergentLevyMoment, MassAtOrigin, NonSymmetric
+from levyfv.errors import DivergentLevyMoment, MassAtOrigin, NonSymmetric, \
+    QuadratureNotConverged
 from levyfv.measures import (AtomicSymmetric, DyadicA, DyadicB,
                              FractionalRadial, ScaledMeasure,
                              SumMeasure, single_atom, truncate,
@@ -170,6 +171,21 @@ def test_tv_generic_continuous_path():
         assert dab == weighted_tv_distance(m[b], m[a])
         assert dab <= (weighted_tv_distance(m[a], m[c])
                        + weighted_tv_distance(m[c], m[b]))
+
+
+def test_tv_generic_quadrature_refuses_an_uncertified_total(monkeypatch):
+    # the generic path sums each piece's error estimate and certifies the
+    # total under the symbol's rule, as the symbol quadrature does
+    m = {al: truncate(FractionalRadial(alpha=al), 0.1)[1] for al in (0.9, 1.0)}
+    real = integrate.quad
+
+    def loose(*args, **kwargs):
+        v, err = real(*args, **kwargs)
+        return v, 1e-3
+
+    monkeypatch.setattr(integrate, "quad", loose)
+    with pytest.raises(QuadratureNotConverged, match="weighted TV"):
+        weighted_tv_distance(m[0.9], m[1.0])
 
 
 def test_scaled_and_sum_compose():

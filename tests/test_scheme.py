@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -509,6 +510,88 @@ def test_picard_iterate_zero_writes_its_halos_on_the_stored_times(
     assert seen == times * 3
 
 
+def _same_run(a, b):
+    assert a.times.tobytes() == b.times.tobytes()
+    assert a.states.tobytes() == b.states.tobytes()
+    assert ({k: v for k, v in a.stats.items() if k != "wall_time_s"}
+            == {k: v for k, v in b.stats.items() if k != "wall_time_s"})
+
+
+@pytest.mark.parametrize("every", [1, 7])
+@pytest.mark.parametrize("measure", [
+    zero_measure(), single_atom(), FractionalRadial(alpha=1.0, lo=1 / 16)],
+    ids=["none", "single_atom", "fractional"])
+@pytest.mark.parametrize("preset", sorted(PROBLEM_PRESETS))
+def test_steady_halo_written_once_equals_the_per_row_halo(preset, measure,
+                                                          every):
+    # the halo written once before the march is carried by `step` and the
+    # block buffer: every stored state equals the moving path's, bit for bit
+    spec = PROBLEM_PRESETS[preset]()
+    assert spec.exterior.steady
+    moving = replace(spec, exterior=replace(spec.exterior, steady=False))
+    c = conf(1 / 64, Z=0.5, store_every=every)
+    st = build_stencil(measure, c.dx, c.r, c.Z)
+    _same_run(solve(spec, st, c), solve(moving, st, c))
+
+
+def test_steady_halo_is_carried_across_blocks(monkeypatch):
+    from levyfv import stencil
+    spec = PROBLEM_PRESETS["burgers_riemann"]()
+    moving = replace(spec, exterior=replace(spec.exterior, steady=False))
+    c = conf(1 / 64, Z=0.5, store_every=7)
+    st = build_stencil(single_atom(), c.dx, c.r, c.Z)
+    n_full = scheme.discretize(spec, c.dx, st.Z).grid.n_full
+    monkeypatch.setattr(stencil, "BLOCK_VALUES", 5 * n_full)
+    steady = solve(spec, st, c)
+    assert steady.stats["n_steps"] > 3 * 5
+    _same_run(steady, solve(moving, st, c))
+
+
+@pytest.mark.parametrize("preset", sorted(PROBLEM_PRESETS))
+def test_preset_exteriors_are_steady(preset):
+    spec = PROBLEM_PRESETS[preset]()
+    halo_x = scheme.discretize(spec, 1 / 64, 0.5).halo_x
+    first = spec.exterior.value(0.0, halo_x)
+    assert spec.exterior.steady
+    for t in (0.3, spec.T):
+        assert (np.asarray(spec.exterior.value(t, halo_x)).tobytes()
+                == np.asarray(first).tobytes())
+
+
+def _pulse_spec(peak):
+    # a smooth, bounded exterior pulse between the data range's samples at
+    # t = 0 and t = 1/64, so the sampled range (0, 1) misses it
+    base = make_problem("burgers", "identity", "riemann", T=0.5)
+    pulse = ExteriorData(value=lambda t, x: np.full_like(
+        np.asarray(x, float),
+        peak * math.exp(-((t - 1 / 128) / (1 / 512)) ** 2)))
+    return replace(base, exterior=pulse)
+
+
+@pytest.mark.parametrize("peak", [1.5, 2.0, 4.0])
+def test_moving_halo_outside_the_cfl_range_is_refused_before_stepping(peak):
+    c = conf(1 / 128, Z=0.25)
+    st = build_stencil(single_atom(), c.dx, c.r, c.Z)
+    spec = _pulse_spec(peak)
+    disc = scheme.discretize(spec, c.dx, st.Z)
+    assert disc.data_range == (0.0, 1.0)
+    dt, _ = scheme.time_grid(disc, [st], c)
+    with pytest.raises(CflViolation) as exc:
+        solve(spec, st, c)
+    assert f"exterior datum at t={2 * dt} " in str(exc.value)
+    assert 2 * dt == 0.007352941176470588
+
+
+def test_moving_halo_within_the_cfl_bound_runs():
+    # the halo leaves the sampled range, yet dt stays within the bound on
+    # the halos actually written
+    c = conf(1 / 128, Z=0.25)
+    traj = solve(_pulse_spec(1.1), build_stencil(single_atom(), c.dx, c.r,
+                                                 c.Z), c)
+    assert traj.stats["data_range"] == (0.0, 1.0)
+    assert traj.states[:, traj.grid.halo_mask()].max() > 1.0
+
+
 def test_trajectories_on_different_grids_not_comparable():
     spec = make_problem("burgers", "zero", "riemann")
     a = solve(spec, build_stencil(zero_measure(), 1 / 32, 1 / 32, 0.125),
@@ -522,7 +605,6 @@ def test_trajectories_on_different_grids_not_comparable():
 def test_null_stencil_solve_skips_the_jump_term(monkeypatch):
     # the datum holds -0.0 cells, which the zero jump term's `+ dt * 0.0`
     # turned into +0.0
-    from dataclasses import replace
     base = make_problem("burgers", "identity", "riemann", T=0.1)
     spec = replace(base, u0=lambda x: np.where(np.asarray(x) < 0.5, 1.0, -0.0))
     c = conf(1 / 64, Z=0.125)
@@ -541,12 +623,12 @@ def test_null_stencil_solve_skips_the_jump_term(monkeypatch):
         "refresh_halo", DiscreteProblem.refresh_halo))
     traj = solve(spec, st, c)
     n_steps = traj.stats["n_steps"]
-    # solve writes every stored halo, the initial one included
-    assert counts == {"step": n_steps, "jump_term": 0,
-                      "refresh_halo": n_steps + 1}
+    # the smoothstep exterior is steady: solve writes every stored halo,
+    # the initial one included, in one call before the march
+    assert counts == {"step": n_steps, "jump_term": 0, "refresh_halo": 1}
     frozen = solve(spec, st, c, dt_override=traj.stats["dt"],
                    source_states=np.zeros((n_steps, traj.grid.n)))
-    assert counts["refresh_halo"] == 2 * (n_steps + 1)
+    assert counts["refresh_halo"] == 2
     assert frozen.states.tobytes() == traj.states.tobytes()
     assert np.signbit(traj.states[0]).any()
     assert not np.signbit(traj.states[1:]).any()
@@ -630,7 +712,6 @@ def _thinned_case(name, every):
 @pytest.mark.parametrize("every", [1, 7])
 @pytest.mark.parametrize("name", sorted(THINNED_STENCILS))
 def test_thinned_solve_stores_every_kth_state_of_the_full_one(name, every):
-    from dataclasses import replace
     spec, st, c = _thinned_case(name, every)
     full = solve(spec, st, replace(c, store_every=1))
     seen = []
@@ -676,7 +757,6 @@ def test_passes_over_consecutive_steps_refuse_a_thinned_trajectory(name):
 
 
 def test_picard_frozen_source_refuses_a_thinned_iterate(monkeypatch):
-    from dataclasses import replace
     real_solve = scheme.solve
 
     def thinning_solve(spec, stencil, config, **kwargs):

@@ -83,6 +83,14 @@ PICARD_STORE_EVERY_3 = {"mode": "picard", "problem": "burgers_bump",
                         "store_every": 3}
 STABILITY_STORE_EVERY_3 = {"mode": "stability", "problem": "burgers_bump",
                            "dx": 1.0 / 32, "Z": 1.0, "store_every": 3}
+# marches of several `row_blocks` blocks, which carry the halo from one block
+# to the next
+MULTI_BLOCK_NONE = {"mode": "solve", "problem": "burgers_riemann",
+                    "measure": "none", "dx": 1.0 / 1024, "Z": 1.0 / 64,
+                    "store_every": 16}
+MULTI_BLOCK_ATOM = {"mode": "solve", "problem": "burgers_bump",
+                    "measure": "single_atom", "dx": 1.0 / 256, "Z": 0.5,
+                    "store_every": 16}
 # a step far above the CFL bound overflows mid-run: exit 3 names its time
 NONFINITE = {"mode": "solve", "problem": "burgers_bump",
              "measure": "single_atom", "dx": 1.0 / 32, "Z": 0.5, "dt": 0.9,
@@ -143,6 +151,8 @@ def matrix():
         ("energy_store_every_5", ["run"], ENERGY_STORE_EVERY_5),
         ("picard_store_every_3", ["run"], PICARD_STORE_EVERY_3),
         ("stability_store_every_3", ["run"], STABILITY_STORE_EVERY_3),
+        ("multi_block_none", ["run", "--auto-cfl"], MULTI_BLOCK_NONE),
+        ("multi_block_atom", ["run", "--auto-cfl"], MULTI_BLOCK_ATOM),
         ("nonfinite", ["run"], NONFINITE),
         ("table_solve", ["run"], TABLE_SOLVE),
         ("table_picard", ["run"], TABLE_PICARD),
