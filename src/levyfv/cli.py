@@ -82,14 +82,15 @@ def write_report(path, payload):
 
 def write_trajectory_csv(path, traj, every=1):
     """`t,cell_index,u` rows for every `every`-th stored time, written one
-    joined string per time."""
+    joined string per time; each cell's `,i,` is built once."""
     with open(path, "w") as fh:
         fh.write("t,cell_index,u\n")
         interior = traj.interior()
+        cells = [f",{i}," for i in range(interior.shape[1])]
         for n in range(0, len(traj.times), every):
             t = repr(float(traj.times[n]))
-            fh.write("".join([f"{t},{i},{v!r}\n"
-                              for i, v in enumerate(interior[n].tolist())]))
+            fh.write("".join([f"{t}{c}{v}\n" for c, v in
+                              zip(cells, map(repr, interior[n].tolist()))]))
 
 
 def write_gaps_csv(path, gaps):

@@ -20,15 +20,12 @@ class DivergentLevyMoment(LevyFvError):
 
 
 class QuadratureNotConverged(LevyFvError):
-    """Adaptive quadrature error estimate above its certified tolerance."""
+    """Adaptive quadrature error estimate above its certified tolerance, or a
+    continued fraction not converged within its iteration cap."""
 
 
 class EmptyGrid(LevyFvError):
     """Frequency sampling grid contains no admissible points."""
-
-
-class UnsupportedPair(LevyFvError):
-    """Measure pair is structurally incomparable."""
 
 
 # -- discretization -----------------------------------------------------------

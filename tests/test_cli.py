@@ -240,6 +240,20 @@ def test_scan_csv(tmp_path):
     assert all(float(r["m"]) >= 0.0 for r in rows)
 
 
+def test_scan_of_a_stable_symbol_near_alpha_2(tmp_path):
+    # the oscillatory quadrature missed its error target here (exit 3 at
+    # xi = 2.5); the closed form matches the series oracle
+    from test_multiplier import stable_band_symbol
+    out = tmp_path / "scan.csv"
+    assert main(["scan", "--measure", '{"kind":"fractional","alpha":1.9}',
+                 "--xi-max", "10", "--num", "5", "--out", str(out)]) == 0
+    rows = read_csv(out)
+    assert [float(r["xi"]) for r in rows] == [0.0, 2.5, 5.0, 7.5, 10.0]
+    for r in rows:
+        exact = stable_band_symbol(float(r["xi"]), 1.9, 0.0, float("inf"))
+        assert float(r["m"]) == pytest.approx(exact, rel=1e-12, abs=0.0)
+
+
 def test_scan_failure_writes_no_csv(tmp_path, capsys, monkeypatch):
     # the symbol fails at one frequency of the scan, after earlier ones
     # succeeded: exit 3, the frequency named, and no partial CSV

@@ -175,7 +175,7 @@ def test_tv_generic_continuous_path():
 
 def test_tv_generic_quadrature_refuses_an_uncertified_total(monkeypatch):
     # the generic path sums each piece's error estimate and certifies the
-    # total under the symbol's rule, as the symbol quadrature does
+    # total under SYMBOL_REL_TOL
     m = {al: truncate(FractionalRadial(alpha=al), 0.1)[1] for al in (0.9, 1.0)}
     real = integrate.quad
 

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from levyfv.errors import EmptyGrid
+from levyfv import measures
+from levyfv.errors import EmptyGrid, QuadratureNotConverged
 from levyfv.measures import (DyadicA, DyadicB, FractionalRadial,
                              single_atom, truncate)
 from levyfv.multiplier import MultiplierEval, multiplier_inf_estimate
@@ -153,3 +154,75 @@ def test_truncated_fractional_symbol_converges_on_the_whole_scan():
     exact = np.array([truncated_stable_symbol(xi, 0.7, 1 / 32) for xi in xis])
     assert np.all(np.abs(got - exact) <= np.maximum(1e-8 * np.abs(exact),
                                                     1e-9))
+
+
+def stable_band_symbol(xi: float, alpha: float, lo: float, hi: float) -> float:
+    """2 int_lo^hi (1 - cos(xi z)) z^(-1-alpha) dz = 2 |xi|^alpha (F(|xi| hi)
+    - F(|xi| lo)) with mpmath, F(y) = int_0^y (1 - cos s) s^(-1-alpha) ds.
+    Up to y = 250, F is the power series of `truncated_stable_symbol`,
+    summed at y/2.3 + 40 digits: its terms grow to about e^y before they
+    cancel.  Beyond, F(y) = C - T(y) with the tail
+    T(y) = y^(-alpha)/alpha - Re(e^(-i pi alpha/2) Gamma(-alpha, -iy)) and
+    mpmath's incomplete gamma function at 40 digits."""
+    import mpmath as mp
+
+    def F(y):
+        if y == 0:
+            return mp.mpf(0)
+        if y == mp.inf or y > 250:
+            c = mp.pi / (2 * mp.gamma(1 + al) * mp.sin(mp.pi * al / 2))
+            if y == mp.inf:
+                return c
+            return c - (y ** -al / al - mp.re(mp.exp(-1j * mp.pi * al / 2)
+                                              * mp.gammainc(-al, -1j * y)))
+        with mp.workdps(int(y / 2.3) + 40):
+            term, s, k = y * y / 2, mp.mpf(0), 1
+            while abs(term) > mp.mpf(10) ** -(mp.mp.dps + 5):
+                s += term / (2 * k - al)
+                term *= -y * y / ((2 * k + 1) * (2 * k + 2))
+                k += 1
+            return y ** -al * s
+
+    if xi == 0.0:
+        return 0.0
+    with mp.workdps(40):
+        x, al = abs(mp.mpf(xi)), mp.mpf(alpha)
+        band = F(x * mp.mpf(hi)) - F(x * mp.mpf(lo))
+        return float(2 * x ** al * band)
+
+
+# frequencies from 0 to 1e8 and negative ones; bands whose ends both lie
+# below, on both sides of, and both above the switch to the tails; alpha
+# near 0 and 2, where a band's two ends would cancel in F(yb) - F(ya)
+BAND_XIS = (-1e8, -37.5, 0.0, 0.3, 2.5, 7.9, 16.0, 100.0, 250.0, 1e3, 1e5,
+            1e8)
+
+
+@pytest.mark.parametrize("alpha, lo, hi", [
+    (0.7, 1 / 16, 0.75), (1.5, 0.0, 1.25), (0.05, 0.0, math.inf),
+    (1.0, 0.0, math.inf), (1.9, 0.0, math.inf), (1.95, 0.0, math.inf),
+    (0.05, 1 / 16, 0.75), (1.0, 1 / 16, 0.75), (1.95, 1 / 16, 0.75),
+    (1.0, 1 / 16, math.inf), (1.95, 0.0, 1.25), (1.9999, 1 / 16, math.inf),
+    (1e-3, 1 / 16, 0.75), (1.95, 0.3, 0.35)])
+def test_power_law_band_symbol_matches_high_precision_reference(alpha, lo,
+                                                                hi):
+    ev = MultiplierEval(FractionalRadial(alpha=alpha, lo=lo, hi=hi))
+    for xi in BAND_XIS:
+        exact = stable_band_symbol(xi, alpha, lo, hi)
+        assert ev.m(xi) == pytest.approx(exact, rel=1e-13, abs=0.0), xi
+
+
+def test_cosine_tail_refuses_to_return_an_unconverged_value(monkeypatch):
+    # a continued fraction cut at its iteration cap is never returned: every
+    # band that reaches past the switch to the tails needs more than 3 steps
+    # there, also one that lies above it whole (lo = 1/16, xi = 1e3)
+    monkeypatch.setattr(measures, "TAIL_MAX_ITER", 3)
+    for measure in (FractionalRadial(alpha=1.0),
+                    FractionalRadial(alpha=1.0, lo=1 / 16),
+                    FractionalRadial(alpha=1.5, hi=1.25)):
+        for xi in (10.0, 1e3):
+            with pytest.raises(QuadratureNotConverged, match="y="):
+                MultiplierEval(measure).m(xi)
+    # a band below the switch is the series alone
+    assert MultiplierEval(FractionalRadial(alpha=1.5, hi=1.25)).m(3.0) == (
+        pytest.approx(stable_band_symbol(3.0, 1.5, 0.0, 1.25), rel=1e-14))
