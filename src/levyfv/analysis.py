@@ -565,15 +565,41 @@ def mollification_bound_suite(diffusions, rng, trials: int = 10000) -> dict:
             "trials": per * len(diffusions)}
 
 
+def _interp_rows(x: np.ndarray, grid: np.ndarray,
+                 vals: np.ndarray) -> np.ndarray:
+    """np.interp of each row of x on the same row of (grid, vals), whose rows
+    are uniform grids: the cell index comes from the row's spacing, is
+    corrected by exact comparisons with the grid, and the value is
+    np.interp's own formula, with its ends (either end clamps; x at the right
+    end takes the right value)."""
+    last = grid.shape[1] - 1
+    base = np.arange(0, grid.size, grid.shape[1])[:, None]  # row starts
+    g, v = grid.ravel(), vals.ravel()
+    g0 = grid[:, :1]
+    c = np.floor((x - g0) / (grid[:, 1:2] - g0)).clip(0, last - 1)
+    c = base + c.astype(np.intp)
+    c = np.maximum(c - (g[c] > x), base)
+    c = np.minimum(c + (g[c + 1] <= x), base + last - 1)
+    x0, y0 = g[c], v[c]
+    out = (v[c + 1] - y0) / (g[c + 1] - x0) * (x - x0) + y0
+    out = np.where(x >= grid[:, last:], vals[:, last:], out)
+    return np.where(x < g0, vals[:, :1], out)
+
+
 def mean_bound_check(positions: np.ndarray, masses: np.ndarray,
-                     grid: np.ndarray, hvals: np.ndarray,
-                     L: float, R: float) -> float:
-    """Slack of h(mean)^2 <= L R mean(h) for one discrete probability measure
-    and one V-shaped Lipschitz h given on `grid`."""
-    s_bar = float(np.dot(masses, positions))
-    h_bar = float(np.dot(masses, np.interp(positions, grid, hvals)))
-    h_at = float(np.interp(s_bar, grid, hvals))
-    return L * R * h_bar - h_at ** 2
+                     grid: np.ndarray, hvals: np.ndarray, L, R):
+    """Slack of h(mean)^2 <= L R mean(h) for a discrete probability measure
+    and a V-shaped Lipschitz h given on a uniform `grid`.  A leading axis
+    holds trials, one per row (L and R then one per row, rows of fewer atoms
+    padded with zero masses) and gives one slack per trial; 1-D arrays give
+    a float."""
+    one = np.ndim(positions) == 1
+    p, m, g, h = (np.atleast_2d(a) for a in (positions, masses, grid, hvals))
+    s_bar = (m * p).sum(axis=1)
+    h_bar = (m * _interp_rows(p, g, h)).sum(axis=1)
+    h_at = _interp_rows(s_bar[:, None], g, h)[:, 0]
+    slack = L * R * h_bar - h_at ** 2
+    return float(slack[0]) if one else slack
 
 
 def mean_bound_suite(rng, trials: int = 10000) -> dict:
@@ -583,31 +609,51 @@ def mean_bound_suite(rng, trials: int = 10000) -> dict:
     <= L away from 0 in both directions (V-shaped, h(0) = 0, Lipschitz
     constant <= L); the probability measure kappa is a random atomic
     measure of at most 32 atoms on [-R, R].
+
+    Each trial draws, in this order: `rng.random(66)` for R, L (uniform on
+    [0.1, 10]) and the 32 slopes right of 0, then the 32 left of it (uniform
+    on [0, L]); `rng.integers(1, 33)` for the number n of atoms;
+    `rng.random(2 n)` for their positions (uniform on [-R, R]), then their
+    masses.  Every value is uniform's own `low + (high - low) u`, so these
+    are the draws of one `rng.uniform` call per quantity.  The trials are
+    drawn and checked in the row blocks `row_blocks(trials, 65)` cuts, so
+    no array holds all of them.
     """
     max_atoms, n_grid = 32, 65
     violations = 0
     worst = math.inf
     half = n_grid // 2
-    for _ in range(trials):
-        R = float(rng.uniform(0.1, 10.0))
-        L = float(rng.uniform(0.1, 10.0))
-        grid = np.linspace(-R, R, n_grid)
-        dxg = grid[1] - grid[0]
-        slopes_right = rng.uniform(0.0, L, size=half)
-        slopes_left = rng.uniform(0.0, L, size=half)
-        h = np.empty(n_grid)
-        h[half] = 0.0
-        h[half + 1:] = np.cumsum(slopes_right) * dxg
-        h[:half] = np.cumsum(slopes_left[::-1])[::-1] * dxg
-        n_atoms = int(rng.integers(1, max_atoms + 1))
-        positions = rng.uniform(-R, R, size=n_atoms)
-        masses = rng.uniform(0.0, 1.0, size=n_atoms)
-        masses = masses / masses.sum() if masses.sum() > 0 else \
-            np.full(n_atoms, 1.0 / n_atoms)
+    atoms = np.arange(max_atoms)
+    for block in row_blocks(trials, n_grid):
+        size = block.stop - block.start
+        u = np.empty((size, 2 + 2 * half))
+        n = np.empty(size, dtype=np.intp)
+        w = np.zeros((size, 2 * max_atoms))
+        for i in range(size):
+            rng.random(out=u[i])
+            k = n[i] = rng.integers(1, max_atoms + 1)
+            rng.random(out=w[i, :2 * k])
+        R = 0.1 + (10.0 - 0.1) * u[:, 0]
+        L = 0.1 + (10.0 - 0.1) * u[:, 1]
+        grid = np.linspace(-R, R, n_grid, axis=1)
+        dxg = (grid[:, 1] - grid[:, 0])[:, None]
+        right = L[:, None] * u[:, 2:2 + half]
+        left = L[:, None] * u[:, 2 + half:]
+        h = np.zeros((size, n_grid))
+        h[:, half + 1:] = np.cumsum(right, axis=1) * dxg
+        h[:, :half] = np.cumsum(left[:, ::-1], axis=1)[:, ::-1] * dxg
+        # padded atoms keep a position in [-R, R] and get zero mass
+        real = atoms < n[:, None]
+        positions = -R[:, None] + (R + R)[:, None] * w[:, :max_atoms]
+        masses = np.where(real, np.take_along_axis(w, n[:, None] + atoms, 1),
+                          0.0)
+        total = masses.sum(axis=1, keepdims=True)
+        masses = np.divide(masses, total, out=real / n[:, None],
+                           where=total > 0)
         slack = mean_bound_check(positions, masses, grid, h, L, R)
-        worst = min(worst, slack)
-        if slack < -1e-10 * (1.0 + L * R) ** 2:
-            violations += 1
+        worst = min(worst, float(slack.min()))
+        violations += int(np.count_nonzero(
+            slack < -1e-10 * (1.0 + L * R) ** 2))
     return {"violations": violations, "worst_slack": worst, "trials": trials}
 
 

@@ -21,6 +21,7 @@ tail masses use the strict inequality {|z| > Z}.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Iterator
@@ -234,8 +235,9 @@ class FractionalRadial(LevyMeasure):
         band = _stable_series(min(ya, SERIES_MAX_Y), min(yb, SERIES_MAX_Y), al)
         if yb > SERIES_MAX_Y:
             y0 = max(ya, SERIES_MAX_Y)
-            band += _power_band(y0, yb, -al) - (_cosine_tail(y0, al)
-                                                - _cosine_tail(yb, al))
+            tail0 = (_cosine_tail(y0, al) if ya > SERIES_MAX_Y
+                     else _switch_tail(al))
+            band += _power_band(y0, yb, -al) - (tail0 - _cosine_tail(yb, al))
         return self._coef() * x ** al * band
 
 
@@ -269,6 +271,13 @@ def _stable_series(ya, yb, alpha):
         k += 1
         term = (pb - pa) / (2 * k - alpha)
     return total
+
+
+@functools.lru_cache
+def _switch_tail(alpha):
+    """_cosine_tail at SERIES_MAX_Y, where every band that crosses the
+    switch starts its tails; it depends on alpha only."""
+    return _cosine_tail(SERIES_MAX_Y, alpha)
 
 
 def _cosine_tail(y, alpha):

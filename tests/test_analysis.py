@@ -1,4 +1,6 @@
+import functools
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -800,6 +802,112 @@ def test_mean_bound_randomized_suite():
     rng = np.random.default_rng(23)
     rep = analysis.mean_bound_suite(rng, trials=2000)
     assert rep["violations"] == 0
+
+
+@functools.lru_cache
+def mean_bound_oracle(seed, trials=10000):
+    """The suite as one loop over trials, with one `rng.uniform` call per
+    quantity and `np.interp`: (slack, violation threshold) per trial.  The
+    stream is the batched suite's, so any count of trials is a prefix."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(trials):
+        R = float(rng.uniform(0.1, 10.0))
+        L = float(rng.uniform(0.1, 10.0))
+        grid = np.linspace(-R, R, 65)
+        dxg = grid[1] - grid[0]
+        slopes_right = rng.uniform(0.0, L, size=32)
+        slopes_left = rng.uniform(0.0, L, size=32)
+        h = np.empty(65)
+        h[32] = 0.0
+        h[33:] = np.cumsum(slopes_right) * dxg
+        h[:32] = np.cumsum(slopes_left[::-1])[::-1] * dxg
+        n_atoms = int(rng.integers(1, 33))
+        positions = rng.uniform(-R, R, size=n_atoms)
+        masses = rng.uniform(0.0, 1.0, size=n_atoms)
+        masses = masses / masses.sum() if masses.sum() > 0 else \
+            np.full(n_atoms, 1.0 / n_atoms)
+        s_bar = float(np.dot(masses, positions))
+        h_bar = float(np.dot(masses, np.interp(positions, grid, h)))
+        h_at = float(np.interp(s_bar, grid, h))
+        out.append((L * R * h_bar - h_at ** 2, -1e-10 * (1.0 + L * R) ** 2))
+    return out
+
+
+# 1008 trials make one row block of the suite
+@pytest.mark.parametrize("trials", [1, 1007, 1008, 1009, 2017, 10000])
+@pytest.mark.parametrize("seed", [11, 12345, 23])
+def test_mean_bound_suite_matches_the_per_trial_loop(seed, trials):
+    assert len(row_blocks(trials, 65)) == -(-trials // 1008)
+    slack, threshold = np.array(mean_bound_oracle(seed)[:trials]).T
+    rep = analysis.mean_bound_suite(np.random.default_rng(seed), trials)
+    assert rep["trials"] == trials
+    assert rep["violations"] == int(np.count_nonzero(slack < threshold))
+    assert rep["worst_slack"] == pytest.approx(slack.min(), rel=1e-13,
+                                               abs=0.0)
+
+
+def test_mean_bound_check_batches_padded_rows():
+    rng = np.random.default_rng(5)
+    R, L = np.array([0.5, 2.0, 7.0]), np.array([3.0, 0.2, 1.0])
+    grid = np.linspace(-R, R, 65, axis=1)
+    slopes = L[:, None] * rng.random((3, 64)) * (grid[:, 1:2] - grid[:, :1])
+    h = np.zeros((3, 65))
+    h[:, 33:] = np.cumsum(slopes[:, :32], axis=1)
+    h[:, :32] = np.cumsum(slopes[:, 32:], axis=1)[:, ::-1]
+    # the first row sets atoms exactly on both grid ends
+    positions = np.array([[-R[0], R[0], 0.1, 0.0],
+                          [0.3, 0.0, 0.0, 0.0],
+                          [-6.5, 1.0, 3.25, 6.999]])
+    masses = np.array([[0.25, 0.5, 0.25, 0.0],
+                       [1.0, 0.0, 0.0, 0.0],
+                       [0.125, 0.375, 0.25, 0.25]])
+    counts = (3, 1, 4)
+    batched = analysis.mean_bound_check(positions, masses, grid, h, L, R)
+    assert batched.shape == (3,)
+    for i, n in enumerate(counts):
+        single = analysis.mean_bound_check(positions[i, :n], masses[i, :n],
+                                           grid[i], h[i], L[i], R[i])
+        assert isinstance(single, float)
+        assert batched[i] == pytest.approx(single, rel=1e-14, abs=1e-15)
+        h_bar = float(np.dot(masses[i, :n],
+                             np.interp(positions[i, :n], grid[i], h[i])))
+        h_at = float(np.interp(np.dot(masses[i, :n], positions[i, :n]),
+                               grid[i], h[i]))
+        assert single == pytest.approx(L[i] * R[i] * h_bar - h_at ** 2,
+                                       rel=1e-14, abs=1e-15)
+    # one atom on either end reads the end value of h itself
+    for end in (0, -1):
+        slack = analysis.mean_bound_check(grid[0, end:][:1], np.array([1.0]),
+                                          grid[0], h[0], L[0], R[0])
+        assert slack == L[0] * R[0] * h[0, end] - h[0, end] ** 2
+
+
+def test_interp_rows_is_np_interp_on_each_row():
+    rng = np.random.default_rng(8)
+    R = np.array([0.1, 1.0, 3.7, 10.0])
+    grid = np.linspace(-R, R, 65, axis=1)
+    vals = rng.random((4, 65))
+    # every node and its two neighbouring floats, points between the nodes,
+    # and points past either end
+    x = np.concatenate([grid, np.nextafter(grid, -np.inf),
+                        np.nextafter(grid, np.inf),
+                        (2.4 * rng.random((4, 50)) - 1.2) * R[:, None]],
+                       axis=1)
+    got = analysis._interp_rows(x, grid, vals)
+    for i in range(4):
+        assert np.array_equal(got[i], np.interp(x[i], grid[i], vals[i]))
+
+
+def test_mean_bound_suite_memory_stays_per_block():
+    # blocks of 1008 trials peak near 5 MB; all 10000 at once near 45 MB
+    tracemalloc.start()
+    try:
+        analysis.mean_bound_suite(np.random.default_rng(11), trials=10000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
 
 
 # -- gallery ---------------------------------------------------------------------

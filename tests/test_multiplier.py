@@ -128,12 +128,13 @@ def truncated_stable_symbol(xi: float, alpha: float, lo: float) -> float:
     mpmath at 30 digits: 2 xi^alpha (C - S(xi lo)), C the full integral
     int_0^inf (1 - cos s) s^(-1-alpha) ds and S(x) its part over [0, x],
     summed as its power series
-    S(x) = x^(-alpha) sum_k (-1)^(k+1) x^(2k) / ((2k)! (2k - alpha))."""
+    S(x) = x^(-alpha) sum_k (-1)^(k+1) x^(2k) / ((2k)! (2k - alpha)),
+    and S(0) = 0, so lo = 0 gives 2 C |xi|^alpha."""
     import mpmath as mp
     if xi == 0.0:
         return 0.0
     with mp.workdps(30):
-        xi, al = mp.mpf(xi), mp.mpf(alpha)
+        xi, al = abs(mp.mpf(xi)), mp.mpf(alpha)
         c = mp.pi / (2 * mp.gamma(1 + al) * mp.sin(mp.pi * al / 2))
         x = xi * mp.mpf(lo)
         term, s, k = x * x / 2, mp.mpf(0), 1   # (-1)^(k+1) x^(2k) / (2k)!
@@ -141,7 +142,19 @@ def truncated_stable_symbol(xi: float, alpha: float, lo: float) -> float:
             s += term / (2 * k - al)
             term *= -x * x / ((2 * k + 1) * (2 * k + 2))
             k += 1
-        return float(2 * xi ** al * (c - x ** -al * s))
+        return float(2 * xi ** al * (c - (x ** -al * s if x else 0)))
+
+
+@pytest.mark.parametrize("alpha", [0.05, 0.5, 1.0, 1.5, 1.95])
+def test_untruncated_fractional_symbol_matches_the_stable_constant(alpha):
+    # no truncation: m(xi) = 2 C_alpha |xi|^alpha, below, across and above
+    # the switch to the tails
+    ev = MultiplierEval(FractionalRadial(alpha=alpha))
+    for xi in (-7.9, 0.3, 2.5, 5.0, 7.9, 100.0, 1e4):
+        exact = truncated_stable_symbol(xi, alpha, 0.0)
+        assert exact == pytest.approx(
+            2.0 * stable_symbol_constant(alpha) * abs(xi) ** alpha, rel=1e-12)
+        assert ev.m(xi) == pytest.approx(exact, rel=1e-13, abs=0.0), xi
 
 
 def test_truncated_fractional_symbol_converges_on_the_whole_scan():
@@ -217,6 +230,7 @@ def test_cosine_tail_refuses_to_return_an_unconverged_value(monkeypatch):
     # band that reaches past the switch to the tails needs more than 3 steps
     # there, also one that lies above it whole (lo = 1/16, xi = 1e3)
     monkeypatch.setattr(measures, "TAIL_MAX_ITER", 3)
+    measures._switch_tail.cache_clear()  # the tail at the switch is cached
     for measure in (FractionalRadial(alpha=1.0),
                     FractionalRadial(alpha=1.0, lo=1 / 16),
                     FractionalRadial(alpha=1.5, hi=1.25)):
