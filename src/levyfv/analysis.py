@@ -161,6 +161,7 @@ class MassBudget:
         self.tau = 0.0 if config.tail_mode == "drop" else stencil.tau
         self.worst = 0.0
         self.peak = 0.0
+        self.buf = np.empty((0, disc.grid.n))
 
     def __call__(self, rows, times, block):
         grid = self.disc.grid
@@ -171,8 +172,12 @@ class MassBudget:
             self.peak = float(np.abs(block[0, grid.interior]).max())
         u = block[:-1]
         nxt = block[1:, grid.interior]
-        self.peak = max(self.peak, float(np.abs(nxt).max()))
-        mass_change = grid.dx * (nxt - u[:, grid.interior]).sum(axis=1)
+        # max(max, -min) is max |nxt| without a block-sized temporary
+        self.peak = max(self.peak, float(nxt.max()), -float(nxt.min()))
+        if len(u) > len(self.buf):
+            self.buf = np.empty((len(u), n))
+        change = np.subtract(nxt, u[:, grid.interior], out=self.buf[:len(u)])
+        mass_change = grid.dx * change.sum(axis=1)
         fhat = self.flux_pair(u[:, [h - 1, h + n - 1]], u[:, [h, h + n]])
         defect = mass_change + dt * (fhat[:, 1] - fhat[:, 0])
         if J or tau != 0.0:

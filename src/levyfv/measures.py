@@ -27,7 +27,6 @@ from dataclasses import dataclass, replace
 from typing import Iterator
 
 import numpy as np
-from scipy import integrate
 
 from .errors import (
     ConfigParse,
@@ -534,7 +533,9 @@ def weighted_tv_distance(mu1: LevyMeasure, mu2: LevyMeasure) -> float:
     distance splits cleanly.  Atoms of either measure at near-identical radii
     are one atom.  Continuous parts are compared in closed form when they
     share a power law, by quadrature otherwise, whose summed error estimate
-    must stay within SYMBOL_REL_TOL (`QuadratureNotConverged`).
+    must stay within SYMBOL_REL_TOL (`QuadratureNotConverged`).  That
+    quadrature (`scipy.integrate.quad`) is imported inside the generic
+    branch of `_continuous_tv`, so importing levyfv loads no scipy module.
     """
     a1, c1 = _split_leaves(mu1)
     a2, c2 = _split_leaves(mu2)
@@ -574,7 +575,9 @@ def _continuous_tv(c1, c2):
             if diff > 0.0:
                 total += diff * unit.levy_moment_between(a, b)
         return total
-    # generic path: quadrature of the absolute density difference
+    # generic path: quadrature of the absolute density difference; the only
+    # scipy use in the package, imported here so `import levyfv` loads none
+    from scipy import integrate
 
     def density(parts, z):
         val = 0.0

@@ -128,8 +128,9 @@ def cfl_max_dt(spec: ProblemSpec, stencil: StencilWeights, dx: float,
 def _tail_value(disc, bfield):
     """Mean of b over the two halos; one value per row of `bfield`."""
     h = disc.grid.n_halo
-    return 0.5 * (bfield[..., :h].mean(axis=-1)
-                  + bfield[..., -h:].mean(axis=-1))
+    # add.reduce / h is what `mean` computes, without its dispatch
+    return 0.5 * (np.add.reduce(bfield[..., :h], axis=-1) / h
+                  + np.add.reduce(bfield[..., -h:], axis=-1) / h)
 
 
 def jump_term(bfield: np.ndarray, disc: DiscreteProblem,
@@ -217,7 +218,7 @@ def step(u_full: np.ndarray, disc: DiscreteProblem, stencil: StencilWeights,
     if flux_pair is None:
         lo, hi = disc.data_range
         flux_pair = _numerical_flux(config, spec, spec.flux.lipschitz_on(lo, hi))
-    if source is None and (stencil.tau != 0.0 or stencil.weights.any()):
+    if source is None and (stencil.tau != 0.0 or stencil.kernel is not None):
         source = jump_term(spec.diffusion.b(u_full), disc, stencil,
                            config.tail_mode)
     h = grid.n_halo
@@ -377,18 +378,24 @@ def paired_rows(other: Trajectory, rows, times, block, ordered=False):
 class L1Series:
     """Observer of a march (`solve`, `replay`): dx * sum |u - v| on the
     interior at every step it sees, u the march and v the stored trajectory
-    `other`, which must store every step and be comparable (`paired_rows`)."""
+    `other`, which must store every step and be comparable (`paired_rows`).
+    Every block's |u - v| is taken in one reused buffer: a fresh block-sized
+    temporary would fault in new pages on every block."""
 
     def __init__(self, other: Trajectory):
         other.require_every_step()
         self.other = other
         self.out = np.empty(len(other.times))
         self.seen = 0
+        self.buf = np.empty((0, other.grid.n))
 
     def __call__(self, rows, times, block):
         new, u, v = paired_rows(self.other, rows, times, block)
         inside = self.other.grid.interior
-        self.out[new] = np.abs(u[:, inside] - v[:, inside]).sum(axis=1)
+        if len(u) > len(self.buf):
+            self.buf = np.empty((len(u), self.other.grid.n))
+        diff = np.subtract(u[:, inside], v[:, inside], out=self.buf[:len(u)])
+        self.out[new] = np.abs(diff, out=diff).sum(axis=1)
         self.seen = rows.stop + 1
 
     def result(self) -> np.ndarray:

@@ -13,6 +13,7 @@ is monotone.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -43,6 +44,18 @@ class StencilWeights:
     @property
     def max_offset(self) -> int:
         return self.weights.size
+
+    @cached_property
+    def kernel(self) -> np.ndarray | None:
+        """The symmetric convolution kernel of `apply_stencil`,
+        [w_J .. w_1, -2 sum w, w_1 .. w_J] with J the last nonzero offset,
+        or None when every weight is zero.  Built on first use and kept:
+        `build_stencil` hands over its weights read-only."""
+        nonzero = np.flatnonzero(self.weights)
+        if not nonzero.size:
+            return None
+        w = self.weights[:int(nonzero[-1]) + 1]
+        return np.concatenate([w[::-1], [-2.0 * w.sum()], w])
 
     @property
     def weight_sum(self) -> float:
@@ -104,6 +117,7 @@ def build_stencil(measure: LevyMeasure, dx: float, r: float,
     sigma2 = measure.second_moment_below(r)
     weights[0] += sigma2 / (2.0 * dx * dx)
     tau = measure.mass_above(Z_eff)
+    weights.flags.writeable = False
     return StencilWeights(dx=dx, r=r, Z=Z_eff, weights=weights,
                           sigma2=sigma2, tau=tau)
 
@@ -117,9 +131,8 @@ def apply_stencil(values: np.ndarray, s: StencilWeights, n_halo: int,
     `tail_value` is a scalar or one value per row (shape `values.shape[:-1]`).
     Returns sum_j w_j (v(x + j dx) - v(x)) + tau (tail_value - v(x)).
 
-    The shifts are one convolution with the symmetric kernel
-    [w_J .. w_1, -2 sum w, w_1 .. w_J], J the last nonzero offset, taken
-    directly row by row.  Each row's first interior value is subtracted
+    The shifts are one convolution with the symmetric kernel `s.kernel`,
+    taken directly row by row.  Each row's first interior value is subtracted
     before convolving; the kernel sums to zero, so a constant field
     convolves zeros and maps to exactly zero.  A stencil without nonzero
     weights does no convolution.
@@ -132,11 +145,9 @@ def apply_stencil(values: np.ndarray, s: StencilWeights, n_halo: int,
         raise ShapeMismatch("no interior cells")
     c0 = n_halo
     center = values[..., c0:c0 + n_int]
-    nonzero = np.flatnonzero(s.weights)
-    if nonzero.size:
-        J = int(nonzero[-1]) + 1
-        w = s.weights[:J]
-        kernel = np.concatenate([w[::-1], [-2.0 * w.sum()], w])
+    kernel = s.kernel
+    if kernel is not None:
+        J = kernel.size // 2
         seg = values[..., c0 - J:c0 + n_int + J] - values[..., c0:c0 + 1]
         rows = seg.reshape(-1, seg.shape[-1])
         out = np.empty((rows.shape[0], n_int))

@@ -1,5 +1,8 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -29,6 +32,30 @@ def test_run_gallery_writes_golden_values(tmp_path):
     assert moments["dyadic_a"] == pytest.approx(1.0 / 3.0, abs=1e-12)
     assert moments["dyadic_b"] == pytest.approx(1.0, abs=1e-12)
     assert all(r["pass"] == "1" for r in rows)
+
+
+IMPORTS_NO_SCIPY = """
+import json, sys
+import levyfv, levyfv.cli
+code = levyfv.cli.main(["run", "--mode", "solve", "--problem",
+                        "burgers_riemann", "--measure", "single_atom",
+                        "--dx", "0.015625", "--Z", "0.25", "--auto-cfl",
+                        "--out", sys.argv[1]])
+print(json.dumps({"code": code, "scipy": sorted(
+    m for m in sys.modules if m.split(".")[0] == "scipy")}))
+"""
+
+
+def test_import_and_run_load_no_scipy(tmp_path):
+    # a fresh interpreter: only the generic weighted-TV quadrature may load
+    # scipy, so a new top-level import would show here
+    src = os.path.dirname(os.path.dirname(measures.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", IMPORTS_NO_SCIPY,
+                           str(tmp_path / "o")], env=env, capture_output=True,
+                          text=True, check=True)
+    assert json.loads(done.stdout.splitlines()[-1]) == {"code": 0,
+                                                        "scipy": []}
 
 
 def test_run_solve_hyperbolic_preset(tmp_path):
