@@ -20,7 +20,7 @@ from .problem import DiffusionFn, DiscreteProblem, sample_rows
 from .scheme import L1Series, SchemeConfig, Trajectory, _numerical_flux, \
     _tail_value, jump_term, l1_series, paired_rows, replay
 from .stencil import StencilWeights, build_stencil, row_blocks, \
-    zero_extended_energy
+    zero_extended_sum
 
 
 @dataclass
@@ -214,17 +214,42 @@ def mass_budget_check(traj: Trajectory, tol: float = 1e-12) -> CheckResult:
 # energy inequality
 # ---------------------------------------------------------------------------
 
+def _gamma_blocks(traj: Trajectory, sample=None):
+    """The one blockwise pass over gamma = b(u) - b(ext) at the integrated
+    stored times (all but T), in time order: per `row_blocks` block, u on
+    the interior, `sample(rows)` and gamma.  `sample` returns a tuple whose
+    first entry is the extension on the interior at the times of `rows`
+    (by default that alone).  A steady exterior (`ExteriorData.steady`) is
+    sampled once, for row 0, and broadcast: every row's numbers are the
+    same, so the results are too."""
+    traj.require_every_step()
+    spec, grid = traj.spec, traj.grid
+    if sample is None:
+        x = grid.x_interior()
+
+        def sample(rows):
+            return (sample_rows(spec.exterior.value, traj.times[rows], x),)
+
+    b = spec.diffusion.b
+    fixed = sample(slice(0, 1)) if spec.exterior.steady else None
+    for rows in row_blocks(len(traj.times) - 1, grid.n_full):
+        u = traj.states[rows, grid.interior]
+        pieces = sample(rows) if fixed is None else fixed
+        yield u, pieces, b(u) - b(pieces[0])
+
+
 def energy_report(traj: Trajectory) -> dict:
     """Both sides of the global energy inequality for gamma = b(u) - b(ext).
 
-    lhs: time-integrated energy form of gamma extended by zero
-    (`zero_extended_energy`: the interior pairs, plus the pairs straddling
-    the boundary by prefix sums, with no padded copy).
+    lhs: time-integrated energy form of gamma extended by zero, dt dx times
+    one running sum over the rows in time order (`zero_extended_sum`), fed
+    block by block (`_gamma_blocks`), so no array holds the whole gamma.
     rhs: entropy potential of the initial data, the transport terms weighted
     by b'(ext), and the jump operator applied to b(ext) paired with gamma.
     slack = rhs - lhs; the continuum bound guarantees slack >= 0 up to
-    discretization error.  The extension is sampled on the interior, once
-    per integrated stored time and at t = 0; its halo is the stored one.
+    discretization error.  The extension and its derivatives are sampled on
+    the interior, once per integrated stored time (once in all for a steady
+    exterior) and at t = 0; its halo is the stored one.
     The trajectory must store every step.
     """
     traj.require_every_step()
@@ -237,38 +262,40 @@ def energy_report(traj: Trajectory) -> dict:
     dt = traj.dt
     dx = grid.dx
     x = grid.x_interior()
+    times = traj.times
     b = spec.diffusion.b
     bprime = spec.diffusion.bprime
     f = spec.flux.f
 
-    def transport(u, e, t):
-        """The transport integrand summed over the interior, per time."""
-        f_big = np.sign(u - e) * (f(u) - f(e))
-        return (((u - e) * sample_rows(ext.dt, t, x)
-                 + f_big * sample_rows(ext.grad, t, x)) * bprime(e)).sum(axis=1)
+    def sample(rows):
+        """The extension at the times of `rows` on the interior, its dt and
+        grad there, and the jump operator applied to b of the extension on
+        the full grid: the interior sampled, the halo the stored one."""
+        t = times[rows]
+        ext_full = traj.states[rows].copy()
+        e = ext_full[:, grid.interior]
+        e[...] = sample_rows(ext.value, t, x)
+        op = jump_term(b(ext_full), traj.disc, traj.stencil,
+                       traj.config.tail_mode)
+        return e, sample_rows(ext.dt, t, x), sample_rows(ext.grad, t, x), op
 
     ext0 = np.asarray(ext.value(0.0, x), dtype=float)
     u0 = traj.states[0, grid.interior]
     rhs_initial = dx * float(np.sum(spec.diffusion.entropy_h(u0, ext0)))
 
-    times = traj.times[:-1]
-    gamma = np.empty((len(times), grid.n))
+    form = 0.0
     rhs_transport = 0.0
     rhs_operator = 0.0
-    for rows in row_blocks(len(times), grid.n_full):
-        u = traj.states[rows, grid.interior]
-        # ext on the full grid: the stored halo, and the interior sampled
-        ext_full = traj.states[rows].copy()
-        e = ext_full[:, grid.interior]
-        e[...] = sample_rows(ext.value, times[rows], x)
-        gamma[rows] = b(u) - b(e)
-        # one sum per stored time, accumulated in time order
-        for s in transport(u, e, times[rows]):
+    for u, (e, e_t, e_x, op), gamma in _gamma_blocks(traj, sample):
+        f_big = np.sign(u - e) * (f(u) - f(e))
+        # one sum per stored time, accumulated in time order, so no total
+        # depends on where the blocks are cut
+        for s in (((u - e) * e_t + f_big * e_x) * bprime(e)).sum(axis=1):
             rhs_transport -= dt * dx * float(s)
-        rhs_operator += dt * dx * float(np.sum(jump_term(
-            b(ext_full), traj.disc, traj.stencil, traj.config.tail_mode)
-            * gamma[rows]))
-    lhs = dt * zero_extended_energy(gamma, traj.stencil, dx)
+        for s in (op * gamma).sum(axis=1):
+            rhs_operator += dt * dx * float(s)
+        form = zero_extended_sum(gamma, traj.stencil, form)
+    lhs = dt * (dx * form)
 
     rhs = rhs_initial + rhs_transport + rhs_operator
     return {"lhs": lhs, "rhs": rhs, "slack": rhs - lhs,
@@ -509,11 +536,14 @@ def translation_moduli(gamma: np.ndarray, dt: float, dx: float,
 
 
 def uniform_energy_series(runs) -> np.ndarray:
-    """E_n = dt * sum_t energy_form(gamma_n) for a list of (stencil, traj)."""
+    """E_n = dt * sum_t energy_form(gamma_n) for a list of (stencil, traj),
+    each summed like `energy_report`'s lhs, over `_gamma_blocks`."""
     out = []
     for stencil, traj in runs:
-        out.append(traj.dt * zero_extended_energy(traj.gamma()[:-1], stencil,
-                                                  traj.grid.dx))
+        form = 0.0
+        for _, _, gamma in _gamma_blocks(traj):
+            form = zero_extended_sum(gamma, stencil, form)
+        out.append(traj.dt * (traj.grid.dx * form))
     return np.asarray(out)
 
 

@@ -96,11 +96,13 @@ class Trajectory:
                 f"every step (store_every=1)")
 
     def gamma(self) -> np.ndarray:
-        """b(u) - b(extension) on the interior; identically zero outside."""
+        """b(u) - b(extension) on the interior; identically zero outside.
+        A steady extension is sampled once, as one row that broadcasts."""
         self.require_every_step()
         b = self.spec.diffusion.b
-        ext = sample_rows(self.spec.exterior.value, self.times,
-                          self.grid.x_interior())
+        ext = sample_rows(self.spec.exterior.value,
+                          self.times[:1] if self.spec.exterior.steady
+                          else self.times, self.grid.x_interior())
         return b(self.interior()) - b(ext)
 
 
@@ -143,8 +145,7 @@ def jump_term(bfield: np.ndarray, disc: DiscreteProblem,
     halos, "drop" omits the tail (tau treated as 0).  `mass_budget_check`
     states the conservation identity independently."""
     if tail_mode == "drop":
-        return apply_stencil(bfield, replace(stencil, tau=0.0),
-                             disc.grid.n_halo)
+        return apply_stencil(bfield, stencil.without_tail, disc.grid.n_halo)
     return apply_stencil(bfield, stencil, disc.grid.n_halo,
                          tail_value=_tail_value(disc, bfield))
 

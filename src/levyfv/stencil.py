@@ -12,7 +12,7 @@ is monotone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -56,6 +56,12 @@ class StencilWeights:
             return None
         w = self.weights[:int(nonzero[-1]) + 1]
         return np.concatenate([w[::-1], [-2.0 * w.sum()], w])
+
+    @cached_property
+    def without_tail(self) -> StencilWeights:
+        """This stencil with tau = 0, the "drop" tail rule's operator: built
+        on first use and kept, with the kernel it builds."""
+        return replace(self, tau=0.0)
 
     @property
     def weight_sum(self) -> float:
@@ -132,10 +138,10 @@ def apply_stencil(values: np.ndarray, s: StencilWeights, n_halo: int,
     Returns sum_j w_j (v(x + j dx) - v(x)) + tau (tail_value - v(x)).
 
     The shifts are one convolution with the symmetric kernel `s.kernel`,
-    taken directly row by row.  Each row's first interior value is subtracted
-    before convolving; the kernel sums to zero, so a constant field
-    convolves zeros and maps to exactly zero.  A stencil without nonzero
-    weights does no convolution.
+    taken directly row by row (`_convolve_rows`).  Each row's first interior
+    value is subtracted before convolving; the kernel sums to zero, so a
+    constant field convolves zeros and maps to exactly zero.  A stencil
+    without nonzero weights does no convolution.
     """
     values = np.asarray(values, dtype=float)
     if n_halo < s.max_offset:
@@ -150,14 +156,20 @@ def apply_stencil(values: np.ndarray, s: StencilWeights, n_halo: int,
         J = kernel.size // 2
         seg = values[..., c0 - J:c0 + n_int + J] - values[..., c0:c0 + 1]
         rows = seg.reshape(-1, seg.shape[-1])
-        out = np.empty((rows.shape[0], n_int))
-        for i, row in enumerate(rows):
-            out[i] = np.convolve(row, kernel, "valid")
+        out = _convolve_rows(rows, kernel, np.empty((rows.shape[0], n_int)))
         out = out.reshape(center.shape)
     else:
         out = np.zeros_like(center)
     if s.tau != 0.0:
         out += s.tau * (np.asarray(tail_value)[..., None] - center)
+    return out
+
+
+def _convolve_rows(rows, kernel: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The one place the jump kernel is applied: `out[i]` is the "valid"
+    part of the convolution of the i-th of `rows` with `kernel`."""
+    for i, row in enumerate(rows):
+        out[i] = np.convolve(row, kernel, "valid")
     return out
 
 
@@ -205,26 +217,49 @@ def bilinear_energy(phi: np.ndarray, psi: np.ndarray,
     return dx * total
 
 
+def zero_extended_sum(g: np.ndarray, s: StencilWeights,
+                      total: float = 0.0) -> float:
+    """`total` plus the energy form, over dx, of the zero extension of each
+    row of the 2-D `g` (interior cells), added row by row in order.
+
+    Summed by parts, the form of a field g~ that vanishes outside equals
+    -<g, k * g~>, k the jump kernel `s.kernel`: each row is copied into a
+    zero pad of J = `kernel.size // 2` cells per side, convolved once
+    (`_convolve_rows`) and paired with itself.  A row's term does not depend
+    on the other rows, so a running sum fed block by block does not depend
+    on where the blocks are cut; a zero row adds exactly zero."""
+    kernel = s.kernel
+    if kernel is None:
+        return total
+    J = kernel.size // 2
+    n = g.shape[-1]
+    pad = np.zeros(n + 2 * J)
+
+    def padded():
+        for row in g:
+            pad[J:J + n] = row
+            yield pad
+
+    kg = _convolve_rows(padded(), kernel, np.empty((len(g), n)))
+    for row, k_row in zip(g, kg):
+        total -= float(np.dot(row, k_row))
+    return total
+
+
 def zero_extended_energy(g: np.ndarray, s: StencilWeights,
                          dx: float | None = None) -> float:
     """Energy form of the zero extension of `g` (interior cells on the last
-    axis, leading axes summed as a batch), without building the extension.
-
-    At offset j the extension adds, to the interior pairs of
-    `bilinear_energy`, the pairs with exactly one end inside: each of the
-    first and of the last min(j, n) cells of a row paired with a zero,
-    contributing g^2.  These are prefix sums of the column sums of g^2.
-    """
+    axis, leading axes summed as a batch), without building the extension:
+    dx times `zero_extended_sum` over the `row_blocks` of its rows."""
     g = np.asarray(g, dtype=float)
     if dx is None:
         dx = s.dx
     n = g.shape[-1]
-    col = np.square(g).reshape(-1, n).sum(axis=0)
-    head = np.concatenate([[0.0], np.cumsum(col)])
-    tail = np.concatenate([[0.0], np.cumsum(col[::-1])])
-    k = np.minimum(s.offsets, n)
-    straddling = float(np.dot(s.weights, head[k] + tail[k]))
-    return bilinear_energy(g, g, s, dx) + dx * straddling
+    g2 = g.reshape(-1, n)
+    total = 0.0
+    for rows in row_blocks(len(g2), n):
+        total = zero_extended_sum(g2[rows], s, total)
+    return dx * total
 
 
 def fourier_energy_check(phi: np.ndarray, dx: float, ev: MultiplierEval,

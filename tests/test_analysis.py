@@ -13,8 +13,8 @@ from levyfv.measures import (AtomicSymmetric, FractionalRadial, single_atom,
                              truncate, zero_measure)
 from levyfv.problem import (ExteriorData, ProblemSpec, diffusion_identity,
                             diffusion_power, diffusion_stefan,
-                            exterior_constant, flux_burgers, flux_from_table,
-                            make_problem)
+                            exterior_constant, exterior_smoothstep,
+                            flux_burgers, flux_from_table, make_problem)
 from levyfv import stencil
 from levyfv.scheme import (SchemeConfig, _numerical_flux, _tail_value,
                            jump_term, l1_series, solve)
@@ -376,7 +376,7 @@ def test_energy_slack_nonnegative_and_shrinking():
 def per_time_energy_report(traj):
     """Reference energy report: the extension sampled per stored time on the
     interior for gamma, again on the interior and on the full grid for the
-    transport and operator terms."""
+    transport and operator terms, each term summed per stored time."""
     spec, grid = traj.spec, traj.grid
     ext = spec.exterior
     dt, dx = traj.dt, grid.dx
@@ -406,7 +406,9 @@ def per_time_energy_report(traj):
             ext_full[i] = ext.value(t, xf)
         op = jump_term(b(ext_full), traj.disc, traj.stencil,
                        traj.config.tail_mode)
-        rhs_operator += dt * dx * float(np.sum(op * gamma[rows]))
+        for n in range(rows.start, rows.stop):
+            rhs_operator += dt * dx * float(np.sum(op[n - rows.start]
+                                                   * gamma[n]))
     rhs = rhs_initial + rhs_transport + rhs_operator
     return {"lhs": lhs, "rhs": rhs, "slack": rhs - lhs,
             "parts": {"initial": rhs_initial, "transport": rhs_transport,
@@ -424,33 +426,75 @@ MOVING_ENERGY_EXTERIOR = ExteriorData(
     dt=lambda t, x: np.full_like(np.asarray(x, float),
                                  12.0 * np.cos(40.0 * t)),
     grad=lambda t, x: 2.0 / np.cosh(4.0 * (np.asarray(x, float) - 0.5)) ** 2)
-# (diffusion, measure, Z, tail mode): an atom inside the halo, and a
-# truncated fractional measure with a tail, sent to the halo mean or dropped
+STEADY_ENERGY_EXTERIOR = exterior_smoothstep(0.2, 0.8, -0.3, 0.5)
+# (diffusion, measure, Z, tail mode, exterior): an atom inside the halo, and
+# a truncated fractional measure with a tail, sent to the halo mean or
+# dropped, under a moving exterior; a steady one is sampled once
 ENERGY_CASES = {
     "identity_atom": (diffusion_identity(), single_atom(z=0.125, w=0.5),
-                      0.25, "exterior_mean"),
+                      0.25, "exterior_mean", MOVING_ENERGY_EXTERIOR),
     "power_tail": (diffusion_power(2.0),
                    truncate(FractionalRadial(alpha=1.0), 1 / 16)[1], 0.25,
-                   "exterior_mean"),
+                   "exterior_mean", MOVING_ENERGY_EXTERIOR),
     "stefan_tail_drop": (diffusion_stefan(0.1),
                          truncate(FractionalRadial(alpha=1.0), 1 / 16)[1],
-                         0.25, "drop"),
+                         0.25, "drop", MOVING_ENERGY_EXTERIOR),
+    "steady_power_tail": (diffusion_power(2.0),
+                          truncate(FractionalRadial(alpha=1.0), 1 / 16)[1],
+                          0.25, "exterior_mean", STEADY_ENERGY_EXTERIOR),
 }
+
+
+def energy_case(name, T=0.3):
+    diffusion, measure, Z, tail_mode, exterior = ENERGY_CASES[name]
+    spec = ProblemSpec(domain=(0.0, 1.0), flux=flux_burgers(),
+                       diffusion=diffusion,
+                       u0=lambda x: 0.4 * np.cos(3.0 * np.asarray(x, float)),
+                       exterior=exterior, T=T)
+    c = SchemeConfig(dx=1 / 32, r=1 / 32, Z=Z, tail_mode=tail_mode)
+    return solve(spec, build_stencil(measure, c.dx, c.r, c.Z), c)
 
 
 @pytest.mark.parametrize("name", sorted(ENERGY_CASES))
 def test_energy_report_matches_the_per_time_reference(name):
-    diffusion, measure, Z, tail_mode = ENERGY_CASES[name]
-    spec = ProblemSpec(domain=(0.0, 1.0), flux=flux_burgers(),
-                       diffusion=diffusion,
-                       u0=lambda x: 0.4 * np.cos(3.0 * np.asarray(x, float)),
-                       exterior=MOVING_ENERGY_EXTERIOR, T=0.3)
-    c = SchemeConfig(dx=1 / 32, r=1 / 32, Z=Z, tail_mode=tail_mode)
-    traj = solve(spec, build_stencil(measure, c.dx, c.r, c.Z), c)
+    traj = energy_case(name)
     ref = per_time_energy_report(traj)
     assert ref["parts"]["transport"] != 0.0
     assert ref["parts"]["operator"] != 0.0
     assert analysis.energy_report(traj) == ref
+
+
+@pytest.mark.parametrize("name", ["power_tail", "steady_power_tail"])
+def test_energy_report_does_not_depend_on_the_block_size(name, monkeypatch):
+    # 20 to 35 stored rows of 48 full cells: one block by default, blocks of
+    # 2 rows at 96 values and of 20 at 1000
+    traj = energy_case(name)
+    want = analysis.energy_report(traj)
+    for values in (96, 1000, 1 << 24):
+        monkeypatch.setattr(stencil, "BLOCK_VALUES", values)
+        assert analysis.energy_report(traj) == want
+
+
+@pytest.mark.parametrize("exterior", ["steady", "moving"])
+def test_energy_report_memory_stays_per_block(exterior, monkeypatch):
+    # gamma over every integrated time of a 512-cell run, against blocks of
+    # 4096 values: the report must not hold the whole of it
+    spec = ProblemSpec(domain=(0.0, 1.0), flux=flux_burgers(),
+                       diffusion=diffusion_identity(),
+                       u0=lambda x: 0.4 * np.cos(3.0 * np.asarray(x, float)),
+                       exterior=STEADY_ENERGY_EXTERIOR if exterior == "steady"
+                       else MOVING_ENERGY_EXTERIOR, T=1.0)
+    traj = run(spec, single_atom(z=0.125, w=0.5), 1 / 512)
+    whole = (len(traj.times) - 1) * traj.grid.n * 8
+    monkeypatch.setattr(stencil, "BLOCK_VALUES", 4096)
+    tracemalloc.start()
+    try:
+        analysis.energy_report(traj)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert whole > 2e6
+    assert peak < whole / 4
 
 
 def test_energy_report_takes_derivatives_constant_in_x():
@@ -494,6 +538,47 @@ def test_energy_report_samples_the_extension_once_per_integrated_time():
     analysis.energy_report(traj)
     # once per stored time the report integrates (all but T), once at t = 0
     assert sorted(calls) == [0.0] + traj.times[:-1].tolist()
+
+
+def test_a_steady_extension_is_sampled_a_fixed_number_of_times(monkeypatch):
+    # energy_report, gamma and the uniform energy series sample a steady
+    # extension once, however many times and blocks the trajectory stores
+    monkeypatch.setattr(stencil, "BLOCK_VALUES", 96)
+    calls = []
+
+    def counted(t, x):
+        calls.append(t)
+        return STEADY_ENERGY_EXTERIOR.value(t, x)
+
+    exterior = replace(STEADY_ENERGY_EXTERIOR, value=counted)
+    counts = []
+    for T in (0.3, 0.9):
+        spec = ProblemSpec(domain=(0.0, 1.0), flux=flux_burgers(),
+                           diffusion=diffusion_identity(),
+                           u0=lambda x: 0.4 * np.cos(3.0 * np.asarray(x,
+                                                                       float)),
+                           exterior=exterior, T=T)
+        traj = run(spec, single_atom(z=0.125, w=0.5), 1 / 32)
+        assert len(row_blocks(len(traj.times), traj.grid.n_full)) > 2
+        per_call = []
+        for fn in (analysis.energy_report, lambda tr: tr.gamma(),
+                   lambda tr: analysis.uniform_energy_series(
+                       [(tr.stencil, tr)])):
+            calls.clear()
+            fn(traj)
+            per_call.append(len(calls))
+        counts.append(per_call)
+    # energy_report: t = 0 for the initial entropy, and the one sample
+    assert counts[0] == counts[1] == [2, 1, 1]
+
+
+def test_gamma_of_a_steady_extension_equals_the_per_time_samples():
+    traj = energy_case("steady_power_tail")
+    b = traj.spec.diffusion.b
+    x = traj.grid.x_interior()
+    per_time = np.stack([STEADY_ENERGY_EXTERIOR.value(float(t), x)
+                         for t in traj.times])
+    assert np.array_equal(traj.gamma(), b(traj.interior()) - b(per_time))
 
 
 # -- entropy residuals ---------------------------------------------------------
@@ -745,6 +830,15 @@ def test_uniform_energy_series_identical_runs():
     series = analysis.uniform_energy_series(
         [(t1.stencil, t1), (t1.stencil, t1)])
     assert series[0] == series[1]
+
+
+@pytest.mark.parametrize("name", ["power_tail", "steady_power_tail"])
+def test_uniform_energy_series_is_the_energy_report_lhs(name):
+    traj = energy_case(name)
+    series = analysis.uniform_energy_series([(traj.stencil, traj)])
+    assert series[0] == analysis.energy_report(traj)["lhs"]
+    assert series[0] == traj.dt * zero_extended_energy(traj.gamma()[:-1],
+                                                       traj.stencil)
 
 
 def test_uniform_energy_series_zero_diffusion():

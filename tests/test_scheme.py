@@ -10,8 +10,8 @@ from levyfv.measures import (AtomicSymmetric, DyadicB, FractionalRadial,
                              single_atom, truncate, zero_measure)
 from levyfv.problem import (PROBLEM_PRESETS, DiscreteProblem, ExteriorData,
                             ProblemSpec, diffusion_identity, diffusion_zero,
-                            exterior_constant, flux_burgers, flux_linear,
-                            flux_zero, make_problem)
+                            discretize, exterior_constant, flux_burgers,
+                            flux_linear, flux_zero, make_problem)
 from levyfv import analysis, scheme
 from levyfv.scheme import (SchemeConfig, cfl_max_dt, l1_q_distance,
                            picard_solve, solve, stability_run, step,
@@ -345,6 +345,24 @@ def test_drop_tail_mode_records_apriori_bound():
     assert traj.stats["drop_tail_bound"] == pytest.approx(2 * 1.0 * 0.5)
     from levyfv import analysis
     assert analysis.max_principle_check(traj).passed
+
+
+def test_drop_jump_term_reuses_one_tail_free_stencil(monkeypatch):
+    spec = make_problem("burgers", "identity", "bump")
+    st = build_stencil(truncate(FractionalRadial(alpha=1.0), 1 / 16)[1],
+                       1 / 32, 1 / 16, 0.25)
+    assert st.tau > 0.0
+    disc = discretize(spec, 1 / 32, st.Z)
+    b = np.random.default_rng(9).uniform(0.0, 1.0, (5, disc.grid.n_full))
+    want = apply_stencil(b, replace(st, tau=0.0), disc.grid.n_halo)
+    seen = []
+    monkeypatch.setattr(scheme, "apply_stencil",
+                        lambda v, s, h, **kw: seen.append(s)
+                        or apply_stencil(v, s, h, **kw))
+    for _ in range(3):
+        assert np.array_equal(scheme.jump_term(b, disc, st, "drop"), want)
+    assert seen[0] is st.without_tail
+    assert all(s is seen[0] for s in seen)
 
 
 def test_chains_honour_config_dt():

@@ -6,8 +6,10 @@ from levyfv.errors import BadRadii, HaloTooSmall, NonSymmetric, ShapeMismatch
 from levyfv.measures import (AtomicSymmetric, FractionalRadial, ScaledMeasure,
                              SumMeasure, single_atom, truncate, zero_measure)
 from levyfv.multiplier import MultiplierEval
+from levyfv import stencil
 from levyfv.stencil import (apply_stencil, bilinear_energy, build_stencil,
-                            fourier_energy_check, zero_extended_energy)
+                            fourier_energy_check, zero_extended_energy,
+                            zero_extended_sum)
 
 
 def test_atom_lands_in_exact_cell():
@@ -308,10 +310,96 @@ def test_zero_extended_energy_matches_padded_form(kind, n, K, rows):
     assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
 
 
+def pairwise_zero_extended_energy(g, st):
+    """Reference: the interior pairs of `bilinear_energy` plus, at offset j,
+    the first and the last min(j, n) cells of each row paired with a zero,
+    as prefix sums of the column sums of g^2."""
+    g = np.asarray(g, dtype=float)
+    n = g.shape[-1]
+    col = np.square(g).reshape(-1, n).sum(axis=0)
+    head = np.concatenate([[0.0], np.cumsum(col)])
+    tail = np.concatenate([[0.0], np.cumsum(col[::-1])])
+    k = np.minimum(st.offsets, n)
+    straddling = float(np.dot(st.weights, head[k] + tail[k]))
+    return bilinear_energy(g, g, st) + st.dx * straddling
+
+
+def _kernel_stencil(kind, K):
+    """An atom, a truncated fractional measure with a tail beyond K dx, and
+    a sum of a scaled fractional band and two atoms, on dx = 1/64."""
+    dx = 1.0 / 64
+    frac = truncate(FractionalRadial(alpha=1.3), 2 * dx)[1]
+    measure = {
+        "atom": single_atom(z=5 * dx, w=0.7),
+        "fractional_tail": frac,
+        "sum": SumMeasure(parts=(
+            ScaledMeasure(factor=0.5, inner=FractionalRadial(
+                alpha=0.8, lo=2 * dx, hi=0.25)),
+            AtomicSymmetric(entries=((3 * dx, 0.25), (9.4 * dx, 1.5))))),
+    }[kind]
+    return build_stencil(measure, dx, 2 * dx, K * dx)
+
+
+@pytest.mark.parametrize("kind", ["atom", "fractional_tail", "sum"])
+@pytest.mark.parametrize("n,K", [(12, 30), (40, 16), (256, 30)])
+def test_zero_extended_energy_matches_the_pairwise_form(kind, n, K):
+    st = _kernel_stencil(kind, K)
+    rng = np.random.default_rng(7 * K + n)
+    # 600 rows of 256 cells span three row blocks
+    rows = 600 if n == 256 else 9
+    assert len(stencil.row_blocks(rows, n)) >= (3 if n == 256 else 1)
+    g = 0.5 + rng.normal(size=(rows, n))
+    want = pairwise_zero_extended_energy(g, st)
+    got = zero_extended_energy(g, st)
+    assert want > 0.0
+    assert abs(got - want) <= 1e-13 * want
+    # the running sum adds one term per row, in row order
+    total = 0.0
+    for i in range(rows):
+        one = pairwise_zero_extended_energy(g[i], st)
+        term = zero_extended_sum(g[i:i + 1], st)
+        assert abs(st.dx * term - one) <= 1e-13 * one
+        total += term
+    assert zero_extended_sum(g, st) == total
+    head = zero_extended_sum(g[:1], st, 2.5)
+    assert zero_extended_sum(g, st, 2.5) == zero_extended_sum(g[1:], st, head)
+
+
+def test_zero_extended_energy_does_not_depend_on_the_block_size(monkeypatch):
+    st = _kernel_stencil("fractional_tail", 30)
+    g = np.random.default_rng(4).normal(size=(300, 64))
+    want = zero_extended_energy(g, st)
+    for values in (64, 1000, 1 << 22):
+        monkeypatch.setattr(stencil, "BLOCK_VALUES", values)
+        assert zero_extended_energy(g, st) == want
+
+
+def test_zero_extended_energy_of_a_null_stencil_is_zero():
+    st = build_stencil(zero_measure(), 1 / 64, 1 / 64, 0.25)
+    assert st.kernel is None
+    assert zero_extended_energy(np.ones((3, 10)), st) == 0.0
+
+
 def test_zero_extended_energy_of_zero_field_is_exactly_zero():
     st = _random_stencil("fractional", 30, np.random.default_rng(3))
     assert zero_extended_energy(np.zeros((4, 12)), st) == 0.0
     assert zero_extended_energy(np.zeros(40), st) == 0.0
+    for kind in ("atom", "fractional_tail", "sum"):
+        st = _kernel_stencil(kind, 30)
+        assert zero_extended_energy(np.zeros((700, 12)), st) == 0.0
+        assert zero_extended_energy(np.zeros((5, 256)), st) == 0.0
+
+
+def test_without_tail_is_built_once_with_the_same_weights():
+    st = _kernel_stencil("fractional_tail", 16)
+    assert st.tau > 0.0
+    bare = st.without_tail
+    assert bare is st.without_tail
+    assert bare.tau == 0.0
+    assert bare.weights is st.weights
+    assert (bare.dx, bare.r, bare.Z, bare.sigma2) == (st.dx, st.r, st.Z,
+                                                       st.sigma2)
+    assert np.array_equal(bare.kernel, st.kernel)
 
 
 @pytest.mark.parametrize("kind", ["atoms", "fractional"])

@@ -92,6 +92,11 @@ MULTI_BLOCK_NONE = {"mode": "solve", "problem": "burgers_riemann",
 MULTI_BLOCK_ATOM = {"mode": "solve", "problem": "burgers_bump",
                     "measure": "single_atom", "dx": 1.0 / 256, "Z": 0.5,
                     "store_every": 16}
+# an energy report whose base run spans several row blocks, so the energy
+# form's running sum crosses block boundaries
+MULTI_BLOCK_ENERGY = {"mode": "solve", "problem": "burgers_bump",
+                      "measure": TRUNCATED_FRACTIONAL, "dx": 1.0 / 256,
+                      "Z": 0.5, "store_every": 16, "energy": True}
 # a step far above the CFL bound overflows mid-run: exit 3 names its time
 NONFINITE = {"mode": "solve", "problem": "burgers_bump",
              "measure": "single_atom", "dx": 1.0 / 32, "Z": 0.5, "dt": 0.9,
@@ -154,6 +159,7 @@ def matrix():
         ("stability_store_every_3", ["run"], STABILITY_STORE_EVERY_3),
         ("multi_block_none", ["run", "--auto-cfl"], MULTI_BLOCK_NONE),
         ("multi_block_atom", ["run", "--auto-cfl"], MULTI_BLOCK_ATOM),
+        ("multi_block_energy", ["run", "--auto-cfl"], MULTI_BLOCK_ENERGY),
         ("nonfinite", ["run"], NONFINITE),
         ("table_solve", ["run"], TABLE_SOLVE),
         ("table_picard", ["run"], TABLE_PICARD),
