@@ -214,93 +214,105 @@ def mass_budget_check(traj: Trajectory, tol: float = 1e-12) -> CheckResult:
 # energy inequality
 # ---------------------------------------------------------------------------
 
-def _gamma_blocks(traj: Trajectory, sample=None):
-    """The one blockwise pass over gamma = b(u) - b(ext) at the integrated
-    stored times (all but T), in time order: per `row_blocks` block, u on
-    the interior, `sample(rows)` and gamma.  `sample` returns a tuple whose
-    first entry is the extension on the interior at the times of `rows`
-    (by default that alone).  A steady exterior (`ExteriorData.steady`) is
-    sampled once, for row 0, and broadcast: every row's numbers are the
-    same, so the results are too."""
-    traj.require_every_step()
-    spec, grid = traj.spec, traj.grid
-    if sample is None:
-        x = grid.x_interior()
+class EnergyForm:
+    """Observer of a march (`scheme.solve`, `scheme.replay`) of `disc` at
+    step `dt`: the energy inequality's lhs, the energy form under `stencil`
+    of gamma = b(u) - b(ext) extended by zero, dt dx times one running sum
+    over the steps but T in time order (`zero_extended_sum`).  `sample`
+    takes the extension at each block's steps; a steady one
+    (`ExteriorData.steady`) once, on row 0, and broadcasts it."""
 
-        def sample(rows):
-            return (sample_rows(spec.exterior.value, traj.times[rows], x),)
+    def __init__(self, disc: DiscreteProblem, stencil: StencilWeights,
+                 dt: float):
+        self.disc, self.stencil, self.dt = disc, stencil, dt
+        self.x = disc.grid.x_interior()
+        self.fixed = None
+        self.form = 0.0
 
-    b = spec.diffusion.b
-    fixed = sample(slice(0, 1)) if spec.exterior.steady else None
-    for rows in row_blocks(len(traj.times) - 1, grid.n_full):
-        u = traj.states[rows, grid.interior]
-        pieces = sample(rows) if fixed is None else fixed
-        yield u, pieces, b(u) - b(pieces[0])
+    def sample(self, times, states):
+        """A tuple whose first entry is the extension on the interior at
+        `times`; `states` are the full-grid rows at those times."""
+        return (sample_rows(self.disc.spec.exterior.value, times, self.x),)
+
+    def __call__(self, rows, times, block):
+        cut = 1 if self.disc.spec.exterior.steady else -1
+        pieces = self.fixed or self.sample(times[:cut], block[:cut])
+        if cut == 1:
+            self.fixed = pieces
+        b = self.disc.spec.diffusion.b
+        u = block[:-1, self.disc.grid.interior]
+        gamma = b(u) - b(pieces[0])
+        self.form = zero_extended_sum(gamma, self.stencil, self.form)
+        return u, pieces, gamma
+
+    def result(self) -> float:
+        return self.dt * (self.disc.grid.dx * self.form)
+
+
+class EnergyBalance(EnergyForm):
+    """Observer of a march of `disc` with `stencil` and `config` at step
+    `dt`: both sides of the global energy inequality for gamma = b(u) -
+    b(ext).  lhs: the `EnergyForm`.  rhs: entropy potential of the initial
+    data, the transport terms weighted by b'(ext), and the jump operator
+    applied to b(ext) paired with gamma, these two one sum per step added
+    in time order.  slack = rhs - lhs; the continuum bound guarantees slack
+    >= 0 up to discretization error.  The extension's dt and grad are
+    sampled with it, and at t = 0 its value; an extension without them is
+    refused when the observer is built (`MissingExtensionDerivatives`)."""
+
+    def __init__(self, disc: DiscreteProblem, stencil: StencilWeights,
+                 config: SchemeConfig, dt: float):
+        ext = disc.spec.exterior
+        if ext.dt is None or ext.grad is None:
+            raise MissingExtensionDerivatives(
+                "energy report needs closed-form extension derivatives")
+        super().__init__(disc, stencil, dt)
+        self.tail_mode = config.tail_mode
+        self.initial = self.transport = self.operator = 0.0
+
+    def sample(self, times, states):
+        """The extension at `times` on the interior, its dt and grad there,
+        and the jump operator applied to b of the extension on the full
+        grid: the interior sampled, the halo that of `states`."""
+        ext = self.disc.spec.exterior
+        ext_full = states.copy()
+        e = ext_full[:, self.disc.grid.interior]
+        e[...] = sample_rows(ext.value, times, self.x)
+        op = jump_term(self.disc.spec.diffusion.b(ext_full), self.disc,
+                       self.stencil, self.tail_mode)
+        return (e, sample_rows(ext.dt, times, self.x),
+                sample_rows(ext.grad, times, self.x), op)
+
+    def __call__(self, rows, times, block):
+        spec, dt, dx = self.disc.spec, self.dt, self.disc.grid.dx
+        if rows.start == 0:
+            ext0 = np.asarray(spec.exterior.value(0.0, self.x), dtype=float)
+            self.initial = dx * float(np.sum(spec.diffusion.entropy_h(
+                block[0, self.disc.grid.interior], ext0)))
+        u, (e, e_t, e_x, op), gamma = super().__call__(rows, times, block)
+        f_big = np.sign(u - e) * (spec.flux.f(u) - spec.flux.f(e))
+        for s in (((u - e) * e_t + f_big * e_x)
+                  * spec.diffusion.bprime(e)).sum(axis=1):
+            self.transport -= dt * dx * float(s)
+        for s in (op * gamma).sum(axis=1):
+            self.operator += dt * dx * float(s)
+
+    def result(self) -> dict:
+        lhs = super().result()
+        rhs = self.initial + self.transport + self.operator
+        return {"lhs": lhs, "rhs": rhs, "slack": rhs - lhs,
+                "parts": {"initial": self.initial,
+                          "transport": self.transport,
+                          "operator": self.operator}}
 
 
 def energy_report(traj: Trajectory) -> dict:
-    """Both sides of the global energy inequality for gamma = b(u) - b(ext).
-
-    lhs: time-integrated energy form of gamma extended by zero, dt dx times
-    one running sum over the rows in time order (`zero_extended_sum`), fed
-    block by block (`_gamma_blocks`), so no array holds the whole gamma.
-    rhs: entropy potential of the initial data, the transport terms weighted
-    by b'(ext), and the jump operator applied to b(ext) paired with gamma.
-    slack = rhs - lhs; the continuum bound guarantees slack >= 0 up to
-    discretization error.  The extension and its derivatives are sampled on
-    the interior, once per integrated stored time (once in all for a steady
-    exterior) and at t = 0; its halo is the stored one.
-    The trajectory must store every step.
-    """
+    """`EnergyBalance` over the stored states of `traj`, which must store
+    every step."""
     traj.require_every_step()
-    spec = traj.spec
-    ext = spec.exterior
-    if ext.dt is None or ext.grad is None:
-        raise MissingExtensionDerivatives(
-            "energy report needs closed-form extension derivatives")
-    grid = traj.grid
-    dt = traj.dt
-    dx = grid.dx
-    x = grid.x_interior()
-    times = traj.times
-    b = spec.diffusion.b
-    bprime = spec.diffusion.bprime
-    f = spec.flux.f
-
-    def sample(rows):
-        """The extension at the times of `rows` on the interior, its dt and
-        grad there, and the jump operator applied to b of the extension on
-        the full grid: the interior sampled, the halo the stored one."""
-        t = times[rows]
-        ext_full = traj.states[rows].copy()
-        e = ext_full[:, grid.interior]
-        e[...] = sample_rows(ext.value, t, x)
-        op = jump_term(b(ext_full), traj.disc, traj.stencil,
-                       traj.config.tail_mode)
-        return e, sample_rows(ext.dt, t, x), sample_rows(ext.grad, t, x), op
-
-    ext0 = np.asarray(ext.value(0.0, x), dtype=float)
-    u0 = traj.states[0, grid.interior]
-    rhs_initial = dx * float(np.sum(spec.diffusion.entropy_h(u0, ext0)))
-
-    form = 0.0
-    rhs_transport = 0.0
-    rhs_operator = 0.0
-    for u, (e, e_t, e_x, op), gamma in _gamma_blocks(traj, sample):
-        f_big = np.sign(u - e) * (f(u) - f(e))
-        # one sum per stored time, accumulated in time order, so no total
-        # depends on where the blocks are cut
-        for s in (((u - e) * e_t + f_big * e_x) * bprime(e)).sum(axis=1):
-            rhs_transport -= dt * dx * float(s)
-        for s in (op * gamma).sum(axis=1):
-            rhs_operator += dt * dx * float(s)
-        form = zero_extended_sum(gamma, traj.stencil, form)
-    lhs = dt * (dx * form)
-
-    rhs = rhs_initial + rhs_transport + rhs_operator
-    return {"lhs": lhs, "rhs": rhs, "slack": rhs - lhs,
-            "parts": {"initial": rhs_initial, "transport": rhs_transport,
-                      "operator": rhs_operator}}
+    check = EnergyBalance(traj.disc, traj.stencil, traj.config, traj.dt)
+    replay(traj, [check])
+    return check.result()
 
 
 # ---------------------------------------------------------------------------
@@ -537,13 +549,13 @@ def translation_moduli(gamma: np.ndarray, dt: float, dx: float,
 
 def uniform_energy_series(runs) -> np.ndarray:
     """E_n = dt * sum_t energy_form(gamma_n) for a list of (stencil, traj),
-    each summed like `energy_report`'s lhs, over `_gamma_blocks`."""
+    the `EnergyForm` of each stored run, which must store every step."""
     out = []
     for stencil, traj in runs:
-        form = 0.0
-        for _, _, gamma in _gamma_blocks(traj):
-            form = zero_extended_sum(gamma, stencil, form)
-        out.append(traj.dt * (traj.grid.dx * form))
+        traj.require_every_step()
+        form = EnergyForm(traj.disc, stencil, traj.dt)
+        replay(traj, [form])
+        out.append(form.result())
     return np.asarray(out)
 
 

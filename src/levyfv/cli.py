@@ -159,10 +159,13 @@ def _scheme_config(cfg):
 
 
 def _alpha(cfg):
-    """The vanishing and stability modes' fractional order, in (0, 2)."""
+    """The chain modes' fractional order, in (0, 2); they take no measure."""
     alpha = cfg.get("alpha", 1.0)
     if not isinstance(alpha, (int, float)) or not 0.0 < alpha < 2.0:
         raise ConfigParse(f"alpha must lie in (0, 2), got {alpha!r}")
+    if "measure" in cfg:
+        raise ConfigParse(f"{cfg['mode']} mode builds its chain from alpha "
+                          f"and takes no measure")
     return float(alpha)
 
 
@@ -235,11 +238,12 @@ def cmd_run(cfg, out_dir) -> int:
             other = solve(companion_spec(spec, disc.data_range), stencil,
                           replace(sconf, store_every=1), dt_override=dt)
             observers.append(analysis.L1Contraction(other))
-        # the moduli and the energy form read every step of the base run
-        keep = (1 if cfg.get("moduli", False) or cfg.get("energy", False)
-                else sconf.store_every)
+        energy = ([analysis.EnergyBalance(disc, stencil, sconf, dt)]
+                  if cfg.get("energy", False) else [])
+        # the moduli read every step of the base run
+        keep = 1 if cfg.get("moduli", False) else sconf.store_every
         traj = solve(spec, stencil, replace(sconf, store_every=keep),
-                     dt_override=dt, observers=observers)
+                     dt_override=dt, observers=observers + energy)
         for check in observers:
             record(check.result())
         if cfg.get("moduli", False):
@@ -247,8 +251,8 @@ def cmd_run(cfg, out_dir) -> int:
                 traj.gamma(), traj.dt, sconf.dx,
                 space_shifts=[1, 2, 4, 8], time_shifts=[1, 2, 4, 8])
             write_moduli_csv(os.path.join(out_dir, "moduli.csv"), tables)
-        if cfg.get("energy", False):
-            checks["energy"] = analysis.energy_report(traj)
+        for check in energy:
+            checks["energy"] = check.result()
             checks["energy"]["pass"] = bool(checks["energy"]["slack"]
                                             >= -1e-6)
         write_trajectory_csv(os.path.join(out_dir, "trajectory.csv"), traj,

@@ -489,9 +489,10 @@ def picard_solve(spec: ProblemSpec, measure: LevyMeasure,
     converged = False
     for k in range(1, k_max + 1):
         src = frozen_source(prev)
+        series = L1Series(prev)
         traj = solve(spec, stencil, config, dt_override=dt,
-                     source_states=src)
-        gap = float(np.max(l1_series(traj, prev)))
+                     source_states=src, observers=[series])
+        gap = float(np.max(series.result()))
         if k == 1:
             # iterate 0 is zero on the interior, so the gap is ||u_1||
             first_norm = gap
@@ -525,48 +526,34 @@ class ChainReport:
     reference: Trajectory
 
 
-def _chain(spec: ProblemSpec, measures, config: SchemeConfig) -> tuple:
-    """Stencils and trajectories of a measure chain, the reference last.
-
-    Every stencil is built from the same (dx, Z), so all carry the same
-    offsets and halo and the trajectories are shape-comparable; all are
-    solved on the one time grid of the whole chain, storing every step, as
-    the distances between them integrate over every step."""
-    config = replace(config, store_every=1)
-    stencils = [build_stencil(m, config.dx, config.r, config.Z)
-                for m in measures]
-    dt, _ = time_grid(discretize(spec, config.dx, stencils[0].Z), stencils,
-                      config)
-    return stencils, [solve(spec, st, config, dt_override=dt)
-                      for st in stencils]
-
-
 def vanishing_viscosity_run(spec: ProblemSpec, alpha: float, n_list,
                             config: SchemeConfig) -> ChainReport:
     """Solve with the diffusion scaled by 1/n and compare against the pure
-    conservation-law run (zero measure)."""
+    conservation-law run (zero measure): the `stability_run` of that chain."""
     if not 0.0 < alpha < 2.0:
         raise ValueError("alpha must lie in (0, 2)")
     measures = [ScaledMeasure(factor=1.0 / n,
                               inner=FractionalRadial(alpha=alpha))
                 for n in n_list]
-    stencils, trajs = _chain(spec, measures + [zero_measure()], config)
-    reference = trajs[-1]
-    return ChainReport(labels=list(n_list), trajectories=trajs[:-1],
-                       stencils=stencils[:-1],
-                       l1_distances=[l1_q_distance(tr, reference)
-                                     for tr in trajs[:-1]],
-                       l2_b_distances=[], measure_distances=[],
-                       reference=reference)
+    return stability_run(spec, measures + [zero_measure()], config,
+                         labels=n_list)
 
 
 def stability_run(spec: ProblemSpec, measures, config: SchemeConfig,
                   labels=None) -> ChainReport:
     """Solve along a measure chain; the last entry is the reference.  Reports
     solution distances, diffusive-flux L2 distances, and the weighted total
-    variation distances of the measures themselves."""
+    variation distances of the measures themselves.  Every stencil is built
+    from the same (dx, Z), so the trajectories are shape-comparable, and all
+    are solved on the chain's one time grid, storing every step, as the
+    distances integrate over every step."""
     measures = list(measures)
-    stencils, trajs = _chain(spec, measures, config)
+    config = replace(config, store_every=1)
+    stencils = [build_stencil(m, config.dx, config.r, config.Z)
+                for m in measures]
+    dt, _ = time_grid(discretize(spec, config.dx, stencils[0].Z), stencils,
+                      config)
+    trajs = [solve(spec, st, config, dt_override=dt) for st in stencils]
     reference = trajs[-1]
     bfun = spec.diffusion.b
     b_ref = bfun(reference.interior())

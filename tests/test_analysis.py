@@ -347,6 +347,9 @@ def test_energy_requires_extension_derivatives():
     traj = run(bare, single_atom(z=0.1, w=0.5), 1 / 32)
     with pytest.raises(MissingExtensionDerivatives):
         analysis.energy_report(traj)
+    # the observer refuses it when built, before any step it would observe
+    with pytest.raises(MissingExtensionDerivatives):
+        analysis.EnergyBalance(traj.disc, traj.stencil, traj.config, traj.dt)
 
 
 def test_energy_inequality_with_nonzero_exterior():
@@ -473,6 +476,22 @@ def test_energy_report_does_not_depend_on_the_block_size(name, monkeypatch):
     for values in (96, 1000, 1 << 24):
         monkeypatch.setattr(stencil, "BLOCK_VALUES", values)
         assert analysis.energy_report(traj) == want
+
+
+@pytest.mark.parametrize("name", sorted(ENERGY_CASES))
+def test_energy_balance_observing_the_march_equals_the_stored_report(
+        name, monkeypatch):
+    # blocks of 2 full rows: the march spans many blocks, and it stores
+    # every 5th state while the observer sees every step
+    whole = energy_case(name)
+    monkeypatch.setattr(stencil, "BLOCK_VALUES", 2 * whole.grid.n_full)
+    want = analysis.energy_report(whole)
+    c = replace(whole.config, store_every=5)
+    check = analysis.EnergyBalance(whole.disc, whole.stencil, c, whole.dt)
+    thin = solve(whole.spec, whole.stencil, c, observers=[check])
+    assert len(row_blocks(whole.stats["n_steps"], whole.grid.n_full)) > 2
+    assert len(thin.times) < len(whole.times)
+    assert check.result() == want
 
 
 @pytest.mark.parametrize("exterior", ["steady", "moving"])

@@ -41,6 +41,10 @@ code = levyfv.cli.main(["run", "--mode", "solve", "--problem",
                         "burgers_riemann", "--measure", "single_atom",
                         "--dx", "0.015625", "--Z", "0.25", "--auto-cfl",
                         "--out", sys.argv[1]])
+# the vanishing chain's TV distances to the zero measure are closed form
+code += levyfv.cli.main(["run", "--mode", "vanishing", "--problem",
+                         "burgers_bump", "--dx", "0.03125", "--Z", "0.5",
+                         "--T", "0.1", "--out", sys.argv[1] + "_v"])
 print(json.dumps({"code": code, "scipy": sorted(
     m for m in sys.modules if m.split(".")[0] == "scipy")}))
 """
@@ -546,6 +550,48 @@ def test_drivers_write_the_same_artifacts_at_any_cadence(tmp_path, mode,
                 time_blocks(path)[::7]
         elif path.name != "report.json":
             assert (thin / path.name).read_bytes() == path.read_bytes()
+
+
+def test_energy_observes_a_thinned_base_run(tmp_path, monkeypatch):
+    # without moduli the base run keeps its cadence: the energy balance
+    # observes the march and equals the report over the run stored whole
+    from levyfv import analysis, cli
+    from levyfv.measures import measure_from_config
+    from levyfv.problem import problem_from_config
+    calls = []
+
+    def spy(spec, stencil, config, **kwargs):
+        calls.append((config.store_every, kwargs.get("observers", ())))
+        return solve(spec, stencil, config, **kwargs)
+
+    monkeypatch.setattr(cli, "solve", spy)
+    cfg = {"mode": "solve", "problem": "burgers_bump", "dx": 1 / 64,
+           "Z": 0.25, "store_every": 7, "energy": True,
+           "measure": TRUNCATED_FRACTIONAL, "tail_mode": "drop"}
+    code, out = run_config(tmp_path, "run", cfg)
+    assert code == 0
+    # the companion run passes no observers; the base run passes its checks
+    assert [every for every, observers in calls if observers] == [7]
+    assert isinstance(calls[-1][1][-1], analysis.EnergyBalance)
+    c = SchemeConfig(dx=cfg["dx"], r=cfg["dx"], Z=cfg["Z"], tail_mode="drop")
+    st = build_stencil(measure_from_config(cfg["measure"]), c.dx, c.r, c.Z)
+    want = analysis.energy_report(solve(problem_from_config(cfg["problem"]),
+                                        st, c))
+    got = json.loads((out / "report.json").read_text())["checks"]["energy"]
+    assert got.pop("pass") is True
+    assert got == json.loads(json.dumps(want))
+
+
+@pytest.mark.parametrize("mode", ["vanishing", "stability"])
+def test_chain_modes_refuse_a_measure(tmp_path, capsys, mode):
+    # the chain is built from alpha, so a measure would be dropped unread
+    code = main(["run", "--mode", mode, "--problem", "burgers_bump",
+                 "--measure", "single_atom", "--dx", "0.03125", "--Z", "0.5",
+                 "--T", "0.1", "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "takes no measure" in err[0]
+    assert not (tmp_path / "o" / "report.json").exists()
 
 
 def test_solve_mode_holds_one_full_trajectory(tmp_path):

@@ -71,8 +71,12 @@ STORE_EVERY_7 = {"mode": "solve", "problem": "burgers_bump",
 TAIL_DROP = {"mode": "solve", "problem": "burgers_bump",
              "measure": TRUNCATED_FRACTIONAL, "dx": 1.0 / 64, "Z": 0.25,
              "tail_mode": "drop"}
-# thinned storage: a tail under "exterior_mean", and the energy and moduli
-# branch, which reads every step of the base run
+# the energy observer on a thinned base run: it reads the drop rule from the
+# run's config while the march stores every 7th state
+TAIL_DROP_ENERGY_STORE_EVERY_7 = {**TAIL_DROP, "energy": True,
+                                  "store_every": 7}
+# thinned storage: a tail under "exterior_mean", and the moduli branch,
+# which reads every step of the base run
 TAIL_STORE_EVERY_7 = {"mode": "solve", "problem": "burgers_bump",
                       "measure": TRUNCATED_FRACTIONAL, "dx": 1.0 / 64,
                       "Z": 0.25, "store_every": 7}
@@ -154,6 +158,8 @@ def matrix():
         ("store_every_7", ["run"], STORE_EVERY_7),
         ("tail_drop", ["run"], TAIL_DROP),
         ("tail_store_every_7", ["run"], TAIL_STORE_EVERY_7),
+        ("tail_drop_energy_store_every_7", ["run"],
+         TAIL_DROP_ENERGY_STORE_EVERY_7),
         ("energy_store_every_5", ["run"], ENERGY_STORE_EVERY_5),
         ("picard_store_every_3", ["run"], PICARD_STORE_EVERY_3),
         ("stability_store_every_3", ["run"], STABILITY_STORE_EVERY_3),
