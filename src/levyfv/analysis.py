@@ -214,51 +214,20 @@ def mass_budget_check(traj: Trajectory, tol: float = 1e-12) -> CheckResult:
 # energy inequality
 # ---------------------------------------------------------------------------
 
-class EnergyForm:
-    """Observer of a march (`scheme.solve`, `scheme.replay`) of `disc` at
-    step `dt`: the energy inequality's lhs, the energy form under `stencil`
-    of gamma = b(u) - b(ext) extended by zero, dt dx times one running sum
-    over the steps but T in time order (`zero_extended_sum`).  `sample`
-    takes the extension at each block's steps; a steady one
-    (`ExteriorData.steady`) once, on row 0, and broadcasts it."""
-
-    def __init__(self, disc: DiscreteProblem, stencil: StencilWeights,
-                 dt: float):
-        self.disc, self.stencil, self.dt = disc, stencil, dt
-        self.x = disc.grid.x_interior()
-        self.fixed = None
-        self.form = 0.0
-
-    def sample(self, times, states):
-        """A tuple whose first entry is the extension on the interior at
-        `times`; `states` are the full-grid rows at those times."""
-        return (sample_rows(self.disc.spec.exterior.value, times, self.x),)
-
-    def __call__(self, rows, times, block):
-        cut = 1 if self.disc.spec.exterior.steady else -1
-        pieces = self.fixed or self.sample(times[:cut], block[:cut])
-        if cut == 1:
-            self.fixed = pieces
-        b = self.disc.spec.diffusion.b
-        u = block[:-1, self.disc.grid.interior]
-        gamma = b(u) - b(pieces[0])
-        self.form = zero_extended_sum(gamma, self.stencil, self.form)
-        return u, pieces, gamma
-
-    def result(self) -> float:
-        return self.dt * (self.disc.grid.dx * self.form)
-
-
-class EnergyBalance(EnergyForm):
-    """Observer of a march of `disc` with `stencil` and `config` at step
-    `dt`: both sides of the global energy inequality for gamma = b(u) -
-    b(ext).  lhs: the `EnergyForm`.  rhs: entropy potential of the initial
-    data, the transport terms weighted by b'(ext), and the jump operator
-    applied to b(ext) paired with gamma, these two one sum per step added
-    in time order.  slack = rhs - lhs; the continuum bound guarantees slack
-    >= 0 up to discretization error.  The extension's dt and grad are
-    sampled with it, and at t = 0 its value; an extension without them is
-    refused when the observer is built (`MissingExtensionDerivatives`)."""
+class EnergyBalance:
+    """Observer of a march (`scheme.solve`, `scheme.replay`) of `disc` with
+    `stencil` and `config` at step `dt`: both sides of the global energy
+    inequality for gamma = b(u) - b(ext).  lhs: the energy form under
+    `stencil` of gamma extended by zero, dt dx times one running sum over the
+    steps but T in time order (`zero_extended_sum`).  rhs: entropy potential
+    of the initial data, the transport terms weighted by b'(ext), and the
+    jump operator applied to b(ext) paired with gamma, these two one sum per
+    step added in time order.  slack = rhs - lhs; the continuum bound
+    guarantees slack >= 0 up to discretization error.  `sample` takes the
+    extension with its dt and grad at each block's steps, a steady one
+    (`ExteriorData.steady`) once, on row 0, and broadcasts it; at t = 0 its
+    value.  An extension without dt or grad is refused when the observer is
+    built (`MissingExtensionDerivatives`)."""
 
     def __init__(self, disc: DiscreteProblem, stencil: StencilWeights,
                  config: SchemeConfig, dt: float):
@@ -266,9 +235,11 @@ class EnergyBalance(EnergyForm):
         if ext.dt is None or ext.grad is None:
             raise MissingExtensionDerivatives(
                 "energy report needs closed-form extension derivatives")
-        super().__init__(disc, stencil, dt)
+        self.disc, self.stencil, self.dt = disc, stencil, dt
         self.tail_mode = config.tail_mode
-        self.initial = self.transport = self.operator = 0.0
+        self.x = disc.grid.x_interior()
+        self.fixed = None
+        self.form = self.initial = self.transport = self.operator = 0.0
 
     def sample(self, times, states):
         """The extension at `times` on the interior, its dt and grad there,
@@ -285,11 +256,18 @@ class EnergyBalance(EnergyForm):
 
     def __call__(self, rows, times, block):
         spec, dt, dx = self.disc.spec, self.dt, self.disc.grid.dx
+        b = spec.diffusion.b
+        u = block[:-1, self.disc.grid.interior]
         if rows.start == 0:
             ext0 = np.asarray(spec.exterior.value(0.0, self.x), dtype=float)
             self.initial = dx * float(np.sum(spec.diffusion.entropy_h(
                 block[0, self.disc.grid.interior], ext0)))
-        u, (e, e_t, e_x, op), gamma = super().__call__(rows, times, block)
+        cut = 1 if spec.exterior.steady else -1
+        e, e_t, e_x, op = self.fixed or self.sample(times[:cut], block[:cut])
+        if cut == 1:
+            self.fixed = e, e_t, e_x, op
+        gamma = b(u) - b(e)
+        self.form = zero_extended_sum(gamma, self.stencil, self.form)
         f_big = np.sign(u - e) * (spec.flux.f(u) - spec.flux.f(e))
         for s in (((u - e) * e_t + f_big * e_x)
                   * spec.diffusion.bprime(e)).sum(axis=1):
@@ -298,7 +276,7 @@ class EnergyBalance(EnergyForm):
             self.operator += dt * dx * float(s)
 
     def result(self) -> dict:
-        lhs = super().result()
+        lhs = self.dt * (self.disc.grid.dx * self.form)
         rhs = self.initial + self.transport + self.operator
         return {"lhs": lhs, "rhs": rhs, "slack": rhs - lhs,
                 "parts": {"initial": self.initial,
@@ -545,18 +523,6 @@ def translation_moduli(gamma: np.ndarray, dt: float, dx: float,
         "space": [(s * dx, shifted_diff(1, int(s))) for s in space_shifts],
         "time": [(s * dt, shifted_diff(0, int(s))) for s in time_shifts],
     }
-
-
-def uniform_energy_series(runs) -> np.ndarray:
-    """E_n = dt * sum_t energy_form(gamma_n) for a list of (stencil, traj),
-    the `EnergyForm` of each stored run, which must store every step."""
-    out = []
-    for stencil, traj in runs:
-        traj.require_every_step()
-        form = EnergyForm(traj.disc, stencil, traj.dt)
-        replay(traj, [form])
-        out.append(form.result())
-    return np.asarray(out)
 
 
 # ---------------------------------------------------------------------------

@@ -23,8 +23,8 @@ from .measures import (FractionalRadial, measure_from_config, single_atom,
 from .multiplier import MultiplierEval, write_multiplier_scan
 from .problem import (diffusion_identity, diffusion_power, diffusion_stefan,
                       discretize, make_problem, problem_from_config)
-from .scheme import (SchemeConfig, build_stencil, picard_solve, solve,
-                     stability_run, time_grid, vanishing_viscosity_run)
+from .scheme import (Gamma, SchemeConfig, build_stencil, picard_solve,
+                     solve, stability_run, time_grid, vanishing_viscosity_run)
 from .stencil import fourier_energy_check
 
 
@@ -138,6 +138,14 @@ def trend_check(name, distances, params) -> analysis.CheckResult:
         float(-diffs.max()) if diffs.size else 0.0, params)
 
 
+def _integer(cfg, key, default):
+    """Entry `key` of `cfg` as an int, refusing a bool or a fraction."""
+    val = cfg.get(key, default)
+    if isinstance(val, bool) or isinstance(val, float) and not val.is_integer():
+        raise ConfigParse(f"{key} must be an integer, got {val!r}")
+    return int(val)
+
+
 def _scheme_config(cfg):
     try:
         return SchemeConfig(
@@ -151,7 +159,7 @@ def _scheme_config(cfg):
                             "lf": "lax_friedrichs"}.get(cfg.get("flux", "eo"),
                                                         cfg.get("flux", "eo")),
             tail_mode=cfg.get("tail_mode", "exterior_mean"),
-            store_every=int(cfg.get("store_every", 1)),
+            store_every=_integer(cfg, "store_every", 1),
             enforce_cfl=bool(cfg.get("enforce_cfl", True)),
         )
     except (KeyError, TypeError, ValueError) as exc:
@@ -229,7 +237,7 @@ def cmd_run(cfg, out_dir) -> int:
     if mode == "solve":
         stencil = build_stencil(measure, sconf.dx, sconf.r, sconf.Z)
         disc = discretize(spec, sconf.dx, stencil.Z)
-        dt, _ = time_grid(disc, [stencil], sconf)
+        dt, n_steps = time_grid(disc, [stencil], sconf)
         observers = [analysis.MaxPrinciple(disc),
                      analysis.MassBudget(disc, stencil, sconf, dt)]
         if cfg.get("contraction", True):
@@ -240,23 +248,21 @@ def cmd_run(cfg, out_dir) -> int:
             observers.append(analysis.L1Contraction(other))
         energy = ([analysis.EnergyBalance(disc, stencil, sconf, dt)]
                   if cfg.get("energy", False) else [])
-        # the moduli read every step of the base run
-        keep = 1 if cfg.get("moduli", False) else sconf.store_every
-        traj = solve(spec, stencil, replace(sconf, store_every=keep),
-                     dt_override=dt, observers=observers + energy)
+        gamma = [Gamma(disc, n_steps)] if cfg.get("moduli", False) else []
+        traj = solve(spec, stencil, sconf, dt_override=dt,
+                     observers=observers + energy + gamma)
         for check in observers:
             record(check.result())
-        if cfg.get("moduli", False):
+        for g in gamma:
             tables = analysis.translation_moduli(
-                traj.gamma(), traj.dt, sconf.dx,
+                g.rows, traj.dt, sconf.dx,
                 space_shifts=[1, 2, 4, 8], time_shifts=[1, 2, 4, 8])
             write_moduli_csv(os.path.join(out_dir, "moduli.csv"), tables)
         for check in energy:
             checks["energy"] = check.result()
             checks["energy"]["pass"] = bool(checks["energy"]["slack"]
                                             >= -1e-6)
-        write_trajectory_csv(os.path.join(out_dir, "trajectory.csv"), traj,
-                             every=sconf.store_every // keep)
+        write_trajectory_csv(os.path.join(out_dir, "trajectory.csv"), traj)
         report["stats"] = {k: v for k, v in traj.stats.items()
                            if k != "wall_time_s"}
         report["_wall_time_s"] = traj.stats["wall_time_s"]
@@ -264,7 +270,8 @@ def cmd_run(cfg, out_dir) -> int:
         if not math.isfinite(measure.total_mass()):
             raise ConfigParse("picard mode needs a finite-mass measure")
         try:
-            k_max, tol = int(cfg.get("k_max", 12)), float(cfg.get("tol", 1e-6))
+            k_max = _integer(cfg, "k_max", 12)
+            tol = float(cfg.get("tol", 1e-6))
         except (TypeError, ValueError) as exc:
             raise ConfigParse(f"bad picard parameter: {exc!r}") from exc
         res = picard_solve(spec, measure, sconf, k_max=k_max, tol=tol)

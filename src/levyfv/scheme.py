@@ -96,14 +96,11 @@ class Trajectory:
                 f"every step (store_every=1)")
 
     def gamma(self) -> np.ndarray:
-        """b(u) - b(extension) on the interior; identically zero outside.
-        A steady extension is sampled once, as one row that broadcasts."""
+        """`Gamma` over the stored states, which must store every step."""
         self.require_every_step()
-        b = self.spec.diffusion.b
-        ext = sample_rows(self.spec.exterior.value,
-                          self.times[:1] if self.spec.exterior.steady
-                          else self.times, self.grid.x_interior())
-        return b(self.interior()) - b(ext)
+        gamma = Gamma(self.disc, self.stats["n_steps"])
+        replay(self, [gamma])
+        return gamma.rows
 
 
 def _numerical_flux(config, spec, lam):
@@ -158,12 +155,14 @@ def time_grid(disc: DiscreteProblem, stencils, config: SchemeConfig,
     each stencil on `disc`'s data range (T/64 for a stencil without one),
     the smallest over `stencils`, so trajectories of a chain share one grid.
     Every stencil must share `disc`'s halo.  dt is then rounded down so that
-    a whole number of steps hits the horizon.  A given dt that is not
-    positive and finite is refused (`ConfigParse`), and so is a CFL bound of
-    0 (`CflViolation`), which leaves no dt to pick, and a dt so small that
-    n_steps reaches 2**52 (`CflViolation`): the grid's consecutive times
-    would no longer be distinct doubles."""
+    a whole number of steps hits the horizon.  A horizon T or a given dt
+    that is not positive and finite is refused (`ConfigParse`), and so is a
+    CFL bound of 0 (`CflViolation`), which leaves no dt to pick, and a dt so
+    small that n_steps reaches 2**52 (`CflViolation`): the grid's
+    consecutive times would no longer be distinct doubles."""
     spec = disc.spec
+    if not 0.0 < spec.T < math.inf:
+        raise ConfigParse(f"T must be positive and finite, got {spec.T}")
     if dt is None:
         dt = config.dt
     if dt is not None and not 0.0 < dt < math.inf:
@@ -342,6 +341,28 @@ def replay(traj: Trajectory, observers) -> None:
         for observe in observers:
             observe(rows, traj.times[rows.start:rows.stop + 1],
                     traj.states[rows.start:rows.stop + 1])
+
+
+class Gamma:
+    """Observer of a march (`solve`, `replay`) of `disc` in `n_steps` steps:
+    its `rows` hold gamma = b(u) - b(extension) on the interior, identically
+    zero outside, one row per step.  A steady extension
+    (`ExteriorData.steady`) is sampled once, as one row that broadcasts."""
+
+    def __init__(self, disc: DiscreteProblem, n_steps: int):
+        self.disc = disc
+        self.b_ext = None
+        self.rows = np.empty((n_steps + 1, disc.grid.n))
+
+    def __call__(self, rows, times, block):
+        spec, grid = self.disc.spec, self.disc.grid
+        steady = spec.exterior.steady
+        if self.b_ext is None or not steady:
+            self.b_ext = spec.diffusion.b(sample_rows(
+                spec.exterior.value, times[:1] if steady else times,
+                grid.x_interior()))
+        np.subtract(spec.diffusion.b(block[:, grid.interior]), self.b_ext,
+                    out=self.rows[rows.start:rows.start + len(block)])
 
 
 # ---------------------------------------------------------------------------

@@ -560,8 +560,8 @@ def test_energy_report_samples_the_extension_once_per_integrated_time():
 
 
 def test_a_steady_extension_is_sampled_a_fixed_number_of_times(monkeypatch):
-    # energy_report, gamma and the uniform energy series sample a steady
-    # extension once, however many times and blocks the trajectory stores
+    # energy_report and gamma sample a steady extension once, however many
+    # times and blocks the trajectory stores
     monkeypatch.setattr(stencil, "BLOCK_VALUES", 96)
     calls = []
 
@@ -580,15 +580,13 @@ def test_a_steady_extension_is_sampled_a_fixed_number_of_times(monkeypatch):
         traj = run(spec, single_atom(z=0.125, w=0.5), 1 / 32)
         assert len(row_blocks(len(traj.times), traj.grid.n_full)) > 2
         per_call = []
-        for fn in (analysis.energy_report, lambda tr: tr.gamma(),
-                   lambda tr: analysis.uniform_energy_series(
-                       [(tr.stencil, tr)])):
+        for fn in (analysis.energy_report, lambda tr: tr.gamma()):
             calls.clear()
             fn(traj)
             per_call.append(len(calls))
         counts.append(per_call)
     # energy_report: t = 0 for the initial entropy, and the one sample
-    assert counts[0] == counts[1] == [2, 1, 1]
+    assert counts[0] == counts[1] == [2, 1]
 
 
 def test_gamma_of_a_steady_extension_equals_the_per_time_samples():
@@ -843,28 +841,28 @@ def test_moduli_monotone_on_solution_flux():
     assert all(np.diff(tv) > 0.0)
 
 
+# the uniform energy series of criterion 11 is the energy report's lhs, one
+# value per run
+
 def test_uniform_energy_series_identical_runs():
     spec = make_problem("burgers", "identity", "bump", T=0.2)
     t1 = run(spec, single_atom(z=0.125, w=0.5), 1 / 64)
-    series = analysis.uniform_energy_series(
-        [(t1.stencil, t1), (t1.stencil, t1)])
+    series = [analysis.energy_report(tr)["lhs"] for tr in (t1, t1)]
     assert series[0] == series[1]
 
 
 @pytest.mark.parametrize("name", ["power_tail", "steady_power_tail"])
 def test_uniform_energy_series_is_the_energy_report_lhs(name):
     traj = energy_case(name)
-    series = analysis.uniform_energy_series([(traj.stencil, traj)])
-    assert series[0] == analysis.energy_report(traj)["lhs"]
-    assert series[0] == traj.dt * zero_extended_energy(traj.gamma()[:-1],
-                                                       traj.stencil)
+    lhs = analysis.energy_report(traj)["lhs"]
+    assert lhs == traj.dt * zero_extended_energy(traj.gamma()[:-1],
+                                                 traj.stencil)
 
 
 def test_uniform_energy_series_zero_diffusion():
     spec = make_problem("burgers", "stefan", "bump", ell=1.5, T=0.2)
     t1 = run(spec, single_atom(z=0.125, w=0.5), 1 / 64)
-    series = analysis.uniform_energy_series([(t1.stencil, t1)])
-    assert series[0] == 0.0
+    assert analysis.energy_report(t1)["lhs"] == 0.0
 
 
 # -- pointwise mollification bound -------------------------------------------------

@@ -145,6 +145,22 @@ SOLVE_ARGS = ["--mode", "solve", "--problem", "burgers_bump", "--measure",
               "single_atom", "--dx", "0.03125", "--Z", "0.5", "--T", "0.1"]
 
 
+# a horizon that is not positive and finite, and a bool or a fraction for an
+# integer entry: (args, config, the entry the error names)
+NAMED_BAD_ENTRIES = {
+    "T_nan": (SOLVE_ARGS + ["--T", "nan"], {}, "T"),
+    "T_inf": (SOLVE_ARGS + ["--T", "inf"], {}, "T"),
+    "T_zero": (SOLVE_ARGS + ["--T", "0"], {}, "T"),
+    "T_negative": (SOLVE_ARGS + ["--T", "-1"], {}, "T"),
+    "store_every_fraction": (SOLVE_ARGS, {"store_every": 2.5}, "store_every"),
+    "store_every_bool": (SOLVE_ARGS, {"store_every": True}, "store_every"),
+    "picard_k_max_fraction": (SOLVE_ARGS + ["--mode", "picard"],
+                              {"k_max": 2.7}, "k_max"),
+    "picard_k_max_bool": (SOLVE_ARGS + ["--mode", "picard"],
+                          {"k_max": True}, "k_max"),
+}
+
+
 # bad run parameters: each is refused where it is parsed or validated
 @pytest.mark.parametrize("args, cfg", [
     (SOLVE_ARGS + ["--dt", "0"], {}),
@@ -161,11 +177,12 @@ SOLVE_ARGS = ["--mode", "solve", "--problem", "burgers_bump", "--measure",
     (SOLVE_ARGS + ["--mode", "picard"], {"tol": "x"}),
     (SOLVE_ARGS + ["--mode", "vanishing"], {"n_list": [0]}),
     (SOLVE_ARGS + ["--mode", "stability"], {"r_list": [0.25, 0]}),
-], ids=["dt_zero", "dt_nan", "dt_negative", "dt_negative_unenforced",
-        "picard_k_max_0", "picard_k_max_0_tol_0", "picard_infinite_mass",
-        "vanishing_alpha_3", "stability_alpha_3", "stability_alpha_text",
-        "picard_k_max_text", "picard_tol_text", "vanishing_n_list_0",
-        "stability_r_list_0"])
+] + [(args, cfg) for args, cfg, _ in NAMED_BAD_ENTRIES.values()],
+    ids=["dt_zero", "dt_nan", "dt_negative", "dt_negative_unenforced",
+         "picard_k_max_0", "picard_k_max_0_tol_0", "picard_infinite_mass",
+         "vanishing_alpha_3", "stability_alpha_3", "stability_alpha_text",
+         "picard_k_max_text", "picard_tol_text", "vanishing_n_list_0",
+         "stability_r_list_0"] + list(NAMED_BAD_ENTRIES))
 def test_bad_run_parameter_exit_2(tmp_path, capsys, args, cfg):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
@@ -173,6 +190,19 @@ def test_bad_run_parameter_exit_2(tmp_path, capsys, args, cfg):
                  "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("config error: ")
+
+
+@pytest.mark.parametrize("name", sorted(NAMED_BAD_ENTRIES))
+def test_bad_horizon_or_integer_entry_is_named_before_a_step(tmp_path, capsys,
+                                                             name):
+    args, cfg, entry = NAMED_BAD_ENTRIES[name]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["run", *args, "--config", str(path),
+                 "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"config error: {entry} must")
+    assert not (tmp_path / "o" / "trajectory.csv").exists()
 
 
 def test_auto_cfl_in_a_config_drops_its_dt_as_the_flag_does(tmp_path):
@@ -580,6 +610,68 @@ def test_energy_observes_a_thinned_base_run(tmp_path, monkeypatch):
     got = json.loads((out / "report.json").read_text())["checks"]["energy"]
     assert got.pop("pass") is True
     assert got == json.loads(json.dumps(want))
+
+
+# a run whose energy report has nonzero transport and operator parts; 7 does
+# not divide its 41 steps
+ENERGY_RHS_RUN = {"mode": "solve", "problem": {
+    "flux": "burgers", "diffusion": "identity", "data": "riemann", "T": 0.2},
+    "measure": {"kind": "fractional", "alpha": 1.0, "lo": 0.03125},
+    "dx": 1 / 64, "Z": 0.5, "energy": True}
+
+
+@pytest.mark.parametrize("every", [1, 7])
+def test_energy_rhs_parts_equal_the_report_on_the_run_stored_whole(tmp_path,
+                                                                   every):
+    from levyfv import analysis
+    from levyfv.measures import measure_from_config
+    from levyfv.problem import problem_from_config
+    cfg = {**ENERGY_RHS_RUN, "store_every": every}
+    code, out = run_config(tmp_path, "run", cfg)
+    assert code == 0
+    got = json.loads((out / "report.json").read_text())["checks"]["energy"]
+    assert got.pop("pass") is True
+    assert got["parts"]["operator"] != 0.0
+    assert got["parts"]["transport"] != 0.0
+    c = SchemeConfig(dx=cfg["dx"], r=cfg["dx"], Z=cfg["Z"])
+    st = build_stencil(measure_from_config(cfg["measure"]), c.dx, c.r, c.Z)
+    full = solve(problem_from_config(cfg["problem"]), st, c)
+    assert full.stats["n_steps"] == 41
+    assert got == json.loads(json.dumps(analysis.energy_report(full)))
+
+
+def test_moduli_observe_a_thinned_base_run(tmp_path, monkeypatch):
+    # with moduli the base run keeps its cadence: gamma is observed during
+    # the march, and both CSVs equal those written from the run stored whole
+    from levyfv import analysis, cli
+    from levyfv.measures import single_atom
+    from levyfv.problem import problem_from_config, sample_rows
+    calls = []
+
+    def spy(spec, stencil, config, **kwargs):
+        calls.append((config.store_every, kwargs.get("observers", ())))
+        return solve(spec, stencil, config, **kwargs)
+
+    monkeypatch.setattr(cli, "solve", spy)
+    cfg = {"mode": "solve", "problem": "burgers_bump",
+           "measure": "single_atom", "dx": 1 / 64, "Z": 0.5,
+           "store_every": 7, "moduli": True}
+    code, out = run_config(tmp_path, "run", cfg)
+    assert code == 0
+    # the companion run passes no observers; the base run passes its checks
+    assert [every for every, observers in calls if observers] == [7]
+    c = SchemeConfig(dx=cfg["dx"], r=cfg["dx"], Z=cfg["Z"])
+    full = solve(problem_from_config(cfg["problem"]),
+                 build_stencil(single_atom(), c.dx, c.r, c.Z), c)
+    assert full.stats["n_steps"] % 7
+    b, ext = full.spec.diffusion.b, full.spec.exterior
+    gamma = b(full.interior()) - b(sample_rows(ext.value, full.times[:1],
+                                               full.grid.x_interior()))
+    cli.write_moduli_csv(tmp_path / "moduli.csv", analysis.translation_moduli(
+        gamma, full.dt, c.dx, [1, 2, 4, 8], [1, 2, 4, 8]))
+    write_trajectory_csv(tmp_path / "trajectory.csv", full, every=7)
+    for name in ("moduli.csv", "trajectory.csv"):
+        assert (out / name).read_bytes() == (tmp_path / name).read_bytes()
 
 
 @pytest.mark.parametrize("mode", ["vanishing", "stability"])

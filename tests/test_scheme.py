@@ -5,13 +5,15 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from levyfv.errors import CflViolation, ConfigMismatch, NoConvergence
+from levyfv.errors import CflViolation, ConfigMismatch, ConfigParse, \
+    NoConvergence
 from levyfv.measures import (AtomicSymmetric, DyadicB, FractionalRadial,
                              single_atom, truncate, zero_measure)
 from levyfv.problem import (PROBLEM_PRESETS, DiscreteProblem, ExteriorData,
-                            ProblemSpec, diffusion_identity, diffusion_zero,
-                            discretize, exterior_constant, flux_burgers,
-                            flux_linear, flux_zero, make_problem)
+                            ProblemSpec, diffusion_identity, diffusion_power,
+                            diffusion_zero, discretize, exterior_constant,
+                            flux_burgers, flux_linear, flux_zero, make_problem,
+                            sample_rows)
 from levyfv import analysis, scheme
 from levyfv.scheme import (SchemeConfig, cfl_max_dt, l1_q_distance,
                            picard_solve, solve, stability_run, step,
@@ -435,6 +437,17 @@ def test_time_grids_pinned(driver, dt, n_steps):
     assert traj.dt == traj.times[1] - traj.times[0]
 
 
+@pytest.mark.parametrize("T", [math.nan, math.inf, 0.0, -1.0])
+def test_time_grid_refuses_a_horizon_that_is_not_positive_and_finite(T):
+    c = conf(1 / 32, Z=0.5)
+    st = build_stencil(single_atom(), c.dx, c.r, c.Z)
+    disc = discretize(make_problem("burgers", "identity", "bump", T=T), c.dx,
+                      st.Z)
+    for dt in (None, 0.01):
+        with pytest.raises(ConfigParse, match="^T must be positive"):
+            scheme.time_grid(disc, [st], c, dt)
+
+
 def test_stability_identical_measures_zero_distances():
     m = single_atom(z=0.125, w=0.5)
     spec = make_problem("burgers", "identity", "bump", T=0.2)
@@ -563,6 +576,32 @@ def test_steady_halo_is_carried_across_blocks(monkeypatch):
     steady = solve(spec, st, c)
     assert steady.stats["n_steps"] > 3 * 5
     _same_run(steady, solve(moving, st, c))
+
+
+@pytest.mark.parametrize("moving", [False, True], ids=["steady", "moving"])
+def test_gamma_observed_over_blocks_is_gamma_of_the_run_stored_whole(
+        monkeypatch, moving):
+    # b(u) - b(ext), written one row per step while a march of several
+    # blocks stores every 7th state, equals gamma of the run stored whole
+    # and b(u) - b(ext) with the extension sampled at every stored time
+    from levyfv import stencil
+    spec = replace(MOVING_SPEC, diffusion=diffusion_power(2.0))
+    if not moving:
+        spec = replace(spec, exterior=exterior_constant(0.1))
+    c = conf(1 / 64, Z=0.5)
+    st = build_stencil(single_atom(), c.dx, c.r, c.Z)
+    disc = scheme.discretize(spec, c.dx, st.Z)
+    monkeypatch.setattr(stencil, "BLOCK_VALUES", 3 * disc.grid.n_full)
+    full = solve(spec, st, c)
+    n_steps = full.stats["n_steps"]
+    assert n_steps > 3 * 3
+    gamma = scheme.Gamma(disc, n_steps)
+    thin = solve(spec, st, replace(c, store_every=7), observers=[gamma])
+    assert len(thin.times) < n_steps
+    assert np.array_equal(gamma.rows, full.gamma())
+    b = spec.diffusion.b
+    ext = sample_rows(spec.exterior.value, full.times, full.grid.x_interior())
+    assert np.array_equal(gamma.rows, b(full.interior()) - b(ext))
 
 
 @pytest.mark.parametrize("preset", sorted(PROBLEM_PRESETS))

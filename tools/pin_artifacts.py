@@ -76,7 +76,7 @@ TAIL_DROP = {"mode": "solve", "problem": "burgers_bump",
 TAIL_DROP_ENERGY_STORE_EVERY_7 = {**TAIL_DROP, "energy": True,
                                   "store_every": 7}
 # thinned storage: a tail under "exterior_mean", and the moduli branch,
-# which reads every step of the base run
+# whose gamma observer reads every step of the march
 TAIL_STORE_EVERY_7 = {"mode": "solve", "problem": "burgers_bump",
                       "measure": TRUNCATED_FRACTIONAL, "dx": 1.0 / 64,
                       "Z": 0.25, "store_every": 7}
@@ -96,11 +96,21 @@ MULTI_BLOCK_NONE = {"mode": "solve", "problem": "burgers_riemann",
 MULTI_BLOCK_ATOM = {"mode": "solve", "problem": "burgers_bump",
                     "measure": "single_atom", "dx": 1.0 / 256, "Z": 0.5,
                     "store_every": 16}
+# the moduli of a thinned base run whose march spans several row blocks, so
+# the gamma observer writes its rows across block boundaries
+MULTI_BLOCK_MODULI = {**MULTI_BLOCK_ATOM, "moduli": True}
 # an energy report whose base run spans several row blocks, so the energy
 # form's running sum crosses block boundaries
 MULTI_BLOCK_ENERGY = {"mode": "solve", "problem": "burgers_bump",
                       "measure": TRUNCATED_FRACTIONAL, "dx": 1.0 / 256,
                       "Z": 0.5, "store_every": 16, "energy": True}
+# an energy report with nonzero transport and operator parts, on a full and
+# on a thinned base run (7 does not divide its 41 steps)
+ENERGY_RHS = {"mode": "solve", "problem": {
+    "flux": "burgers", "diffusion": "identity", "data": "riemann", "T": 0.2},
+    "measure": {"kind": "fractional", "alpha": 1.0, "lo": 0.03125},
+    "dx": 1.0 / 64, "Z": 0.5, "energy": True}
+ENERGY_RHS_STORE_EVERY_7 = {**ENERGY_RHS, "store_every": 7}
 # a step far above the CFL bound overflows mid-run: exit 3 names its time
 NONFINITE = {"mode": "solve", "problem": "burgers_bump",
              "measure": "single_atom", "dx": 1.0 / 32, "Z": 0.5, "dt": 0.9,
@@ -165,7 +175,10 @@ def matrix():
         ("stability_store_every_3", ["run"], STABILITY_STORE_EVERY_3),
         ("multi_block_none", ["run", "--auto-cfl"], MULTI_BLOCK_NONE),
         ("multi_block_atom", ["run", "--auto-cfl"], MULTI_BLOCK_ATOM),
+        ("multi_block_moduli", ["run", "--auto-cfl"], MULTI_BLOCK_MODULI),
         ("multi_block_energy", ["run", "--auto-cfl"], MULTI_BLOCK_ENERGY),
+        ("energy_rhs", ["run"], ENERGY_RHS),
+        ("energy_rhs_store_every_7", ["run"], ENERGY_RHS_STORE_EVERY_7),
         ("nonfinite", ["run"], NONFINITE),
         ("table_solve", ["run"], TABLE_SOLVE),
         ("table_picard", ["run"], TABLE_PICARD),
