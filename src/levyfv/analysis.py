@@ -299,47 +299,36 @@ def energy_report(traj: Trajectory) -> dict:
 
 @dataclass(frozen=True)
 class SpaceTimeBump:
-    """Nonnegative tensor bump: raised-cosine in space times raised-cosine in
-    time, with closed-form first and second derivatives.  Supports vanish
-    before the horizon, so the terminal condition holds by construction."""
+    """Nonnegative tensor bump phi(t, x) = S(x) T(t), raised cosines whose
+    closed-form factors `space` (S, S', S'') and `time` (T, T') give every
+    derivative.  Supports vanish before the horizon, so the terminal
+    condition holds by construction."""
 
     xc: float
     rx: float
     tc: float
     rt: float
 
-    def _space(self, x):
+    def space(self, x):
+        """(S, S', S'') at the points x."""
         s = (np.asarray(x, dtype=float) - self.xc) / self.rx
         inside = np.abs(s) < 1.0
-        return inside, s
+        return (np.where(inside, np.cos(np.pi * s / 2.0) ** 2, 0.0),
+                np.where(inside, -np.pi / (2.0 * self.rx)
+                         * np.sin(np.pi * s), 0.0),
+                np.where(inside, -(np.pi ** 2) / (2.0 * self.rx ** 2)
+                         * np.cos(np.pi * s), 0.0))
+
+    def time(self, t):
+        """(T, T') at the times t."""
+        s = (np.asarray(t, dtype=float) - self.tc) / self.rt
+        inside = np.abs(s) < 1.0
+        return (np.where(inside, np.cos(np.pi * s / 2.0) ** 2, 0.0),
+                np.where(inside, -np.pi / (2.0 * self.rt)
+                         * np.sin(np.pi * s), 0.0))
 
     def value(self, t, x):
-        inside, s = self._space(x)
-        ft = self._time(t)
-        return np.where(inside, np.cos(np.pi * s / 2.0) ** 2, 0.0) * ft
-
-    def dx(self, t, x):
-        inside, s = self._space(x)
-        ft = self._time(t)
-        d = -np.pi / (2.0 * self.rx) * np.sin(np.pi * s)
-        return np.where(inside, d, 0.0) * ft
-
-    def dxx(self, t, x):
-        inside, s = self._space(x)
-        ft = self._time(t)
-        d = -(np.pi ** 2) / (2.0 * self.rx ** 2) * np.cos(np.pi * s)
-        return np.where(inside, d, 0.0) * ft
-
-    def _time(self, t):
-        s = (np.asarray(t, dtype=float) - self.tc) / self.rt
-        return np.where(np.abs(s) < 1.0, np.cos(np.pi * s / 2.0) ** 2, 0.0)
-
-    def dt(self, t, x):
-        inside, sx = self._space(x)
-        s = (np.asarray(t, dtype=float) - self.tc) / self.rt
-        dft = np.where(np.abs(s) < 1.0,
-                       -np.pi / (2.0 * self.rt) * np.sin(np.pi * s), 0.0)
-        return np.where(inside, np.cos(np.pi * sx / 2.0) ** 2, 0.0) * dft
+        return self.space(x)[0] * self.time(t)[0]
 
 
 def default_test_family(a: float, b: float, T: float):
@@ -409,15 +398,19 @@ def entropy_residual(traj: Trajectory, measure: LevyMeasure, family, levels,
     and the small-jump second moment.  Nonpositive residuals (up to grid
     tolerance) mean the inequality holds.  Inadmissible (k, phi, ±)
     combinations are skipped and counted; admissibility is screened once per
-    phi, for every level and both signs (`admissible_pair`).  A sign other
-    than "plus" or "minus" is refused (`ConfigParse`), and so is a
-    trajectory that does not store every step (`ConfigMismatch`).
+    phi, for every level and both signs (`admissible_pair`).  Each term is
+    built once per admitted (k, ±) and contracted against the family's space
+    and time factors, for every phi at once.  A sign other than "plus" or
+    "minus" is refused (`ConfigParse`), and so is a trajectory that does not
+    store every step (`ConfigMismatch`).
     """
     traj.require_every_step()
     signs_of = {"plus": 1.0, "minus": -1.0}
     for sign in signs:
         if sign not in signs_of:
             raise ConfigParse(f"unknown entropy sign {sign!r}")
+    if not family:
+        return ResidualReport(rows=[], skipped=0)
     spec = traj.spec
     grid = traj.grid
     dt = traj.dt
@@ -455,44 +448,47 @@ def entropy_residual(traj: Trajectory, measure: LevyMeasure, family, levels,
     screen_t = traj.times[::stride]
     b_datum = b(traj.states[::stride][:, grid.halo_mask()])
     b_levels = b(levels)
+    admissible = [dict(zip(signs_of, admissible_pair(
+        b_datum, b_levels, phi.value(screen_t[:, None], xh[None, :]))))
+        for phi in family]
 
-    # built once per admissible (level, sign), as no phi enters them, with
+    # phi = S(x) T(t), so a term's integrand E (times, points) meets the
+    # whole family in one contraction: space first, E @ S.T, then time
+    s_int, sx_int, _ = np.stack([phi.space(xi) for phi in family], axis=1)
+    sxx_full = np.stack([phi.space(xf)[2] for phi in family])
+    s_bnd = np.stack([phi.space(bnd_x)[0] for phi in family])
+    t_val, t_dt = np.stack([phi.time(times) for phi in family], axis=1)
+    t_zero = np.stack([phi.time(0.0)[0] for phi in family])
+
+    def contract(e, space, time):
+        return np.einsum("np,pn->p", e @ space.T, time)
+
+    # one residual per phi for each (level, sign) that some phi admits, with
     # s = +1 ("plus") or -1 ("minus"): (s(u - k))^+, its flux, the signed
     # jump term, (s(b(u) - b(k)))^+, and the entropies of u0 and of the
     # boundary datum; negation is exact, so both signs share one expression
-    integrands = {}
-    rows, skipped = [], 0
-    for idx, phi in enumerate(family):
-        phi_t = phi.dt(times[:, None], xi[None, :])
-        phi_x = phi.dx(times[:, None], xi[None, :])
-        phi_v = phi.value(times[:, None], xi[None, :])
-        small_op = 0.5 * sigma2_r * phi.dxx(times[:, None], xf[None, :])
-        phi0 = phi.value(0.0, xi)
-        phi_bnd = phi.value(times[:, None], bnd_x[None, :])
-        admissible = dict(zip(signs_of, admissible_pair(
-            b_datum, b_levels, phi.value(screen_t[:, None], xh[None, :]))))
-        for i, k in enumerate(levels):
-            for sign in signs:
-                if not admissible[sign][i]:
-                    skipped += 1
-                    continue
-                if (i, sign) not in integrands:
-                    s = signs_of[sign]
-                    sgn = s * _sgn_plus(s * (u_int - k))
-                    fk = float(np.asarray(f(k)))
-                    integrands[i, sign] = (
-                        _pos(s * (u_int - k)), sgn * (fu_int - fk),
-                        op_big * sgn, _pos(s * (bu_all - b_levels[i])),
-                        _pos(s * (u0 - k)), _pos(s * (datum_bnd - k)))
-                ent, flux_ent, op_sgn, bent, ent0, ent_bnd = \
-                    integrands[i, sign]
-                t1 = -dt * dx * float(np.sum(ent * phi_t + flux_ent * phi_x))
-                t2 = -dt * dx * float(np.sum(op_sgn * phi_v))
-                t3 = -dt * dx * float(np.sum(bent * small_op))
-                rhs = dx * float(np.sum(ent0 * phi0))
-                rhs += lf * dt * float(np.sum(ent_bnd * phi_bnd))
-                rows.append(ResidualRow(k=float(k), sign=sign, phi_index=idx,
-                                        residual=t1 + t2 + t3 - rhs))
+    residual = {}
+    for i, k in enumerate(levels):
+        for sign in signs:
+            if not any(adm[sign][i] for adm in admissible):
+                continue
+            s = signs_of[sign]
+            sgn = s * _sgn_plus(s * (u_int - k))
+            fk = float(np.asarray(f(k)))
+            t1 = contract(_pos(s * (u_int - k)), s_int, t_dt)
+            t1 += contract(sgn * (fu_int - fk), sx_int, t_val)
+            t2 = contract(op_big * sgn, s_int, t_val)
+            t3 = 0.5 * sigma2_r * contract(_pos(s * (bu_all - b_levels[i])),
+                                           sxx_full, t_val)
+            rhs = dx * (_pos(s * (u0 - k)) @ s_int.T) * t_zero
+            rhs += lf * dt * contract(_pos(s * (datum_bnd - k)), s_bnd, t_val)
+            residual[i, sign] = -dt * dx * (t1 + t2 + t3) - rhs
+
+    rows = [ResidualRow(k=float(k), sign=sign, phi_index=idx,
+                        residual=float(residual[i, sign][idx]))
+            for idx, adm in enumerate(admissible)
+            for i, k in enumerate(levels) for sign in signs if adm[sign][i]]
+    skipped = len(family) * len(levels) * len(signs) - len(rows)
     return ResidualReport(rows=rows, skipped=skipped)
 
 

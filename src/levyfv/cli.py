@@ -139,9 +139,9 @@ def trend_check(name, distances, params) -> analysis.CheckResult:
 
 
 def _integer(cfg, key, default):
-    """Entry `key` of `cfg` as an int, refusing a bool or a fraction."""
+    """`cfg[key]` as an int, refusing text, a bool or a fraction."""
     val = cfg.get(key, default)
-    if isinstance(val, bool) or isinstance(val, float) and not val.is_integer():
+    if not (type(val) is int or type(val) is float and val.is_integer()):
         raise ConfigParse(f"{key} must be an integer, got {val!r}")
     return int(val)
 
@@ -207,7 +207,7 @@ def companion_spec(spec, data_range):
 def cmd_run(cfg, out_dir) -> int:
     os.makedirs(out_dir, exist_ok=True)
     mode = cfg.get("mode", "solve")
-    seed = int(cfg.get("seed", 0))
+    seed = _integer(cfg, "seed", 0)
     if mode == "gallery":
         rows = analysis.counterexample_gallery()
         write_gallery_csv(os.path.join(out_dir, "gallery.csv"), rows)
@@ -225,7 +225,10 @@ def cmd_run(cfg, out_dir) -> int:
     spec = _reference(cfg.get("problem", "burgers_riemann"),
                       problem_from_config)
     if "T" in cfg:
-        spec = replace(spec, T=float(cfg["T"]))
+        try:
+            spec = replace(spec, T=float(cfg["T"]))
+        except (TypeError, ValueError) as exc:
+            raise ConfigParse(f"T must be a number, got {cfg['T']!r}") from exc
     measure = _reference(cfg.get("measure", "none"), measure_from_config)
     sconf = _scheme_config(cfg)
     checks = {}

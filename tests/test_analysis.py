@@ -687,10 +687,11 @@ def per_pair_entropy_residual(traj, measure, family, levels, r, signs):
     u0 = traj.states[0, grid.interior]
     out, skipped = [], 0
     for idx, phi in enumerate(family):
-        phi_t = phi.dt(times[:, None], xi[None, :])
-        phi_x = phi.dx(times[:, None], xi[None, :])
-        phi_v = phi.value(times[:, None], xi[None, :])
-        phi_xx_full = phi.dxx(times[:, None], xf[None, :])
+        s_i, sx_i, _ = phi.space(xi[None, :])
+        sxx_f = phi.space(xf[None, :])[2]
+        t_v, t_dt = phi.time(times[:, None])
+        phi_t, phi_x, phi_v = s_i * t_dt, sx_i * t_v, s_i * t_v
+        phi_xx_full = sxx_f * t_v
         phi0 = phi.value(0.0, xi)
         phi_bnd = phi.value(times[:, None], bnd_x[None, :])
         datum_bnd = np.stack([np.asarray(
@@ -761,7 +762,10 @@ def test_screening_matches_the_per_pair_reference(name):
     ref_rows, ref_skipped = per_pair_entropy_residual(
         traj, SPLIT_ATOMS, fam, levels, 1 / 16, signs)
     assert rep.skipped == ref_skipped > 0
-    assert rep.rows and rep.rows == ref_rows
+    assert rep.rows and [(r.k, r.sign, r.phi_index) for r in rep.rows] == \
+        [(r.k, r.sign, r.phi_index) for r in ref_rows]
+    assert [r.residual for r in rep.rows] == pytest.approx(
+        [r.residual for r in ref_rows], rel=0, abs=1e-14)
 
 
 def test_screening_reads_the_stored_halo():
@@ -790,6 +794,48 @@ def test_residual_rejects_an_unknown_sign():
     with pytest.raises(ConfigParse, match="'Plus'"):
         analysis.entropy_residual(traj, zero_measure(), fam, [0.5], 1 / 16,
                                   signs=("Plus",))
+
+
+def test_bump_factors_match_central_differences():
+    # S'' jumps at the support's edge, so the points keep |s| away from 1
+    def near(fd, exact):
+        np.testing.assert_allclose(fd, exact, rtol=0,
+                                   atol=1e-6 * np.max(np.abs(exact)))
+
+    T = 0.25
+    for phi in analysis.default_test_family(0.0, 1.0, T):
+        x = np.linspace(-0.2, 1.2, 701)
+        x = x[np.abs(np.abs((x - phi.xc) / phi.rx) - 1.0) > 0.01]
+        t = np.linspace(-0.1, T, 301)
+        t = t[np.abs(np.abs((t - phi.tc) / phi.rt) - 1.0) > 0.01]
+        hx, ht = 1e-4 * phi.rx, 1e-4 * phi.rt
+        s, sx, sxx = phi.space(x)
+        up, down = phi.space(x + hx), phi.space(x - hx)
+        near((up[0] - down[0]) / (2 * hx), sx)
+        near((up[1] - down[1]) / (2 * hx), sxx)
+        tv, tdt = phi.time(t)
+        near((phi.time(t + ht)[0] - phi.time(t - ht)[0]) / (2 * ht), tdt)
+        assert np.array_equal(phi.value(t[:, None], x[None, :]),
+                              tv[:, None] * s[None, :])
+
+
+def test_entropy_residual_memory_stays_below_the_trajectory_cache():
+    # criterion 09's shock run at dx 1/256 and radius 4 dx: a cache of whole-
+    # trajectory integrands per (level, sign) peaks near 20 MB
+    spec = make_problem("burgers", "zero", "riemann", T=0.25)
+    dx = 1 / 256
+    traj = run(spec, zero_measure(), dx, Z=0.25)
+    fam = analysis.default_test_family(0.0, 1.0, spec.T)
+    levels = analysis.quantile_levels(*traj.disc.data_range)
+    tracemalloc.start()
+    try:
+        rep = analysis.entropy_residual(traj, zero_measure(), fam, levels,
+                                        4 * dx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(rep.rows) == 27 * 14
+    assert peak < 5e6
 
 
 # -- compactness quantities -------------------------------------------------------

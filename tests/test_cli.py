@@ -158,6 +158,11 @@ NAMED_BAD_ENTRIES = {
                               {"k_max": 2.7}, "k_max"),
     "picard_k_max_bool": (SOLVE_ARGS + ["--mode", "picard"],
                           {"k_max": True}, "k_max"),
+    "seed_text": (SOLVE_ARGS, {"seed": "abc"}, "seed"),
+    "seed_fraction": (SOLVE_ARGS, {"seed": 2.5}, "seed"),
+    "seed_bool": (SOLVE_ARGS, {"seed": True}, "seed"),
+    # SOLVE_ARGS passes --T, which would override the config's T
+    "T_text": (SOLVE_ARGS[:-2], {"T": "abc"}, "T"),
 }
 
 
