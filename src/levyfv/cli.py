@@ -146,15 +146,27 @@ def _integer(cfg, key, default):
     return int(val)
 
 
+def _number(cfg, key, default=None):
+    """`cfg[key]` (or `default` when given and the key is absent) as a
+    float, refusing a bool, which `float` would read as 0 or 1."""
+    val = cfg[key] if default is None else cfg.get(key, default)
+    if isinstance(val, bool):
+        raise ConfigParse(f"{key} must be a number, got {val!r}")
+    try:
+        return float(val)
+    except (TypeError, ValueError) as exc:
+        raise ConfigParse(f"{key} must be a number, got {val!r}") from exc
+
+
 def _scheme_config(cfg):
     try:
         return SchemeConfig(
-            dx=float(cfg["dx"]),
-            r=float(cfg.get("r", cfg["dx"])),
-            Z=float(cfg.get("Z", 1.0)),
+            dx=_number(cfg, "dx"),
+            r=_number(cfg, "r", cfg["dx"]),
+            Z=_number(cfg, "Z", 1.0),
             # auto_cfl (default: no dt given) drops a given dt
             dt=None if cfg.get("auto_cfl", "dt" not in cfg)
-            else float(cfg["dt"]),
+            else _number(cfg, "dt"),
             numerical_flux={"eo": "engquist_osher",
                             "lf": "lax_friedrichs"}.get(cfg.get("flux", "eo"),
                                                         cfg.get("flux", "eo")),
@@ -225,10 +237,7 @@ def cmd_run(cfg, out_dir) -> int:
     spec = _reference(cfg.get("problem", "burgers_riemann"),
                       problem_from_config)
     if "T" in cfg:
-        try:
-            spec = replace(spec, T=float(cfg["T"]))
-        except (TypeError, ValueError) as exc:
-            raise ConfigParse(f"T must be a number, got {cfg['T']!r}") from exc
+        spec = replace(spec, T=_number(cfg, "T"))
     measure = _reference(cfg.get("measure", "none"), measure_from_config)
     sconf = _scheme_config(cfg)
     checks = {}
@@ -272,12 +281,9 @@ def cmd_run(cfg, out_dir) -> int:
     elif mode == "picard":
         if not math.isfinite(measure.total_mass()):
             raise ConfigParse("picard mode needs a finite-mass measure")
-        try:
-            k_max = _integer(cfg, "k_max", 12)
-            tol = float(cfg.get("tol", 1e-6))
-        except (TypeError, ValueError) as exc:
-            raise ConfigParse(f"bad picard parameter: {exc!r}") from exc
-        res = picard_solve(spec, measure, sconf, k_max=k_max, tol=tol)
+        res = picard_solve(spec, measure, sconf,
+                           k_max=_integer(cfg, "k_max", 12),
+                           tol=_number(cfg, "tol", 1e-6))
         write_gaps_csv(os.path.join(out_dir, "gaps.csv"), res.gaps)
         write_trajectory_csv(os.path.join(out_dir, "trajectory.csv"),
                              res.trajectory, every=sconf.store_every)

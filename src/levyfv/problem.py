@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import HaloTooSmall, UnknownPreset
+from .errors import ConfigParse, HaloTooSmall, UnknownPreset
 from .grids import Grid1d, make_grid
 
 
@@ -333,8 +333,12 @@ def discretize(spec: ProblemSpec, dx: float,
     exterior it is exact, since every sample is the same halo; every preset
     is steady.  For a moving one it is a sample: `scheme.solve` widens it by
     the halos it writes and certifies the CFL bound on that before it steps
-    on them.
+    on them.  A horizon T that is not positive and finite is refused
+    (`ConfigParse`) before anything is sampled at it: every time grid is
+    taken on a discretized problem, so this is the one horizon rule.
     """
+    if not 0.0 < spec.T < math.inf:
+        raise ConfigParse(f"T must be positive and finite, got {spec.T}")
     a, b = spec.domain
     n_halo = int(math.ceil(halo_width / dx - 1e-12))
     if n_halo < 1:

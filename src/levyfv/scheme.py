@@ -155,14 +155,13 @@ def time_grid(disc: DiscreteProblem, stencils, config: SchemeConfig,
     each stencil on `disc`'s data range (T/64 for a stencil without one),
     the smallest over `stencils`, so trajectories of a chain share one grid.
     Every stencil must share `disc`'s halo.  dt is then rounded down so that
-    a whole number of steps hits the horizon.  A horizon T or a given dt
-    that is not positive and finite is refused (`ConfigParse`), and so is a
-    CFL bound of 0 (`CflViolation`), which leaves no dt to pick, and a dt so
-    small that n_steps reaches 2**52 (`CflViolation`): the grid's
-    consecutive times would no longer be distinct doubles."""
+    a whole number of steps hits the horizon, which `discretize` has
+    checked to be positive and finite.  A given dt that is not positive and
+    finite is refused (`ConfigParse`), and so is a CFL bound of 0
+    (`CflViolation`), which leaves no dt to pick, and a dt so small that
+    n_steps reaches 2**52 (`CflViolation`): the grid's consecutive times
+    would no longer be distinct doubles."""
     spec = disc.spec
-    if not 0.0 < spec.T < math.inf:
-        raise ConfigParse(f"T must be positive and finite, got {spec.T}")
     if dt is None:
         dt = config.dt
     if dt is not None and not 0.0 < dt < math.inf:
@@ -207,10 +206,13 @@ def _certify_halos(halos: np.ndarray, times: np.ndarray, halo_range: tuple,
 
 def step(u_full: np.ndarray, disc: DiscreteProblem, stencil: StencilWeights,
          config: SchemeConfig, dt: float, source: np.ndarray | None = None,
-         flux_pair=None) -> np.ndarray:
+         flux_pair=None, out: np.ndarray | None = None) -> np.ndarray:
     """One forward-Euler update from the full-grid state (its halo holds the
     exterior datum): returns the n new interior values, which `solve` stores
-    and checks to be finite; `step` does not check.  `source` (n values)
+    and checks to be finite; `step` does not check.  With `out` (n values,
+    which must not overlap `u_full`) the update is computed in `out` and
+    `out` is returned, bit for bit the values of a fresh return; `solve`
+    passes the interior of the next row of its block.  `source` (n values)
     replaces the jump term when given (Picard's frozen right-hand side).
     A stencil with no nonzero weight and no tail adds no jump term."""
     spec = disc.spec
@@ -225,14 +227,15 @@ def step(u_full: np.ndarray, disc: DiscreteProblem, stencil: StencilWeights,
     left = u_full[h - 1:h + grid.n]      # u_{i-1} on interfaces
     right = u_full[h:h + grid.n + 1]     # u_{i+1} side
     fhat = flux_pair(left, right)        # interface i-1/2 for i = 0..n
-    interior = u_full[grid.interior]
-    new_interior = interior - (dt / grid.dx) * (fhat[1:] - fhat[:-1])
+    out = np.subtract(fhat[1:], fhat[:-1], out=out)
+    out *= dt / grid.dx
+    np.subtract(u_full[grid.interior], out, out=out)
     if source is None:
         # the zero jump term's `+ dt * 0.0` turned -0.0 into +0.0
-        new_interior += 0.0
+        out += 0.0
     else:
-        new_interior += dt * source
-    return new_interior
+        out += dt * source
+    return out
 
 
 def solve(spec: ProblemSpec, stencil: StencilWeights, config: SchemeConfig,
@@ -243,8 +246,9 @@ def solve(spec: ProblemSpec, stencil: StencilWeights, config: SchemeConfig,
     term per step) the jump operator is not applied, so the CFL bound is
     that of the conservation law alone.  `solve` is the one writer of
     stored states and writes each value once: the interior of step 0 is
-    `disc.u0`, that of step n + 1 is what `step` returns from step n, and
-    the halo of step n is `exterior.value(times[n], halo_x)`.
+    `disc.u0`, that of step n + 1 is what `step` from step n writes into
+    that row of the block buffer, and the halo of step n is
+    `exterior.value(times[n], halo_x)`.
 
     The march goes in the blocks `row_blocks(n_steps, n_full)`, each in one
     reused buffer.  The halo is written on one of two paths:
@@ -303,8 +307,8 @@ def solve(spec: ProblemSpec, stencil: StencilWeights, config: SchemeConfig,
                     partial(cfl_max_dt, cfl_spec, stencil, config.dx))
         for i, n in enumerate(range(rows.start, rows.stop)):
             src = source_states[n] if source_states is not None else None
-            block[i + 1, interior] = step(block[i], disc, stencil, config,
-                                          dt, source=src, flux_pair=flux_pair)
+            step(block[i], disc, stencil, config, dt, source=src,
+                 flux_pair=flux_pair, out=block[i + 1, interior])
         finite = np.isfinite(block[1:, interior]).all(axis=1)
         if not finite.all():
             n = rows.start + int(np.argmin(finite))

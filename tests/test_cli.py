@@ -145,8 +145,20 @@ SOLVE_ARGS = ["--mode", "solve", "--problem", "burgers_bump", "--measure",
               "single_atom", "--dx", "0.03125", "--Z", "0.5", "--T", "0.1"]
 
 
-# a horizon that is not positive and finite, and a bool or a fraction for an
-# integer entry: (args, config, the entry the error names)
+
+def without(*flags):
+    """SOLVE_ARGS less `flags` and their values, so the config's entries
+    for them are read."""
+    args = list(SOLVE_ARGS)
+    for flag in flags:
+        i = args.index(flag)
+        del args[i:i + 2]
+    return args
+
+
+# a horizon that is not positive and finite, a bool for a number, and a bool
+# or a fraction for an integer entry: (args, config, the entry the error
+# names)
 NAMED_BAD_ENTRIES = {
     "T_nan": (SOLVE_ARGS + ["--T", "nan"], {}, "T"),
     "T_inf": (SOLVE_ARGS + ["--T", "inf"], {}, "T"),
@@ -162,7 +174,15 @@ NAMED_BAD_ENTRIES = {
     "seed_fraction": (SOLVE_ARGS, {"seed": 2.5}, "seed"),
     "seed_bool": (SOLVE_ARGS, {"seed": True}, "seed"),
     # SOLVE_ARGS passes --T, which would override the config's T
-    "T_text": (SOLVE_ARGS[:-2], {"T": "abc"}, "T"),
+    "T_text": (without("--T"), {"T": "abc"}, "T"),
+    # float() reads a bool as 0.0 or 1.0
+    "T_bool": (without("--T"), {"T": True}, "T"),
+    "dx_bool": (without("--dx"), {"dx": True}, "dx"),
+    "r_bool": (SOLVE_ARGS, {"r": True}, "r"),
+    "Z_bool": (without("--Z"), {"Z": True}, "Z"),
+    "dt_bool": (SOLVE_ARGS, {"dt": True}, "dt"),
+    "picard_tol_bool": (SOLVE_ARGS + ["--mode", "picard"], {"tol": True},
+                        "tol"),
 }
 
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -439,13 +440,16 @@ def test_time_grids_pinned(driver, dt, n_steps):
 
 @pytest.mark.parametrize("T", [math.nan, math.inf, 0.0, -1.0])
 def test_time_grid_refuses_a_horizon_that_is_not_positive_and_finite(T):
+    # every time grid is taken on a discretized problem, and `discretize`
+    # refuses the horizon before it samples the exterior at it (which
+    # warned at inf)
     c = conf(1 / 32, Z=0.5)
     st = build_stencil(single_atom(), c.dx, c.r, c.Z)
-    disc = discretize(make_problem("burgers", "identity", "bump", T=T), c.dx,
-                      st.Z)
-    for dt in (None, 0.01):
+    spec = make_problem("burgers", "identity", "bump", T=T)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         with pytest.raises(ConfigParse, match="^T must be positive"):
-            scheme.time_grid(disc, [st], c, dt)
+            scheme.time_grid(discretize(spec, c.dx, st.Z), [st], c)
 
 
 def test_stability_identical_measures_zero_distances():
@@ -522,6 +526,99 @@ def test_solve_stores_what_step_returns_from_the_stored_row(measure):
         new = step(traj.states[n], traj.disc, traj.stencil, c, traj.dt)
         assert new.shape == (traj.grid.n,)
         assert new.tobytes() == traj.states[n + 1, interior].tobytes()
+
+
+def counted_steps(monkeypatch):
+    """Count the calls `solve` makes to `step`, as the benchmark's trace
+    gate does: one call per step of every march."""
+    calls = []
+    real = scheme.step
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(scheme, "step", counting)
+    return calls
+
+
+STEP_COUNT_CASES = {
+    "null_steady": (make_problem("burgers", "zero", "riemann", T=0.2),
+                    zero_measure()),
+    "atomic_steady": (make_problem("burgers", "identity", "bump", T=0.2),
+                      single_atom()),
+    "fractional_moving": (MOVING_SPEC, FractionalRadial(alpha=1.0,
+                                                        lo=1 / 16)),
+    "atomic_moving": (MOVING_SPEC, single_atom()),
+}
+
+
+@pytest.mark.parametrize("every", [1, 7])
+@pytest.mark.parametrize("case", sorted(STEP_COUNT_CASES))
+def test_solve_calls_step_once_per_step(monkeypatch, case, every):
+    spec, measure = STEP_COUNT_CASES[case]
+    c = conf(1 / 32, store_every=every)
+    st = build_stencil(measure, c.dx, c.r, c.Z)
+    disc = discretize(spec, c.dx, st.Z)
+    dt, n_steps = scheme.time_grid(disc, [st], c)
+    observers = [analysis.MaxPrinciple(disc),
+                 analysis.MassBudget(disc, st, c, dt),
+                 scheme.Gamma(disc, n_steps)]
+    calls = counted_steps(monkeypatch)
+    traj = solve(spec, st, c, observers=observers)
+    assert len(calls) == traj.stats["n_steps"] == n_steps
+    assert all(check.result().passed for check in observers[:2])
+
+
+def test_picard_calls_step_once_per_step_of_every_iterate(monkeypatch):
+    calls = counted_steps(monkeypatch)
+    res = picard_solve(MOVING_SPEC, single_atom(z=0.3, w=0.5),
+                       conf(1 / 32, Z=0.5), k_max=3, tol=0.0)
+    assert res.iterations == 3
+    assert len(calls) == 3 * res.trajectory.stats["n_steps"]
+
+
+@pytest.mark.parametrize("flux", ["engquist_osher", "lax_friedrichs"])
+@pytest.mark.parametrize("case", sorted(STEP_COUNT_CASES))
+def test_step_into_out_returns_it_with_the_bytes_of_a_fresh_step(case, flux):
+    spec, measure = STEP_COUNT_CASES[case]
+    c = conf(1 / 32, numerical_flux=flux)
+    traj = solve(spec, build_stencil(measure, c.dx, c.r, c.Z), c)
+    n = traj.grid.n
+    # Picard's frozen source replaces the jump term
+    source = np.linspace(-1.0, 1.0, n)
+    for u in traj.states[::5]:
+        for src in (None, source):
+            fresh = step(u, traj.disc, traj.stencil, c, traj.dt, source=src)
+            row = np.full(n, np.nan)
+            got = step(u, traj.disc, traj.stencil, c, traj.dt, source=src,
+                       out=row)
+            assert got is row
+            assert row.tobytes() == fresh.tobytes()
+
+
+EXACT_BURGERS = {
+    # the shock from 1 to 0 moves at speed 1/2
+    "burgers_riemann": lambda x, t: np.where(x < 0.5 + 0.5 * t, 1.0, 0.0),
+    # the fan from 0 to 1
+    "burgers_rarefaction": lambda x, t: np.clip((x - 0.5) / t, 0.0, 1.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXACT_BURGERS))
+def test_zero_measure_burgers_error_at_T_falls_as_dx_halves(name):
+    # a trend, not a rate: dx * sum |u - exact| at T falls at each halving
+    spec = PROBLEM_PRESETS[name]()
+    errors = []
+    for dx in (1 / 64, 1 / 128, 1 / 256):
+        c = conf(dx)
+        st = build_stencil(zero_measure(), c.dx, c.r, c.Z)
+        assert st.kernel is None and st.tau == 0.0
+        traj = solve(spec, st, c)
+        assert traj.times[-1] == spec.T
+        exact = EXACT_BURGERS[name](traj.grid.x_interior(), spec.T)
+        errors.append(dx * float(np.abs(traj.interior()[-1] - exact).sum()))
+    assert errors[0] > errors[1] > errors[2] > 0.0
 
 
 def test_picard_iterate_zero_writes_its_halos_on_the_stored_times(
