@@ -12,15 +12,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigMismatch, ConfigParse, MissingExtensionDerivatives
+from .errors import ConfigParse, MissingExtensionDerivatives
 from .measures import DyadicA, DyadicB, FractionalRadial, LevyMeasure, \
     truncate
 from .multiplier import MultiplierEval
 from .problem import DiffusionFn, DiscreteProblem, sample_rows
-from .scheme import L1Series, SchemeConfig, Trajectory, _numerical_flux, \
-    _tail_value, jump_term, l1_series, paired_rows, replay
+from .scheme import PairSeries, SchemeConfig, Trajectory, _numerical_flux, \
+    _tail_value, jump_term, l1_series, replay
 from .stencil import StencilWeights, build_stencil, row_blocks, \
     zero_extended_sum
+
+
+CHECK_TOL = 1e-12       # rounding allowance of the discrete guarantees' checks
 
 
 @dataclass
@@ -52,9 +55,8 @@ class MaxPrinciple:
     """Observer of a march (`scheme.solve`, `scheme.replay`): every interior
     value must stay inside the recorded data range of `disc`."""
 
-    def __init__(self, disc: DiscreteProblem, tol: float = 1e-12):
+    def __init__(self, disc: DiscreteProblem):
         self.disc = disc
-        self.tol = tol
         self.umin, self.umax = math.inf, -math.inf
 
     def __call__(self, rows, times, block):
@@ -66,73 +68,43 @@ class MaxPrinciple:
         lo, hi = self.disc.data_range
         # rounding is monotone, so min(u - lo) = min(u) - lo exactly
         slack = float(min(self.umin - lo, hi - self.umax))
-        return CheckResult("max_principle", slack >= -self.tol, slack,
-                           {"range": [lo, hi], "tol": self.tol})
+        return CheckResult("max_principle", slack >= -CHECK_TOL, slack,
+                           {"range": [lo, hi], "tol": CHECK_TOL})
 
 
-def max_principle_check(traj: Trajectory, tol: float = 1e-12) -> CheckResult:
+def max_principle_check(traj: Trajectory) -> CheckResult:
     """`MaxPrinciple` over the stored states of `traj`."""
-    check = MaxPrinciple(traj.disc, tol)
-    replay(traj, [check])
-    return check.result()
+    return replay(traj, MaxPrinciple(traj.disc))
 
 
-def contraction_verdict(series: np.ndarray,
-                        per_step_tol: float = 1e-12) -> CheckResult:
+def contraction_verdict(series: np.ndarray) -> CheckResult:
     """The interior L1 distance of two runs with shared exterior data, one
-    value per step (`scheme.L1Series`), must be nonincreasing in time."""
+    value per step (`scheme.PairSeries`), must be nonincreasing in time."""
     increments = np.diff(series)
     slack = float(-increments.max()) if increments.size else 0.0
     scale = max(float(series[0]), 1.0)
-    ok = bool(np.all(increments <= per_step_tol * scale))
+    ok = bool(np.all(increments <= CHECK_TOL * scale))
     return CheckResult("l1_contraction", ok, slack,
                        {"initial": float(series[0]),
-                        "final": float(series[-1]), "tol": per_step_tol})
+                        "final": float(series[-1]), "tol": CHECK_TOL})
 
 
-class L1Contraction(L1Series):
-    """Observer of a march: its `L1Series` to the stored trajectory `other`,
-    whose result is the series' `contraction_verdict`."""
-
-    def __init__(self, other: Trajectory, per_step_tol: float = 1e-12):
-        super().__init__(other)
-        self.per_step_tol = per_step_tol
-
-    def result(self) -> CheckResult:
-        return contraction_verdict(super().result(), self.per_step_tol)
-
-
-def l1_contraction_check(traj_u: Trajectory, traj_v: Trajectory,
-                         per_step_tol: float = 1e-12):
+def l1_contraction_check(traj_u: Trajectory, traj_v: Trajectory):
     """`contraction_verdict` of the L1 series of two stored trajectories.
     Returns (series, verdict)."""
     series = l1_series(traj_u, traj_v)
-    return series, contraction_verdict(series, per_step_tol)
+    return series, contraction_verdict(series)
 
 
-def order_preservation_check(traj_u: Trajectory, traj_v: Trajectory,
-                             tol: float = 1e-12) -> CheckResult:
-    """u0 <= v0 and exterior data u <= v imply u <= v at every step.  The
-    runs must be comparable, with ordered halos (`paired_rows`).  Every
-    block's v - u is taken in one reused buffer, as in `L1Series`."""
-    for tr in (traj_u, traj_v):
-        tr.require_every_step()
-    if traj_u.states.shape != traj_v.states.shape:
-        raise ConfigMismatch("trajectories have different shapes")
-    inside = traj_u.grid.interior
-    slack = math.inf
-    buf = np.empty((0, traj_u.grid.n))
-
-    def observe(rows, times, block):
-        nonlocal slack, buf
-        _, u, v = paired_rows(traj_v, rows, times, block, ordered=True)
-        if len(u) > len(buf):
-            buf = np.empty((len(u), traj_u.grid.n))
-        diff = np.subtract(v[:, inside], u[:, inside], out=buf[:len(u)])
-        slack = min(slack, float(diff.min()))
-
-    replay(traj_u, [observe])
-    return CheckResult("order_preservation", slack >= -tol, slack, {})
+def order_preservation_check(traj_u: Trajectory,
+                             traj_v: Trajectory) -> CheckResult:
+    """u0 <= v0 and exterior data u <= v imply u <= v at every step: the
+    least v - u, `traj_u` replayed against `traj_v` with ordered halos."""
+    traj_u.require_every_step()
+    series = PairSeries(traj_v, lambda u, v, buf: np.subtract(
+        v, u, out=buf).min(axis=1), ordered=True)
+    slack = float(replay(traj_u, series).min())
+    return CheckResult("order_preservation", slack >= -CHECK_TOL, slack, {})
 
 
 class MassBudget:
@@ -152,12 +124,11 @@ class MassBudget:
     through `apply_stencil`.  It needs consecutive steps."""
 
     def __init__(self, disc: DiscreteProblem, stencil: StencilWeights,
-                 config: SchemeConfig, dt: float, tol: float = 1e-12):
+                 config: SchemeConfig, dt: float):
         spec = disc.spec
         lo, hi = disc.data_range
         self.disc = disc
         self.dt = dt
-        self.tol = tol
         self.flux_pair = _numerical_flux(config, spec,
                                          spec.flux.lipschitz_on(lo, hi))
         live = stencil.weights != 0.0
@@ -201,18 +172,17 @@ class MassBudget:
 
     def result(self) -> CheckResult:
         scale = max(1.0, self.peak)
-        return CheckResult("mass_budget", self.worst <= self.tol * scale,
+        return CheckResult("mass_budget", self.worst <= CHECK_TOL * scale,
                            -self.worst,
-                           {"worst_defect": self.worst, "tol": self.tol})
+                           {"worst_defect": self.worst, "tol": CHECK_TOL})
 
 
-def mass_budget_check(traj: Trajectory, tol: float = 1e-12) -> CheckResult:
+def mass_budget_check(traj: Trajectory) -> CheckResult:
     """`MassBudget` over the stored states of `traj`, which must store every
     step."""
     traj.require_every_step()
-    check = MassBudget(traj.disc, traj.stencil, traj.config, traj.dt, tol)
-    replay(traj, [check])
-    return check.result()
+    return replay(traj, MassBudget(traj.disc, traj.stencil, traj.config,
+                                   traj.dt))
 
 
 # ---------------------------------------------------------------------------
@@ -293,9 +263,8 @@ def energy_report(traj: Trajectory) -> dict:
     """`EnergyBalance` over the stored states of `traj`, which must store
     every step."""
     traj.require_every_step()
-    check = EnergyBalance(traj.disc, traj.stencil, traj.config, traj.dt)
-    replay(traj, [check])
-    return check.result()
+    return replay(traj, EnergyBalance(traj.disc, traj.stencil, traj.config,
+                                      traj.dt))
 
 
 # ---------------------------------------------------------------------------

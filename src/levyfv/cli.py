@@ -17,14 +17,15 @@ import numpy as np
 
 from . import analysis
 from .errors import (ConfigParse, IoFailure, LevyFvError, UnknownPreset,
-                     UnknownSuite)
+                     UnknownSuite, config_number)
 from .measures import (FractionalRadial, measure_from_config, single_atom,
                        truncate, validate_measure, zero_measure)
 from .multiplier import MultiplierEval, write_multiplier_scan
 from .problem import (diffusion_identity, diffusion_power, diffusion_stefan,
                       discretize, make_problem, problem_from_config)
-from .scheme import (Gamma, SchemeConfig, build_stencil, picard_solve,
-                     solve, stability_run, time_grid, vanishing_viscosity_run)
+from .scheme import (Gamma, PairSeries, SchemeConfig, build_stencil,
+                     picard_solve, solve, stability_run, time_grid,
+                     vanishing_viscosity_run)
 from .stencil import fourier_energy_check
 
 
@@ -146,33 +147,21 @@ def _integer(cfg, key, default):
     return int(val)
 
 
-def _number(cfg, key, default=None):
-    """`cfg[key]` (or `default` when given and the key is absent) as a
-    float, refusing a bool, which `float` would read as 0 or 1."""
-    val = cfg[key] if default is None else cfg.get(key, default)
-    if isinstance(val, bool):
-        raise ConfigParse(f"{key} must be a number, got {val!r}")
-    try:
-        return float(val)
-    except (TypeError, ValueError) as exc:
-        raise ConfigParse(f"{key} must be a number, got {val!r}") from exc
-
-
 def _scheme_config(cfg):
     try:
         return SchemeConfig(
-            dx=_number(cfg, "dx"),
-            r=_number(cfg, "r", cfg["dx"]),
-            Z=_number(cfg, "Z", 1.0),
+            dx=config_number(cfg["dx"], "dx"),
+            r=config_number(cfg.get("r", cfg["dx"]), "r"),
+            Z=config_number(cfg.get("Z", 1.0), "Z"),
             # auto_cfl (default: no dt given) drops a given dt
             dt=None if cfg.get("auto_cfl", "dt" not in cfg)
-            else _number(cfg, "dt"),
+            else config_number(cfg["dt"], "dt"),
             numerical_flux={"eo": "engquist_osher",
                             "lf": "lax_friedrichs"}.get(cfg.get("flux", "eo"),
                                                         cfg.get("flux", "eo")),
             tail_mode=cfg.get("tail_mode", "exterior_mean"),
             store_every=_integer(cfg, "store_every", 1),
-            enforce_cfl=bool(cfg.get("enforce_cfl", True)),
+            enforce_cfl=cfg.get("enforce_cfl", True),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigParse(f"bad scheme config: {exc!r}") from exc
@@ -180,13 +169,13 @@ def _scheme_config(cfg):
 
 def _alpha(cfg):
     """The chain modes' fractional order, in (0, 2); they take no measure."""
-    alpha = cfg.get("alpha", 1.0)
-    if not isinstance(alpha, (int, float)) or not 0.0 < alpha < 2.0:
+    alpha = config_number(cfg.get("alpha", 1.0), "alpha")
+    if not 0.0 < alpha < 2.0:
         raise ConfigParse(f"alpha must lie in (0, 2), got {alpha!r}")
     if "measure" in cfg:
         raise ConfigParse(f"{cfg['mode']} mode builds its chain from alpha "
                           f"and takes no measure")
-    return float(alpha)
+    return alpha
 
 
 def _positive_list(cfg, key, default):
@@ -194,7 +183,7 @@ def _positive_list(cfg, key, default):
     returned as given."""
     vals = cfg.get(key, default)
     if not isinstance(vals, list) or not all(
-            isinstance(v, (int, float)) and 0.0 < v < math.inf for v in vals):
+            type(v) in (int, float) and 0.0 < v < math.inf for v in vals):
         raise ConfigParse(f"{key} must be a list of positive numbers, "
                           f"got {vals!r}")
     return vals
@@ -234,10 +223,13 @@ def cmd_run(cfg, out_dir) -> int:
                      {"config": cfg, "checks": {res.name: res.as_dict()}})
         return 0 if ok else 1
 
+    for key in ("auto_cfl", "enforce_cfl", "contraction", "energy", "moduli"):
+        if not isinstance(cfg.get(key, False), bool):  # text would be truthy
+            raise ConfigParse(f"{key} must be true or false, got {cfg[key]!r}")
     spec = _reference(cfg.get("problem", "burgers_riemann"),
                       problem_from_config)
     if "T" in cfg:
-        spec = replace(spec, T=_number(cfg, "T"))
+        spec = replace(spec, T=config_number(cfg["T"], "T"))
     measure = _reference(cfg.get("measure", "none"), measure_from_config)
     sconf = _scheme_config(cfg)
     checks = {}
@@ -252,22 +244,24 @@ def cmd_run(cfg, out_dir) -> int:
         dt, n_steps = time_grid(disc, [stencil], sconf)
         observers = [analysis.MaxPrinciple(disc),
                      analysis.MassBudget(disc, stencil, sconf, dt)]
-        if cfg.get("contraction", True):
-            # companion run with a perturbed datum on the same time grid,
-            # stored whole for the base run's L1 observer
-            other = solve(companion_spec(spec, disc.data_range), stencil,
-                          replace(sconf, store_every=1), dt_override=dt)
-            observers.append(analysis.L1Contraction(other))
+        # companion run with a perturbed datum on the same time grid, stored
+        # whole for the base run's L1 observer
+        series = ([PairSeries(solve(companion_spec(spec, disc.data_range),
+                                    stencil, replace(sconf, store_every=1),
+                                    dt_override=dt))]
+                  if cfg.get("contraction", True) else [])
         energy = ([analysis.EnergyBalance(disc, stencil, sconf, dt)]
                   if cfg.get("energy", False) else [])
         gamma = [Gamma(disc, n_steps)] if cfg.get("moduli", False) else []
         traj = solve(spec, stencil, sconf, dt_override=dt,
-                     observers=observers + energy + gamma)
+                     observers=observers + series + energy + gamma)
         for check in observers:
             record(check.result())
+        for s in series:
+            record(analysis.contraction_verdict(s.result()))
         for g in gamma:
             tables = analysis.translation_moduli(
-                g.rows, traj.dt, sconf.dx,
+                g.result(), traj.dt, sconf.dx,
                 space_shifts=[1, 2, 4, 8], time_shifts=[1, 2, 4, 8])
             write_moduli_csv(os.path.join(out_dir, "moduli.csv"), tables)
         for check in energy:
@@ -283,7 +277,7 @@ def cmd_run(cfg, out_dir) -> int:
             raise ConfigParse("picard mode needs a finite-mass measure")
         res = picard_solve(spec, measure, sconf,
                            k_max=_integer(cfg, "k_max", 12),
-                           tol=_number(cfg, "tol", 1e-6))
+                           tol=config_number(cfg.get("tol", 1e-6), "tol"))
         write_gaps_csv(os.path.join(out_dir, "gaps.csv"), res.gaps)
         write_trajectory_csv(os.path.join(out_dir, "trajectory.csv"),
                              res.trajectory, every=sconf.store_every)
@@ -301,7 +295,7 @@ def cmd_run(cfg, out_dir) -> int:
                                 [0.25, 0.125, 0.0625, 0.03125, 0.015625])
         base = FractionalRadial(alpha=_alpha(cfg))
         measures = [truncate(base, r)[1] for r in r_list]
-        rep = stability_run(spec, measures, sconf, labels=r_list[:-1])
+        rep = stability_run(spec, measures, sconf)
         record(trend_check(
             "stability_trend", rep.l2_b_distances,
             {"r_list": list(map(float, r_list)),
@@ -443,7 +437,7 @@ def _suite_chains(out_dir):
         measures = [truncate(base, 1.0 / n)[1] for n in (4, 8, 16, 32)]
         srep = stability_run(
             make_problem("burgers", "identity", "bump", T=0.25), measures,
-            SchemeConfig(dx=1.0 / 64, r=1.0 / 64, Z=1.0), labels=[4, 8, 16])
+            SchemeConfig(dx=1.0 / 64, r=1.0 / 64, Z=1.0))
         return (trend_holds(srep.l2_b_distances)
                 and trend_holds(srep.measure_distances))
 
@@ -484,7 +478,8 @@ def _build_parser():
     run.add_argument("--measure")
     run.add_argument("--dx", type=float)
     run.add_argument("--dt", type=float)
-    run.add_argument("--auto-cfl", action="store_true")
+    # a flag not given leaves the config's entry: store_true defaults to None
+    run.add_argument("--auto-cfl", action="store_true", default=None)
     run.add_argument("--r", type=float)
     run.add_argument("--Z", type=float)
     run.add_argument("--T", type=float)
@@ -492,8 +487,8 @@ def _build_parser():
     run.add_argument("--mode", choices=["solve", "picard", "vanishing",
                                         "stability", "gallery"])
     run.add_argument("--seed", type=int)
-    run.add_argument("--moduli", action="store_true")
-    run.add_argument("--energy", action="store_true")
+    run.add_argument("--moduli", action="store_true", default=None)
+    run.add_argument("--energy", action="store_true", default=None)
     run.add_argument("--out", default="out")
 
     st = sub.add_parser("suite", help="run a verification suite")
@@ -524,15 +519,10 @@ def main(argv=None) -> int:
                 "problem": args.problem, "measure": args.measure,
                 "dx": args.dx, "dt": args.dt, "r": args.r, "Z": args.Z,
                 "T": args.T, "flux": args.flux, "mode": args.mode,
-                "seed": args.seed,
+                "seed": args.seed, "auto_cfl": args.auto_cfl,
+                "moduli": args.moduli, "energy": args.energy,
             }
             cfg.update({k: v for k, v in overrides.items() if v is not None})
-            if args.auto_cfl:
-                cfg["auto_cfl"] = True
-            if args.moduli:
-                cfg["moduli"] = True
-            if args.energy:
-                cfg["energy"] = True
             if "dx" not in cfg:
                 raise ConfigParse("dx is required (flag or config)")
             return cmd_run(cfg, args.out)

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the rule for a number."""
 
 
 class LevyFvError(Exception):
@@ -90,3 +90,14 @@ class UnknownSuite(LevyFvError):
 
 class IoFailure(LevyFvError):
     """Artifact could not be written."""
+
+
+def config_number(val, key) -> float:
+    """`val`, the config entry `key`, as a float.  A bool, which `float`
+    reads as 0 or 1, is refused (`ConfigParse`) like what `float` cannot."""
+    if not isinstance(val, bool):
+        try:
+            return float(val)
+        except (TypeError, ValueError):
+            pass
+    raise ConfigParse(f"{key} must be a number, got {val!r}")

@@ -35,6 +35,7 @@ from .errors import (
     NonSymmetric,
     QuadratureNotConverged,
     UnknownPreset,
+    config_number,
 )
 
 _INF = math.inf
@@ -631,25 +632,29 @@ def measure_from_config(cfg) -> LevyMeasure:
             raise UnknownPreset(f"unknown measure preset {cfg!r}")
         return MEASURE_PRESETS[cfg]()
     kind = cfg.get("kind")
-    window = {k: float(cfg[k]) for k in ("lo", "hi") if k in cfg}
+    num = config_number
+    window = {k: num(cfg[k], k) for k in ("lo", "hi") if k in cfg}
     if kind == "none":
         return zero_measure()
     if kind == "single_atom":
-        return single_atom(float(cfg.get("z", 0.5)), float(cfg.get("w", 0.5)))
+        return single_atom(num(cfg.get("z", 0.5), "z"),
+                           num(cfg.get("w", 0.5), "w"))
     if kind == "atoms":
-        entries = tuple((float(z), float(w)) for z, w in cfg["entries"])
+        entries = tuple((num(z, "entries"), num(w, "entries"))
+                        for z, w in cfg["entries"])
         return AtomicSymmetric(entries=entries, **window)
     if kind == "dyadic_a":
         return DyadicA(**window)
     if kind == "dyadic_b":
         return DyadicB(**window)
     if kind == "fractional":
-        if cfg.get("dim", 1) != 1:
+        if num(cfg.get("dim", 1), "dim") != 1:
             raise ConfigParse("measures live on the line: dim must be 1")
-        return FractionalRadial(alpha=float(cfg.get("alpha", 1.0)),
-                                coeff=float(cfg.get("coeff", 1.0)), **window)
+        return FractionalRadial(alpha=num(cfg.get("alpha", 1.0), "alpha"),
+                                coeff=num(cfg.get("coeff", 1.0), "coeff"),
+                                **window)
     if kind == "scaled":
-        return ScaledMeasure(factor=float(cfg["factor"]),
+        return ScaledMeasure(factor=num(cfg["factor"], "factor"),
                              inner=measure_from_config(cfg["inner"]), **window)
     if kind == "sum":
         return SumMeasure(parts=tuple(measure_from_config(p)

@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigParse, HaloTooSmall, UnknownPreset
+from .errors import ConfigParse, HaloTooSmall, UnknownPreset, config_number
 from .grids import Grid1d, make_grid
 
 
@@ -419,17 +419,20 @@ def problem_from_config(cfg) -> ProblemSpec:
         if cfg not in PROBLEM_PRESETS:
             raise UnknownPreset(f"unknown problem preset {cfg!r}")
         return PROBLEM_PRESETS[cfg]()
-    kw = {}
-    for key in ("m", "ell"):
-        if key in cfg:
-            kw[key] = float(cfg[key])
+
+    def numbers(key, vals):
+        return [config_number(v, key) for v in vals]
+
+    kw = {k: config_number(cfg[k], k) for k in ("m", "ell") if k in cfg}
     flux = cfg.get("flux", "burgers")
     if isinstance(flux, dict):  # piecewise-linear coefficient table
-        flux = flux_from_table(flux["x"], flux["y"])
+        flux = flux_from_table(*(numbers("flux", flux[k]) for k in "xy"))
     diffusion = cfg.get("diffusion", "zero")
     if isinstance(diffusion, dict):
-        diffusion = diffusion_from_table(diffusion["x"], diffusion["y"])
+        diffusion = diffusion_from_table(*(numbers("diffusion", diffusion[k])
+                                           for k in "xy"))
     return make_problem(flux=flux, diffusion=diffusion,
                         data=cfg.get("data", "riemann"),
-                        domain=tuple(cfg.get("domain", (0.0, 1.0))),
-                        T=float(cfg.get("T", 0.5)), **kw)
+                        domain=tuple(numbers("domain",
+                                             cfg.get("domain", (0.0, 1.0)))),
+                        T=config_number(cfg.get("T", 0.5), "T"), **kw)

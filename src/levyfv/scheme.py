@@ -98,9 +98,7 @@ class Trajectory:
     def gamma(self) -> np.ndarray:
         """`Gamma` over the stored states, which must store every step."""
         self.require_every_step()
-        gamma = Gamma(self.disc, self.stats["n_steps"])
-        replay(self, [gamma])
-        return gamma.rows
+        return replay(self, Gamma(self.disc, self.stats["n_steps"]))
 
 
 def _numerical_flux(config, spec, lam):
@@ -335,16 +333,16 @@ def solve(spec: ProblemSpec, stencil: StencilWeights, config: SchemeConfig,
                       stencil=stencil, config=config, stats=stats)
 
 
-def replay(traj: Trajectory, observers) -> None:
-    """Hand the stored states of `traj` to `observers` in the blocks and the
-    form `solve` uses, so a check over a stored trajectory and the same check
-    observing the march see the same rows in the same block shapes."""
+def replay(traj: Trajectory, observer):
+    """Hand the stored states of `traj` to `observer` in the blocks and the
+    form `solve` uses, and return `observer.result()`: a check over a stored
+    trajectory sees the rows and block shapes that observing its march does."""
     n_rows, n_full = traj.states.shape
-    # a trajectory of one stored state still shows it to the observers
+    # a trajectory of one stored state still shows it to the observer
     for rows in row_blocks(max(n_rows - 1, 1), n_full):
-        for observe in observers:
-            observe(rows, traj.times[rows.start:rows.stop + 1],
-                    traj.states[rows.start:rows.stop + 1])
+        observer(rows, traj.times[rows.start:rows.stop + 1],
+                 traj.states[rows.start:rows.stop + 1])
+    return observer.result()
 
 
 class Gamma:
@@ -367,6 +365,9 @@ class Gamma:
                 grid.x_interior()))
         np.subtract(spec.diffusion.b(block[:, grid.interior]), self.b_ext,
                     out=self.rows[rows.start:rows.start + len(block)])
+
+    def result(self) -> np.ndarray:
+        return self.rows
 
 
 # ---------------------------------------------------------------------------
@@ -401,34 +402,41 @@ def paired_rows(other: Trajectory, rows, times, block, ordered=False):
     return new, u, v
 
 
-class L1Series:
-    """Observer of a march (`solve`, `replay`): dx * sum |u - v| on the
-    interior at every step it sees, u the march and v the stored trajectory
-    `other`, which must store every step and be comparable (`paired_rows`).
-    Every block's |u - v| is taken in one reused buffer: a fresh block-sized
-    temporary would fault in new pages on every block."""
+class PairSeries:
+    """Observer of a march (`solve`, `replay`) paired with the stored run
+    `other`, which must store every step and be comparable (`paired_rows`,
+    `ordered` halos or equal ones): `rule(u, v, buf)` of the interior rows
+    u of the march and v of `other`, one value per step, by default `l1`,
+    in one reused buffer `buf` (a fresh temporary faults in new pages)."""
 
-    def __init__(self, other: Trajectory):
+    def __init__(self, other: Trajectory, rule=None, ordered=False):
         other.require_every_step()
         self.other = other
+        self.rule = rule  # None: `l1`, bound per call, so self holds no cycle
+        self.ordered = ordered
         self.out = np.empty(len(other.times))
         self.seen = 0
         self.buf = np.empty((0, other.grid.n))
 
     def __call__(self, rows, times, block):
-        new, u, v = paired_rows(self.other, rows, times, block)
+        new, u, v = paired_rows(self.other, rows, times, block, self.ordered)
         inside = self.other.grid.interior
         if len(u) > len(self.buf):
             self.buf = np.empty((len(u), self.other.grid.n))
-        diff = np.subtract(u[:, inside], v[:, inside], out=self.buf[:len(u)])
-        self.out[new] = np.abs(diff, out=diff).sum(axis=1)
+        self.out[new] = (self.rule or self.l1)(u[:, inside], v[:, inside],
+                                               self.buf[:len(u)])
         self.seen = rows.stop + 1
+
+    def l1(self, u, v, buf):
+        """The L1 distance: dx * sum |u - v| over each row."""
+        diff = np.subtract(u, v, out=buf)
+        return self.other.grid.dx * np.abs(diff, out=diff).sum(axis=1)
 
     def result(self) -> np.ndarray:
         """The series, one value per step of `other`."""
         if self.seen != len(self.out):
             raise ConfigMismatch("trajectories use different time steps")
-        return self.other.grid.dx * self.out
+        return self.out
 
 
 def l1_series(a: Trajectory, b: Trajectory) -> np.ndarray:
@@ -436,20 +444,11 @@ def l1_series(a: Trajectory, b: Trajectory) -> np.ndarray:
     a.require_every_step()
     if a.states.shape != b.states.shape or a.grid != b.grid:
         raise ConfigMismatch("trajectories live on different grids")
-    series = L1Series(b)
-    replay(a, [series])
-    return series.result()
+    return replay(a, PairSeries(b))
 
 
 def l1_q_distance(a: Trajectory, b: Trajectory) -> float:
     return a.dt * float(l1_series(a, b)[:-1].sum())
-
-
-def l2_q_distance(fa: np.ndarray, fb: np.ndarray, dt: float,
-                  dx: float) -> float:
-    if fa.shape != fb.shape:
-        raise ConfigMismatch("field shapes differ")
-    return math.sqrt(dt * dx * float(np.sum((fa - fb)[:-1] ** 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -490,7 +489,6 @@ def picard_solve(spec: ProblemSpec, measure: LevyMeasure,
 
     def frozen_source(traj):
         """Jump term of each stored state, interior-sized, one row per step."""
-        traj.require_every_step()
         out = np.empty((n_steps, grid.n))
         for rows in row_blocks(n_steps, grid.n_full):
             out[rows] = jump_term(bfun(traj.states[rows]), disc, stencil,
@@ -513,8 +511,8 @@ def picard_solve(spec: ProblemSpec, measure: LevyMeasure,
     traj = None
     converged = False
     for k in range(1, k_max + 1):
+        series = PairSeries(prev)        # refuses a thinned iterate
         src = frozen_source(prev)
-        series = L1Series(prev)
         traj = solve(spec, stencil, config, dt_override=dt,
                      source_states=src, observers=[series])
         gap = float(np.max(series.result()))
@@ -542,9 +540,7 @@ def picard_solve(spec: ProblemSpec, measure: LevyMeasure,
 
 @dataclass
 class ChainReport:
-    labels: list
     trajectories: list
-    stencils: list
     l1_distances: list
     l2_b_distances: list
     measure_distances: list
@@ -555,41 +551,42 @@ def vanishing_viscosity_run(spec: ProblemSpec, alpha: float, n_list,
                             config: SchemeConfig) -> ChainReport:
     """Solve with the diffusion scaled by 1/n and compare against the pure
     conservation-law run (zero measure): the `stability_run` of that chain."""
-    if not 0.0 < alpha < 2.0:
-        raise ValueError("alpha must lie in (0, 2)")
     measures = [ScaledMeasure(factor=1.0 / n,
                               inner=FractionalRadial(alpha=alpha))
                 for n in n_list]
-    return stability_run(spec, measures + [zero_measure()], config,
-                         labels=n_list)
+    return stability_run(spec, measures + [zero_measure()], config)
 
 
-def stability_run(spec: ProblemSpec, measures, config: SchemeConfig,
-                  labels=None) -> ChainReport:
+def stability_run(spec: ProblemSpec, measures,
+                  config: SchemeConfig) -> ChainReport:
     """Solve along a measure chain; the last entry is the reference.  Reports
     solution distances, diffusive-flux L2 distances, and the weighted total
     variation distances of the measures themselves.  Every stencil is built
     from the same (dx, Z), so the trajectories are shape-comparable, and all
-    are solved on the chain's one time grid, storing every step, as the
-    distances integrate over every step."""
+    are solved on the chain's one time grid, as the distances integrate over
+    every step: the reference first, then each member, whose march two
+    `PairSeries` observe against it (L1, and L2 of b(u))."""
     measures = list(measures)
     config = replace(config, store_every=1)
     stencils = [build_stencil(m, config.dx, config.r, config.Z)
                 for m in measures]
     dt, _ = time_grid(discretize(spec, config.dx, stencils[0].Z), stencils,
                       config)
-    trajs = [solve(spec, st, config, dt_override=dt) for st in stencils]
-    reference = trajs[-1]
-    bfun = spec.diffusion.b
-    b_ref = bfun(reference.interior())
-    l1d, l2d, md = [], [], []
-    for m, tr in zip(measures[:-1], trajs[:-1]):
-        l1d.append(l1_q_distance(tr, reference))
-        l2d.append(l2_q_distance(bfun(tr.interior()), b_ref, reference.dt,
-                                 config.dx))
+    reference = solve(spec, stencils[-1], config, dt_override=dt)
+
+    def l2_b_rows(u, v, buf):
+        diff = np.subtract(spec.diffusion.b(u), spec.diffusion.b(v), out=buf)
+        return np.multiply(diff, diff, out=diff).sum(axis=1)
+
+    trajs, l1d, l2d, md = [], [], [], []
+    for m, st in zip(measures[:-1], stencils[:-1]):
+        l1, l2 = PairSeries(reference), PairSeries(reference, l2_b_rows)
+        trajs.append(solve(spec, st, config, dt_override=dt,
+                           observers=[l1, l2]))
+        l1d.append(trajs[-1].dt * float(l1.result()[:-1].sum()))
+        l2d.append(math.sqrt(reference.dt * config.dx
+                             * float(l2.result()[:-1].sum())))
         md.append(weighted_tv_distance(m, measures[-1]))
-    return ChainReport(labels=list(labels) if labels is not None
-                       else list(range(len(measures) - 1)),
-                       trajectories=trajs[:-1], stencils=stencils[:-1],
-                       l1_distances=l1d, l2_b_distances=l2d,
-                       measure_distances=md, reference=reference)
+    return ChainReport(trajectories=trajs, l1_distances=l1d,
+                       l2_b_distances=l2d, measure_distances=md,
+                       reference=reference)

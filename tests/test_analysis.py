@@ -189,9 +189,10 @@ def test_trajectory_checks_in_row_blocks_match_whole_arrays(monkeypatch,
     worst = analysis.mass_budget_check(ta).params["worst_defect"]
     scale = max(1.0, float(np.abs(u).max()))
     assert scale == 4.0
-    assert analysis.mass_budget_check(ta, worst / scale * (1 + 1e-9)).passed
-    assert not analysis.mass_budget_check(ta,
-                                          worst / scale * (1 - 1e-9)).passed
+    monkeypatch.setattr(analysis, "CHECK_TOL", worst / scale * (1 + 1e-9))
+    assert analysis.mass_budget_check(ta).passed
+    monkeypatch.setattr(analysis, "CHECK_TOL", worst / scale * (1 - 1e-9))
+    assert not analysis.mass_budget_check(ta).passed
 
 
 def per_offset_worst_defect(traj):

@@ -116,6 +116,19 @@ def test_missing_dx_exit_2(tmp_path):
     ("measure", {"kind": "fractional", "alpha": 3}),
     ("measure", {"kind": "fractional", "dim": 2}),
     ("measure", {"kind": "atoms", "entries": [[[0.1, 0.2], 0.5]]}),
+    # a bool is not a number, in a nested mapping too
+    ("problem", {"flux": "burgers", "diffusion": "identity", "data": "bump",
+                 "T": True}),
+    ("problem", {"flux": "burgers", "data": "bump", "domain": [False, True]}),
+    ("measure", {"kind": "fractional", "alpha": True, "lo": 0.0625}),
+    ("measure", {"kind": "atoms", "entries": [[0.25, True]]}),
+    ("measure", {"kind": "fractional", "lo": 0.0625, "dim": True}),
+    # a run flag is a JSON boolean: text would be truthy
+    ("contraction", "false"),
+    ("energy", "no"),
+    ("moduli", 1),
+    ("auto_cfl", "true"),
+    ("enforce_cfl", "yes"),
 ])
 def test_bad_config_entry_exit_2(tmp_path, capsys, key, value):
     cfg = {"mode": "solve", "problem": "burgers_riemann", "measure": "none",
@@ -202,12 +215,19 @@ NAMED_BAD_ENTRIES = {
     (SOLVE_ARGS + ["--mode", "picard"], {"tol": "x"}),
     (SOLVE_ARGS + ["--mode", "vanishing"], {"n_list": [0]}),
     (SOLVE_ARGS + ["--mode", "stability"], {"r_list": [0.25, 0]}),
+    # without a measure, which the chain modes would refuse first
+    (without("--measure") + ["--mode", "vanishing"], {"alpha": True}),
+    (without("--measure") + ["--mode", "vanishing"], {"n_list": [True, 2]}),
+    (without("--measure") + ["--mode", "stability"],
+     {"r_list": [0.25, True]}),
+    (SOLVE_ARGS, {"contraction": "false", "energy": "no"}),
 ] + [(args, cfg) for args, cfg, _ in NAMED_BAD_ENTRIES.values()],
     ids=["dt_zero", "dt_nan", "dt_negative", "dt_negative_unenforced",
          "picard_k_max_0", "picard_k_max_0_tol_0", "picard_infinite_mass",
          "vanishing_alpha_3", "stability_alpha_3", "stability_alpha_text",
          "picard_k_max_text", "picard_tol_text", "vanishing_n_list_0",
-         "stability_r_list_0"] + list(NAMED_BAD_ENTRIES))
+         "stability_r_list_0", "vanishing_alpha_bool", "vanishing_n_list_bool",
+         "stability_r_list_bool", "flags_text"] + list(NAMED_BAD_ENTRIES))
 def test_bad_run_parameter_exit_2(tmp_path, capsys, args, cfg):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))

@@ -315,7 +315,7 @@ def test_stability_chain_trends():
     base = FractionalRadial(alpha=1.0)
     measures = [truncate(base, 1.0 / n)[1] for n in (4, 8, 16, 32)]
     spec = make_problem("burgers", "identity", "bump", T=0.2)
-    rep = stability_run(spec, measures, conf(1 / 64, Z=1.0), labels=[4, 8, 16])
+    rep = stability_run(spec, measures, conf(1 / 64, Z=1.0))
     assert all(np.diff(rep.measure_distances) < 0.0)
     assert all(np.diff(rep.l2_b_distances) < 0.0)
     assert all(np.diff(rep.l1_distances) < 0.0)
@@ -330,8 +330,7 @@ def test_stability_nondegenerate_perturbation_chain():
     chain = [SumMeasure(parts=(atom, ScaledMeasure(factor=e, inner=frac)))
              for e in (1.0, 0.25, 0.0625)] + [atom]
     spec = make_problem("burgers", "identity", "bump", T=0.2)
-    rep = stability_run(spec, chain, conf(1 / 64, Z=0.5),
-                        labels=[1.0, 0.25, 0.0625])
+    rep = stability_run(spec, chain, conf(1 / 64, Z=0.5))
     assert all(np.diff(rep.l1_distances) < 0.0)
     assert all(np.diff(rep.l2_b_distances) < 0.0)
     assert all(np.diff(rep.measure_distances) < 0.0)
@@ -455,10 +454,76 @@ def test_time_grid_refuses_a_horizon_that_is_not_positive_and_finite(T):
 def test_stability_identical_measures_zero_distances():
     m = single_atom(z=0.125, w=0.5)
     spec = make_problem("burgers", "identity", "bump", T=0.2)
-    rep = stability_run(spec, [m, m, m], conf(1 / 64), labels=[0, 1])
+    rep = stability_run(spec, [m, m, m], conf(1 / 64))
     assert all(d == 0.0 for d in rep.l1_distances)
     assert all(d == 0.0 for d in rep.l2_b_distances)
     assert all(d == 0.0 for d in rep.measure_distances)
+
+
+def l2_q_distance(fa, fb, dt, dx):
+    """The chain's L2 distance of b(u) as first written, from whole-run
+    arrays: the oracle of `stability_run`'s observed series."""
+    return math.sqrt(dt * dx * float(np.sum((fa - fb)[:-1] ** 2)))
+
+
+# the chains suite's stability chain and that of acceptance criterion 11
+OBSERVED_CHAINS = {
+    "chains_suite": (0.25, (4, 8, 16, 32), 1 / 64),
+    "criterion_11": (0.3, (4, 8, 16, 32, 64), 1 / 128),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OBSERVED_CHAINS))
+def test_chain_observes_its_members_as_the_old_formulas(monkeypatch, name):
+    T, ns, dx = OBSERVED_CHAINS[name]
+    spec = make_problem("burgers", "identity", "bump", T=T)
+    chain = [truncate(FractionalRadial(alpha=1.0), 1 / n)[1] for n in ns]
+    solved, replays = [], []
+    real_solve, real_replay = scheme.solve, scheme.replay
+
+    def counted_solve(spec, stencil, config, **kwargs):
+        solved.append(stencil)
+        return real_solve(spec, stencil, config, **kwargs)
+
+    monkeypatch.setattr(scheme, "solve", counted_solve)
+    monkeypatch.setattr(scheme, "replay", lambda *a: replays.append(a)
+                        or real_replay(*a))
+    rep = stability_run(spec, chain, conf(dx, Z=1.0))
+    monkeypatch.undo()
+    # the reference first, then each member once; nothing is replayed
+    runs = [rep.reference] + rep.trajectories
+    assert len(solved) == len(runs)
+    assert all(st is tr.stencil for st, tr in zip(solved, runs))
+    assert replays == []
+    b = spec.diffusion.b
+    b_ref = b(rep.reference.interior())
+    for tr, l1, l2 in zip(rep.trajectories, rep.l1_distances,
+                          rep.l2_b_distances):
+        assert l1 == l1_q_distance(tr, rep.reference)
+        want = l2_q_distance(b(tr.interior()), b_ref, rep.reference.dt, dx)
+        assert abs(l2 - want) <= 1e-15 * want
+
+
+def test_a_pair_series_frees_its_stored_run_without_the_cycle_collector():
+    # a reference cycle through the observer would keep the stored run (and
+    # its states) alive until a gc pass: across the checks of an ensemble
+    # that grew the process by hundreds of MB
+    import gc
+    import weakref
+    from levyfv.analysis import order_preservation_check
+    spec = make_problem("burgers", "identity", "bump", T=0.1)
+    c = conf(1 / 32, Z=0.5)
+    st = build_stencil(single_atom(), c.dx, c.r, c.Z)
+    gc.disable()
+    try:
+        for check in (scheme.l1_series, order_preservation_check):
+            run, other = solve(spec, st, c), solve(spec, st, c)
+            ref = weakref.ref(other)
+            check(run, other)
+            del other
+            assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_one_discretization_per_time_grid(monkeypatch):
@@ -810,8 +875,8 @@ def test_chain_stencils_are_the_built_ones_and_comparable():
     stab = stability_run(spec, chain, c)
     for rep, measures in ((van, van_measures), (stab, chain)):
         built = [build_stencil(m, c.dx, c.r, c.Z) for m in measures]
-        for st, ref in zip(rep.stencils + [rep.reference.stencil], built):
-            assert _same_stencil(st, ref)
+        for tr, ref in zip(rep.trajectories + [rep.reference], built):
+            assert _same_stencil(tr.stencil, ref)
         assert all(tr.states.shape == rep.reference.states.shape
                    for tr in rep.trajectories)
 

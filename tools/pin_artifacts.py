@@ -131,6 +131,15 @@ TABLE_PICARD = {"mode": "picard", "problem": {
     "measure": {"kind": "atoms", "entries": [[0.25, 0.25]]},
     "dx": 1.0 / 32, "Z": 0.5}
 
+# a bool is not a number and a run flag is a JSON boolean: each exits 2
+BOOL_ALPHA = {"mode": "vanishing", "problem": "burgers_bump", "dx": 1.0 / 32,
+              "Z": 0.5, "alpha": True}
+BOOL_T_PROBLEM = {"flux": "burgers", "diffusion": "identity", "data": "bump",
+                  "T": True}
+TEXT_ENERGY = {"mode": "solve", "problem": "burgers_bump",
+               "measure": "single_atom", "dx": 1.0 / 32, "Z": 0.5,
+               "energy": "no"}
+
 
 def matrix():
     """(run name, CLI arguments, config written to cfg.json or None)."""
@@ -188,6 +197,12 @@ def matrix():
         ("fixed_dt", ["run", "--mode", "solve", "--problem", "burgers_bump",
                       "--measure", "single_atom", "--dx", "0.03125", "--Z",
                       "0.5", "--dt", "0.001"], None),
+        ("refuse_bool_alpha", ["run"], BOOL_ALPHA),
+        ("refuse_bool_problem_T", ["run", "--mode", "solve", "--problem",
+                                   json.dumps(BOOL_T_PROBLEM), "--measure",
+                                   "none", "--dx", "0.03125", "--Z", "0.5"],
+         None),
+        ("refuse_text_energy", ["run"], TEXT_ENERGY),
     ]
     for label, measure in {**SCAN_MEASURES, **STENCIL_MEASURES}.items():
         ref = json.dumps(measure) if isinstance(measure, dict) else measure
