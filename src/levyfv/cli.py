@@ -140,9 +140,9 @@ def trend_check(name, distances, params) -> analysis.CheckResult:
 
 
 def _integer(cfg, key, default):
-    """`cfg[key]` as an int, refusing text, a bool or a fraction."""
+    """`cfg[key]` as an int: a number (`config_number`) with no fraction."""
     val = cfg.get(key, default)
-    if not (type(val) is int or type(val) is float and val.is_integer()):
+    if not config_number(val, key).is_integer():
         raise ConfigParse(f"{key} must be an integer, got {val!r}")
     return int(val)
 

@@ -20,8 +20,8 @@ class DivergentLevyMoment(LevyFvError):
 
 
 class QuadratureNotConverged(LevyFvError):
-    """Adaptive quadrature error estimate above its certified tolerance, or a
-    continued fraction not converged within its iteration cap."""
+    """The power-law symbol's cosine-tail continued fraction not converged
+    within its iteration cap."""
 
 
 class EmptyGrid(LevyFvError):
@@ -73,7 +73,9 @@ class MissingExtensionDerivatives(LevyFvError):
 # -- diagnostics / orchestration ----------------------------------------------
 
 class ConfigMismatch(LevyFvError):
-    """Two runs are not comparable (grid, times, or exterior data differ)."""
+    """Two runs are not comparable (grid, times, or exterior data differ), a
+    frozen run is not of the march's problem, stencil or time grid, or two
+    measures have no closed-form distance."""
 
 
 class ConfigParse(LevyFvError):
@@ -93,11 +95,12 @@ class IoFailure(LevyFvError):
 
 
 def config_number(val, key) -> float:
-    """`val`, the config entry `key`, as a float.  A bool, which `float`
-    reads as 0 or 1, is refused (`ConfigParse`) like what `float` cannot."""
-    if not isinstance(val, bool):
+    """`val`, the config entry `key`, as a float.  Only an int or a float
+    is a number: text and a bool, which `float` would read, are refused
+    (`ConfigParse`), and so is an int beyond the doubles."""
+    if isinstance(val, (int, float)) and not isinstance(val, bool):
         try:
             return float(val)
-        except (TypeError, ValueError):
+        except OverflowError:
             pass
     raise ConfigParse(f"{key} must be a number, got {val!r}")

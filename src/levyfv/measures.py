@@ -29,6 +29,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import (
+    ConfigMismatch,
     ConfigParse,
     DivergentLevyMoment,
     MassAtOrigin,
@@ -39,8 +40,6 @@ from .errors import (
 )
 
 _INF = math.inf
-# relative error the weighted-TV quadrature certifies
-SYMBOL_REL_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -532,11 +531,8 @@ def weighted_tv_distance(mu1: LevyMeasure, mu2: LevyMeasure) -> float:
 
     Atomic and absolutely continuous parts are mutually singular, so the
     distance splits cleanly.  Atoms of either measure at near-identical radii
-    are one atom.  Continuous parts are compared in closed form when they
-    share a power law, by quadrature otherwise, whose summed error estimate
-    must stay within SYMBOL_REL_TOL (`QuadratureNotConverged`).  That
-    quadrature (`scipy.integrate.quad`) is imported inside the generic
-    branch of `_continuous_tv`, so importing levyfv loads no scipy module.
+    are one atom.  Continuous parts, sums of power laws, are compared in
+    closed form (`_continuous_tv`).
     """
     a1, c1 = _split_leaves(mu1)
     a2, c2 = _split_leaves(mu2)
@@ -548,59 +544,47 @@ def weighted_tv_distance(mu1: LevyMeasure, mu2: LevyMeasure) -> float:
     for rad in set(d1) | set(d2):
         total += (min(rad * rad, 1.0) * 2.0
                   * abs(d1.get(rad, 0.0) - d2.get(rad, 0.0)))
-
-    if not c1 and not c2:
-        return total
-    total += _continuous_tv(c1, c2)
-    return total
+    return total + _continuous_tv(c1, c2)
 
 
 def _continuous_tv(c1, c2):
-    # every continuous leaf is a power law
-    if (len({leaf.alpha for _, leaf in c1 + c2}) == 1 and len(c1) <= 1
-            and len(c2) <= 1):
-        # same power law: |c1 1_W1 - c2 1_W2| is piecewise a power law
-        (k1, l1) = (c1[0][0] * c1[0][1].coeff, c1[0][1]) if c1 else (0.0, None)
-        (k2, l2) = (c2[0][0] * c2[0][1].coeff, c2[0][1]) if c2 else (0.0, None)
-        unit = replace(l1 or l2, coeff=1.0, lo=0.0, hi=_INF)
-        edges = sorted({0.0, 1.0,
-                        *( [l1.lo, l1.hi] if l1 else [] ),
-                        *( [l2.lo, l2.hi] if l2 else [] ), _INF})
-        total = 0.0
-        for a, b in zip(edges[:-1], edges[1:]):
-            if b <= a:
-                continue
-            w1 = k1 if (l1 and l1.lo <= a and b <= l1.hi) else 0.0
-            w2 = k2 if (l2 and l2.lo <= a and b <= l2.hi) else 0.0
-            diff = abs(w1 - w2)
-            if diff > 0.0:
-                total += diff * unit.levy_moment_between(a, b)
-        return total
-    # generic path: quadrature of the absolute density difference; the only
-    # scipy use in the package, imported here so `import levyfv` loads none
-    from scipy import integrate
-
-    def density(parts, z):
-        val = 0.0
-        for coef, leaf in parts:
-            if leaf.lo <= z <= leaf.hi:
-                val += coef * leaf.coeff * z ** (-1.0 - leaf.alpha)
-        return val
-
-    edges = sorted({1.0, _INF, *[leaf.lo for _, leaf in c1 + c2],
-                    *[leaf.hi for _, leaf in c1 + c2]})
-    total = error = prev = 0.0
-    for e in [e for e in edges if e > 0.0]:
-        f = lambda z: min(z * z, 1.0) * abs(density(c1, z) - density(c2, z))
-        v, err = integrate.quad(f, prev, e, limit=400, epsabs=1e-12,
-                                epsrel=1e-9)
-        total += 2.0 * v
-        error += 2.0 * err
-        prev = e
-    if error > max(SYMBOL_REL_TOL * abs(total), 1e-9):
-        raise QuadratureNotConverged(
-            f"weighted TV quadrature error {error:.2e} on a total of "
-            f"{total:.6e}")
+    """Weighted TV between the power-law leaves `c1` and `c2`, cut at every
+    window end and at 1.  On a piece, each side's coefficients summed per
+    exponent and subtracted give the density difference sum C_a |z|^(-1-a)
+    (swapping the sides negates each C exactly); where it keeps one sign
+    the piece adds |sum C_a m_a|, m_a the unit power law's
+    `levy_moment_between` on it.  Two exponents of opposite sign cross at
+    z* = (-C_2/C_1)^(1/(a_2 - a_1)), which cuts the piece; more exponents of
+    mixed sign are refused (`ConfigMismatch`)."""
+    edges = sorted({0.0, 1.0, _INF, *(e for _, leaf in c1 + c2
+                                      for e in (leaf.lo, leaf.hi))})
+    total = 0.0
+    for a, b in zip(edges[:-1], edges[1:]):
+        sums = ({}, {})
+        for side, parts in zip(sums, (c1, c2)):
+            for coef, leaf in parts:
+                if leaf.lo <= a and b <= leaf.hi:
+                    side[leaf.alpha] = (side.get(leaf.alpha, 0.0)
+                                        + coef * leaf.coeff)
+        diff = {al: c for al in sorted(sums[0].keys() | sums[1].keys())
+                if (c := sums[0].get(al, 0.0) - sums[1].get(al, 0.0)) != 0.0}
+        cuts = [a, b]
+        if len({c > 0.0 for c in diff.values()}) == 2:
+            if len(diff) > 2:
+                raise ConfigMismatch(
+                    f"weighted TV: {len(diff)} power laws of mixed sign on "
+                    f"({a}, {b}) have no closed form")
+            (al1, k1), (al2, k2) = diff.items()
+            try:
+                z = (-k2 / k1) ** (1.0 / (al2 - al1))
+            except OverflowError:    # the crossing lies past every double
+                z = _INF
+            if a < z < b:
+                cuts.insert(1, z)
+        for lo, hi in zip(cuts[:-1], cuts[1:]):
+            total += abs(sum(c * FractionalRadial(alpha=al)
+                             .levy_moment_between(lo, hi)
+                             for al, c in diff.items()))
     return total
 
 

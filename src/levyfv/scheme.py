@@ -181,21 +181,21 @@ def time_grid(disc: DiscreteProblem, stencils, config: SchemeConfig,
     return spec.T / n_steps, n_steps
 
 
-def _certify_halos(halos: np.ndarray, times: np.ndarray, halo_range: tuple,
-                   dt: float, bound) -> tuple:
-    """Widen the running range `halo_range` by `halos`, one row of halo
-    values per time in `times`, and return it.  Refuse them (`CflViolation`,
-    naming the time of the first row that broke it) when the widened range
-    puts `bound(range)`, the CFL bound, below dt."""
-    lo = np.minimum.accumulate(np.minimum(halos.min(axis=1), halo_range[0]))
-    hi = np.maximum.accumulate(np.maximum(halos.max(axis=1), halo_range[1]))
+def _certify_range(values: np.ndarray, times: np.ndarray, what: str,
+                   running: tuple, dt: float, bound) -> tuple:
+    """Widen the running range `running` by `values`, one row per time in
+    `times`, passing over NaNs, and return it.  Refuse them (`CflViolation`,
+    naming `what` at the time of the first row that broke it) when the
+    widened range puts `bound(range)`, the CFL bound, below dt."""
+    lo = np.minimum.accumulate(np.fmin.reduce(values, 1, initial=running[0]))
+    hi = np.maximum.accumulate(np.fmax.reduce(values, 1, initial=running[1]))
     # the bound shrinks as the range widens: the last row is the tightest
     if dt > bound((float(lo[-1]), float(hi[-1]))) * (1.0 + 1e-9):
-        for k in range(len(halos)):
+        for k in range(len(values)):
             dtmax = bound((float(lo[k]), float(hi[k])))
             if dt > dtmax * (1.0 + 1e-9):
                 raise CflViolation(
-                    f"exterior datum at t={float(times[k])} leaves the "
+                    f"{what} at t={float(times[k])} leaves the "
                     f"range the CFL bound was taken on: dt={dt} above "
                     f"monotonicity bound {dtmax} on "
                     f"({float(lo[k])}, {float(hi[k])})")
@@ -237,16 +237,17 @@ def step(u_full: np.ndarray, disc: DiscreteProblem, stencil: StencilWeights,
 
 
 def solve(spec: ProblemSpec, stencil: StencilWeights, config: SchemeConfig,
-          dt_override: float | None = None,
-          source_states: np.ndarray | None = None,
+          dt_override: float | None = None, frozen: Trajectory | None = None,
           observers=()) -> Trajectory:
-    """March to T on `time_grid`.  With `source_states` (one frozen jump
-    term per step) the jump operator is not applied, so the CFL bound is
-    that of the conservation law alone.  `solve` is the one writer of
-    stored states and writes each value once: the interior of step 0 is
+    """March to T on `time_grid`.  `solve` is the one writer of stored
+    states and writes each value once: the interior of step 0 is
     `disc.u0`, that of step n + 1 is what `step` from step n writes into
     that row of the block buffer, and the halo of step n is
-    `exterior.value(times[n], halo_x)`.
+    `exterior.value(times[n], halo_x)`.  With `frozen`, a stored run of
+    this problem and stencil on this time grid (else `ConfigMismatch`), the
+    march is Picard's: it takes `frozen.disc`, each step adds the jump term
+    of `frozen`'s state in place of its own (one `jump_term` call per
+    block), and the CFL bound is that of the conservation law alone.
 
     The march goes in the blocks `row_blocks(n_steps, n_full)`, each in one
     reused buffer.  The halo is written on one of two paths:
@@ -255,14 +256,14 @@ def solve(spec: ProblemSpec, stencil: StencilWeights, config: SchemeConfig,
       writes interiors only and the last row carries the halo into the
       next block, so it is never written again;
     - a moving exterior has the halos of a block's rows written first, one
-      `refresh_halo` per row at its time.  With `config.enforce_cfl` they
-      are then certified before the block is stepped: the data range
-      widened by every halo written so far must keep dt within the CFL
-      bound, else `CflViolation` names the time of the first halo row that
-      broke it.
-    After each block's steps its new interior values are checked to be
-    finite (`NonfiniteValue`, naming the start time of the first step that
-    was not); then every observer is called as
+      `refresh_halo` per row at its time.
+    With `config.enforce_cfl`, dt must stay within the CFL bound on the
+    data range widened by every halo written (before a block is stepped)
+    and, with `frozen`, by every interior a block stepped from (after it is
+    stepped), else `CflViolation` names the time of the first row that
+    broke it.  After each block's steps its new interior values are checked
+    to be finite (`NonfiniteValue`, naming the start time of the first step
+    that was not); then every observer is called as
     `observer(rows, times, block)` with the full-grid states of steps
     `rows.start .. rows.stop` inclusive and their times, so observers see
     every step, and the steps n with `n % config.store_every == 0` are
@@ -270,20 +271,27 @@ def solve(spec: ProblemSpec, stencil: StencilWeights, config: SchemeConfig,
     if stencil.dx != config.dx:
         raise ConfigMismatch(f"stencil built for dx={stencil.dx}, "
                              f"config has dx={config.dx}")
-    disc = discretize(spec, config.dx, stencil.Z)
+    cfl_spec = spec
+    if frozen is None:
+        disc = discretize(spec, config.dx, stencil.Z)
+    elif frozen.spec != spec or frozen.stencil is not stencil:
+        raise ConfigMismatch("frozen run is of another problem or stencil")
+    else:
+        disc, cfl_spec = frozen.disc, replace(spec, diffusion=diffusion_zero())
     drange = disc.data_range
     dt, n_steps = time_grid(disc, [stencil], config, dt_override)
-    cfl_spec = (spec if source_states is None
-                else replace(spec, diffusion=diffusion_zero()))
     dtmax = cfl_max_dt(cfl_spec, stencil, config.dx, drange)
     if config.enforce_cfl and dt > dtmax * (1.0 + 1e-9):
         raise CflViolation(f"dt={dt} above monotonicity bound {dtmax}")
     lo, hi = drange
     flux_pair = _numerical_flux(config, spec, spec.flux.lipschitz_on(lo, hi))
+    bound = partial(cfl_max_dt, cfl_spec, stencil, config.dx)
 
     every = config.store_every
     steady = spec.exterior.steady
     times = np.linspace(0.0, spec.T, n_steps + 1)
+    if frozen is not None and not np.array_equal(frozen.times, times):
+        raise ConfigMismatch("frozen run is on another time grid")
     interior = disc.grid.interior
     blocks = row_blocks(n_steps, disc.grid.n_full)
     states = np.empty((n_steps // every + 1, disc.grid.n_full))
@@ -291,7 +299,7 @@ def solve(spec: ProblemSpec, stencil: StencilWeights, config: SchemeConfig,
     work[0, interior] = disc.u0
     disc.refresh_halo(work if steady else work[0], times[0])
     states[0] = work[0]
-    halo_range = drange
+    cfl_range = drange
     wall = time.perf_counter()
     for rows in blocks:
         block = work[:rows.stop - rows.start + 1]
@@ -299,14 +307,21 @@ def solve(spec: ProblemSpec, stencil: StencilWeights, config: SchemeConfig,
             for i, n in enumerate(range(rows.start, rows.stop)):
                 disc.refresh_halo(block[i + 1], times[n + 1])
             if config.enforce_cfl:
-                halo_range = _certify_halos(
+                cfl_range = _certify_range(
                     block[1:, disc.grid.halo_mask()],
-                    times[rows.start + 1:rows.stop + 1], halo_range, dt,
-                    partial(cfl_max_dt, cfl_spec, stencil, config.dx))
-        for i, n in enumerate(range(rows.start, rows.stop)):
-            src = source_states[n] if source_states is not None else None
-            step(block[i], disc, stencil, config, dt, source=src,
+                    times[rows.start + 1:rows.stop + 1], "exterior datum",
+                    cfl_range, dt, bound)
+        source = (None if frozen is None else
+                  jump_term(spec.diffusion.b(frozen.states[rows]), disc,
+                            stencil, config.tail_mode))
+        for i in range(rows.stop - rows.start):
+            step(block[i], disc, stencil, config, dt,
+                 source=None if source is None else source[i],
                  flux_pair=flux_pair, out=block[i + 1, interior])
+        if frozen is not None and config.enforce_cfl:
+            cfl_range = _certify_range(block[:-1, interior], times[rows],
+                                       "frozen march state", cfl_range, dt,
+                                       bound)
         finite = np.isfinite(block[1:, interior]).all(axis=1)
         if not finite.all():
             n = rows.start + int(np.argmin(finite))
@@ -479,26 +494,16 @@ def picard_solve(spec: ProblemSpec, measure: LevyMeasure,
         raise ConfigParse(f"k_max must be >= 1, got {k_max}")
     if not math.isfinite(measure.total_mass()):
         raise ValueError("fixed-point construction needs a finite measure")
-    # each iterate's source is the jump term of every step of the last one
+    # the next iterate marches against every step of this one
     config = replace(config, store_every=1)
     stencil = build_stencil(measure, config.dx, config.r, config.Z)
     disc = discretize(spec, config.dx, stencil.Z)
-    grid = disc.grid
     dt, n_steps = time_grid(disc, [stencil], config)
-    bfun = spec.diffusion.b
-
-    def frozen_source(traj):
-        """Jump term of each stored state, interior-sized, one row per step."""
-        out = np.empty((n_steps, grid.n))
-        for rows in row_blocks(n_steps, grid.n_full):
-            out[rows] = jump_term(bfun(traj.states[rows]), disc, stencil,
-                                  config.tail_mode)
-        return out
 
     # iterate 0: zeros, with the halo each iterate's `solve` writes
     prev = Trajectory(times=np.linspace(0.0, spec.T, n_steps + 1),
-                      states=np.zeros((n_steps + 1, grid.n_full)), disc=disc,
-                      stencil=stencil, config=config,
+                      states=np.zeros((n_steps + 1, disc.grid.n_full)),
+                      disc=disc, stencil=stencil, config=config,
                       stats={"dt": dt, "n_steps": n_steps})
     if spec.exterior.steady:
         disc.refresh_halo(prev.states, prev.times[0])
@@ -506,32 +511,22 @@ def picard_solve(spec: ProblemSpec, measure: LevyMeasure,
         for t, state in zip(prev.times, prev.states):
             disc.refresh_halo(state, t)
 
-    gaps: list[float] = []
-    first_norm = None
-    traj = None
-    converged = False
+    norms = []      # ||u_1|| (iterate 0 is zero on the interior), then gaps
     for k in range(1, k_max + 1):
         series = PairSeries(prev)        # refuses a thinned iterate
-        src = frozen_source(prev)
-        traj = solve(spec, stencil, config, dt_override=dt,
-                     source_states=src, observers=[series])
-        gap = float(np.max(series.result()))
-        if k == 1:
-            # iterate 0 is zero on the interior, so the gap is ||u_1||
-            first_norm = gap
-        else:
-            gaps.append(gap)
-        prev = traj
-        if tol > 0.0 and gap <= tol and k > 1:
-            converged = True
+        prev = solve(spec, stencil, config, dt_override=dt, frozen=prev,
+                     observers=[series])
+        norms.append(float(np.max(series.result())))
+        if tol > 0.0 and k > 1 and norms[-1] <= tol:
             break
-    if tol > 0.0 and not converged:
-        raise NoConvergence(f"gap {gaps[-1] if gaps else first_norm:.3e} "
-                            f"above tol {tol} after {k_max} iterations",
-                            gaps=gaps)
-    return PicardResult(trajectory=traj, gaps=gaps,
-                        first_iterate_norm=first_norm,
-                        iterations=k, converged=converged or tol == 0.0)
+    else:
+        if tol > 0.0:
+            raise NoConvergence(f"gap {norms[-1]:.3e} above tol {tol} after "
+                                f"{k_max} iterations", gaps=norms[1:])
+    # under tol > 0 a returned run converged; tol = 0 asks for k_max iterates
+    return PicardResult(trajectory=prev, gaps=norms[1:],
+                        first_iterate_norm=norms[0], iterations=k,
+                        converged=tol >= 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -564,15 +559,16 @@ def stability_run(spec: ProblemSpec, measures,
     variation distances of the measures themselves.  Every stencil is built
     from the same (dx, Z), so the trajectories are shape-comparable, and all
     are solved on the chain's one time grid, as the distances integrate over
-    every step: the reference first, then each member, whose march two
-    `PairSeries` observe against it (L1, and L2 of b(u))."""
+    every step: the reference first, stored every step, then each member,
+    stored at `config.store_every`, whose march two `PairSeries` observe
+    against the reference (L1, and L2 of b(u))."""
     measures = list(measures)
-    config = replace(config, store_every=1)
     stencils = [build_stencil(m, config.dx, config.r, config.Z)
                 for m in measures]
     dt, _ = time_grid(discretize(spec, config.dx, stencils[0].Z), stencils,
                       config)
-    reference = solve(spec, stencils[-1], config, dt_override=dt)
+    reference = solve(spec, stencils[-1], replace(config, store_every=1),
+                      dt_override=dt)
 
     def l2_b_rows(u, v, buf):
         diff = np.subtract(spec.diffusion.b(u), spec.diffusion.b(v), out=buf)

@@ -123,6 +123,12 @@ def test_missing_dx_exit_2(tmp_path):
     ("measure", {"kind": "fractional", "alpha": True, "lo": 0.0625}),
     ("measure", {"kind": "atoms", "entries": [[0.25, True]]}),
     ("measure", {"kind": "fractional", "lo": 0.0625, "dim": True}),
+    # text is not a number, though `float` would read it
+    ("dx", "0.03125"),
+    ("dx", 10 ** 400),                  # an int that no double holds
+    ("measure", {"kind": "fractional", "alpha": "1.0", "lo": 0.0625}),
+    ("problem", {"flux": "burgers", "diffusion": "identity", "data": "bump",
+                 "T": "0.5"}),
     # a run flag is a JSON boolean: text would be truthy
     ("contraction", "false"),
     ("energy", "no"),

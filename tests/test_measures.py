@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from levyfv.errors import DivergentLevyMoment, MassAtOrigin, NonSymmetric, \
-    QuadratureNotConverged
+from levyfv.errors import ConfigMismatch, DivergentLevyMoment, MassAtOrigin, \
+    NonSymmetric
 from levyfv.measures import (AtomicSymmetric, DyadicA, DyadicB,
                              FractionalRadial, ScaledMeasure,
                              SumMeasure, single_atom, truncate,
@@ -152,8 +152,8 @@ def test_tv_mixed_kinds_split_singular_parts():
 
 
 def test_tv_generic_continuous_path():
-    # two leaves on one side, or two power laws, leave the closed form for
-    # the quadrature of the density difference
+    # two leaves on one side, or two power laws, in the same closed form:
+    # coefficients summed per exponent, pieces cut where the sign changes
     whole = truncate(FractionalRadial(alpha=1.0), 0.1)[1]
     halves = SumMeasure(parts=(ScaledMeasure(factor=0.5, inner=whole),
                                ScaledMeasure(factor=0.5, inner=whole)))
@@ -173,19 +173,84 @@ def test_tv_generic_continuous_path():
                        + weighted_tv_distance(m[c], m[b]))
 
 
-def test_tv_generic_quadrature_refuses_an_uncertified_total(monkeypatch):
-    # the generic path sums each piece's error estimate and certifies the
-    # total under SYMBOL_REL_TOL
-    m = {al: truncate(FractionalRadial(alpha=al), 0.1)[1] for al in (0.9, 1.0)}
-    real = integrate.quad
+# pairs of power laws of two exponents: unwindowed, windowed, and sums
+MIXED_PAIRS = {
+    "plain": (FractionalRadial(alpha=0.7, coeff=2.0),
+              FractionalRadial(alpha=1.3)),
+    "windowed": (FractionalRadial(alpha=0.7, coeff=2.0, lo=0.1, hi=1.5),
+                 FractionalRadial(alpha=1.3, lo=0.05)),
+    "sum": (SumMeasure(parts=(FractionalRadial(alpha=0.4, coeff=0.5),
+                              FractionalRadial(alpha=0.4, coeff=0.25,
+                                               hi=0.5))),
+            ScaledMeasure(factor=3.0, inner=FractionalRadial(alpha=1.8,
+                                                             lo=0.2))),
+    # z* = 3^1000 lies past every double: the difference keeps one sign
+    "far_crossing": (FractionalRadial(alpha=1.0),
+                     FractionalRadial(alpha=1.001, coeff=3.0)),
+}
 
-    def loose(*args, **kwargs):
-        v, err = real(*args, **kwargs)
-        return v, 1e-3
 
-    monkeypatch.setattr(integrate, "quad", loose)
-    with pytest.raises(QuadratureNotConverged, match="weighted TV"):
-        weighted_tv_distance(m[0.9], m[1.0])
+def _tv_mpmath(mu1, mu2):
+    """2 int_0^inf (z^2 ^ 1) |density of mu1 - density of mu2| dz at 40
+    digits, split at every window end, at 1, and where the difference
+    changes sign: found between 400 log-spaced samples of each piece
+    within (1e-8, 1e8), then bisected 200 times."""
+    import mpmath
+    mpmath.mp.dps = 40
+
+    def diff(z):
+        return sum(sign * mpmath.mpf(coef) * leaf.coeff
+                   * z ** (-1 - mpmath.mpf(leaf.alpha))
+                   for sign, mu in ((1, mu1), (-1, mu2))
+                   for coef, leaf in mu.leaves() if leaf.lo <= z <= leaf.hi)
+
+    cuts = sorted({0.0, 1.0, *(e for mu in (mu1, mu2)
+                               for _, leaf in mu.leaves()
+                               for e in (leaf.lo, leaf.hi)
+                               if 0.0 < e < math.inf)})
+    points = []
+    for a, b in zip(cuts, cuts[1:] + [math.inf]):
+        points.append(mpmath.mpf(a))
+        zs = [mpmath.mpf(z) for z in np.geomspace(
+            max(a, 1e-8) * (1 + 1e-9), min(b, 1e8) * (1 - 1e-9), 400)]
+        for lo, hi in zip(zs[:-1], zs[1:]):
+            if diff(lo) * diff(hi) < 0:
+                for _ in range(200):
+                    mid = (lo + hi) / 2
+                    lo, hi = (mid, hi) if diff(lo) * diff(mid) > 0 \
+                        else (lo, mid)
+                points.append(lo)
+    points.append(mpmath.inf)
+    return float(2 * sum(
+        mpmath.quad(lambda z: min(z * z, 1) * abs(diff(z)), [lo, hi])
+        for lo, hi in zip(points[:-1], points[1:])))
+
+
+@pytest.mark.parametrize("name", sorted(MIXED_PAIRS))
+def test_tv_two_exponents_match_mpmath(name):
+    mu1, mu2 = MIXED_PAIRS[name]
+    assert weighted_tv_distance(mu1, mu2) == pytest.approx(
+        _tv_mpmath(mu1, mu2), rel=1e-14)
+
+
+@pytest.mark.parametrize("name", sorted(MIXED_PAIRS))
+def test_tv_swapping_the_sides_gives_the_same_bits(name):
+    mu1, mu2 = MIXED_PAIRS[name]
+    assert weighted_tv_distance(mu1, mu2) > 0.0
+    assert weighted_tv_distance(mu1, mu2) == weighted_tv_distance(mu2, mu1)
+
+
+def test_tv_refuses_three_exponents_of_mixed_sign():
+    outer = SumMeasure(parts=(FractionalRadial(alpha=0.5),
+                              FractionalRadial(alpha=1.5)))
+    with pytest.raises(ConfigMismatch, match="mixed sign"):
+        weighted_tv_distance(outer, FractionalRadial(alpha=1.0))
+    # three exponents of one sign have a closed form
+    assert weighted_tv_distance(
+        SumMeasure(parts=(outer, FractionalRadial(alpha=1.0))),
+        zero_measure()) == pytest.approx(sum(
+            FractionalRadial(alpha=al).levy_moment()
+            for al in (0.5, 1.0, 1.5)), rel=1e-15)
 
 
 def test_scaled_and_sum_compose():

@@ -528,7 +528,8 @@ def test_a_pair_series_frees_its_stored_run_without_the_cycle_collector():
 
 def test_one_discretization_per_time_grid(monkeypatch):
     # solve discretizes once and hands that to time_grid; a chain of m
-    # measures discretizes once for its shared time grid, then once per solve
+    # measures discretizes once for its shared time grid, then once per
+    # solve; a Picard solve discretizes once
     calls = []
     real = scheme.discretize
 
@@ -547,6 +548,10 @@ def test_one_discretization_per_time_grid(monkeypatch):
     calls.clear()
     stability_run(spec, [single_atom(z=0.125, w=0.5), zero_measure()], c)
     assert len(calls) == 2 + 1
+    calls.clear()
+    # every iterate marches on the discretization of iterate 0
+    picard_solve(spec, single_atom(), c, k_max=3, tol=0.0)
+    assert len(calls) == 1
 
 
 def test_solve_rejects_a_stencil_built_for_another_dx():
@@ -845,8 +850,7 @@ def test_null_stencil_solve_skips_the_jump_term(monkeypatch):
     # the smoothstep exterior is steady: solve writes every stored halo,
     # the initial one included, in one call before the march
     assert counts == {"step": n_steps, "jump_term": 0, "refresh_halo": 1}
-    frozen = solve(spec, st, c, dt_override=traj.stats["dt"],
-                   source_states=np.zeros((n_steps, traj.grid.n)))
+    frozen = solve(spec, st, c, dt_override=traj.stats["dt"], frozen=traj)
     assert counts["refresh_halo"] == 2
     assert frozen.states.tobytes() == traj.states.tobytes()
     assert np.signbit(traj.states[0]).any()
@@ -1006,3 +1010,120 @@ def test_drivers_store_every_step_whatever_the_cadence():
     assert va.l1_distances == vb.l1_distances
     assert (sa.l1_distances, sa.l2_b_distances) == (sb.l1_distances,
                                                     sb.l2_b_distances)
+
+
+def _picard_oracle(spec, measure, c, k_max):
+    """Picard's recipe with a whole-run source per iterate: iterate 0 is
+    zeros with the exterior datum in its halos, each iterate's source is
+    `jump_term` of every state of the last (in `row_blocks`), and the march
+    calls `step(..., source=src[n])` once per step.  Returns the last
+    iterate's states, the gaps and the first iterate's norm."""
+    st = build_stencil(measure, c.dx, c.r, c.Z)
+    disc = discretize(spec, c.dx, st.Z)
+    dt, n_steps = scheme.time_grid(disc, [st], c)
+    times = np.linspace(0.0, spec.T, n_steps + 1)
+    inside = disc.grid.interior
+    prev = np.zeros((n_steps + 1, disc.grid.n_full))
+    for t, state in zip(times, prev):
+        disc.refresh_halo(state, t)
+    norms = []
+    for _ in range(k_max):
+        src = np.empty((n_steps, disc.grid.n))
+        for rows in scheme.row_blocks(n_steps, disc.grid.n_full):
+            src[rows] = scheme.jump_term(spec.diffusion.b(prev[rows]), disc,
+                                         st, c.tail_mode)
+        cur = np.empty_like(prev)
+        cur[0, inside] = disc.u0
+        for n, t in enumerate(times):
+            disc.refresh_halo(cur[n], t)
+            if n < n_steps:
+                cur[n + 1, inside] = step(cur[n], disc, st, c, dt,
+                                          source=src[n])
+        diff = np.abs(cur[:, inside] - prev[:, inside])
+        norms.append(float(np.max(c.dx * diff.sum(axis=1))))
+        prev = cur
+    return prev, norms[1:], norms[0]
+
+
+PICARD_ORACLE_CASES = {
+    "burgers_bump_atom": (PROBLEM_PRESETS["burgers_bump"](),
+                          single_atom(z=0.3, w=0.5), conf(1 / 32, Z=0.5)),
+    "stefan_mixed": (PROBLEM_PRESETS["stefan_mixed"](),
+                     AtomicSymmetric(entries=((0.25, 0.25),)),
+                     conf(1 / 32, Z=0.5)),
+    "moving_exterior": (MOVING_SPEC, single_atom(z=0.3, w=0.5),
+                        conf(1 / 32, Z=0.5)),
+    # cells below Z = 0.25 and a tail above it, under both tail rules
+    "fractional_tail_mean": (PROBLEM_PRESETS["burgers_bump"](),
+                             FractionalRadial(alpha=1.0, coeff=0.05,
+                                              lo=1 / 16, hi=2.0),
+                             conf(1 / 32)),
+    "fractional_tail_drop": (PROBLEM_PRESETS["burgers_bump"](),
+                             FractionalRadial(alpha=1.0, coeff=0.05,
+                                              lo=1 / 16, hi=2.0),
+                             conf(1 / 32, tail_mode="drop")),
+    "riemann_lf": (PROBLEM_PRESETS["burgers_riemann"](),
+                   single_atom(z=0.3, w=0.5),
+                   conf(1 / 32, Z=0.5, numerical_flux="lax_friedrichs")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PICARD_ORACLE_CASES))
+def test_picard_marching_against_its_last_iterate_is_the_whole_run_recipe(
+        case):
+    spec, measure, c = PICARD_ORACLE_CASES[case]
+    res = picard_solve(spec, measure, c, k_max=4, tol=0.0)
+    states, gaps, first = _picard_oracle(spec, measure, c, 4)
+    assert res.trajectory.states.tobytes() == states.tobytes()
+    assert np.array(res.gaps).tobytes() == np.array(gaps).tobytes()
+    assert res.first_iterate_norm == first and first > 0.0
+
+
+def test_solve_refuses_a_frozen_run_of_another_problem_stencil_or_grid():
+    spec = make_problem("burgers", "identity", "bump", T=0.2)
+    c = conf(1 / 32, Z=0.5)
+    st = build_stencil(single_atom(), c.dx, c.r, c.Z)
+    run = solve(spec, st, c)
+    assert solve(spec, st, c, frozen=run).states.shape == run.states.shape
+    others = {
+        "problem": (replace(spec, T=0.1), st, c, None),
+        "stencil": (spec, build_stencil(single_atom(), c.dx, c.r, c.Z), c,
+                    None),
+        "time count": (spec, st, c, run.dt / 2),
+        "thinned": (spec, st, c, None),
+    }
+    thin = solve(spec, st, replace(c, store_every=3))
+    for name, (spec2, st2, c2, dt) in others.items():
+        with pytest.raises(ConfigMismatch, match="frozen run"):
+            solve(spec2, st2, c2, dt_override=dt,
+                  frozen=thin if name == "thinned" else run)
+
+
+@pytest.mark.parametrize("lo", [1 / 4, 1 / 16])
+def test_picard_iterate_leaving_the_cfl_range_is_refused(lo):
+    # the frozen source drives the iterate out of the data range, on which
+    # the conservation law's CFL bound was taken: at the first time a state
+    # stepped from puts dt above the bound on the widened range, the march
+    # is refused, before its states overflow (lo = 1/16) or the loop fails
+    # to converge (lo = 1/4)
+    measure = FractionalRadial(alpha=1.0, lo=lo, hi=2.0)
+    with np.errstate(all="ignore"):
+        with pytest.raises(CflViolation, match="frozen march state at t="):
+            picard_solve(PROBLEM_PRESETS["burgers_bump"](), measure,
+                         conf(1 / 32), k_max=12)
+
+
+def test_chain_members_keep_the_cadence_the_reference_stores_every_step():
+    spec = make_problem("burgers", "identity", "bump", T=0.2)
+    chain = [truncate(FractionalRadial(alpha=1.0), 1 / n)[1]
+             for n in (4, 8, 16)]
+    whole = stability_run(spec, chain, conf(1 / 32, Z=1.0))
+    thin = stability_run(spec, chain, conf(1 / 32, Z=1.0, store_every=3))
+    n_steps = thin.reference.stats["n_steps"]
+    assert len(thin.reference.times) == n_steps + 1
+    assert thin.reference.states.tobytes() == whole.reference.states.tobytes()
+    for tr, full in zip(thin.trajectories, whole.trajectories):
+        assert len(tr.times) == n_steps // 3 + 1 < n_steps + 1
+        assert tr.states.tobytes() == full.states[::3].tobytes()
+    assert thin.l1_distances == whole.l1_distances
+    assert thin.l2_b_distances == whole.l2_b_distances

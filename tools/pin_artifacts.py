@@ -131,7 +131,19 @@ TABLE_PICARD = {"mode": "picard", "problem": {
     "measure": {"kind": "atoms", "entries": [[0.25, 0.25]]},
     "dx": 1.0 / 32, "Z": 0.5}
 
-# a bool is not a number and a run flag is a JSON boolean: each exits 2
+# Picard with continuous cells below Z and a tail above it, under both tail
+# rules; with lo = 1/4 (mass 7) the iterate leaves the range its CFL bound
+# was taken on, which exits 3
+PICARD_TAIL = {"mode": "picard", "problem": "burgers_bump", "measure": {
+    "kind": "fractional", "alpha": 1.0, "coeff": 0.05, "lo": 0.0625,
+    "hi": 2.0}, "dx": 1.0 / 32, "Z": 0.25}
+PICARD_TAIL_DROP = {**PICARD_TAIL, "tail_mode": "drop"}
+PICARD_CFL = {"mode": "picard", "problem": "burgers_bump", "measure": {
+    "kind": "fractional", "alpha": 1.0, "lo": 0.25, "hi": 2.0},
+    "dx": 1.0 / 32, "Z": 0.25}
+
+# a bool or text is not a number and a run flag is a JSON boolean: each
+# exits 2
 BOOL_ALPHA = {"mode": "vanishing", "problem": "burgers_bump", "dx": 1.0 / 32,
               "Z": 0.5, "alpha": True}
 BOOL_T_PROBLEM = {"flux": "burgers", "diffusion": "identity", "data": "bump",
@@ -139,6 +151,8 @@ BOOL_T_PROBLEM = {"flux": "burgers", "diffusion": "identity", "data": "bump",
 TEXT_ENERGY = {"mode": "solve", "problem": "burgers_bump",
                "measure": "single_atom", "dx": 1.0 / 32, "Z": 0.5,
                "energy": "no"}
+TEXT_DX = {"mode": "solve", "problem": "burgers_bump",
+           "measure": "single_atom", "dx": "0.03125", "Z": 0.5}
 
 
 def matrix():
@@ -203,6 +217,10 @@ def matrix():
                                    "none", "--dx", "0.03125", "--Z", "0.5"],
          None),
         ("refuse_text_energy", ["run"], TEXT_ENERGY),
+        ("picard_tail", ["run"], PICARD_TAIL),
+        ("picard_tail_drop", ["run"], PICARD_TAIL_DROP),
+        ("picard_cfl", ["run"], PICARD_CFL),
+        ("refuse_text_dx", ["run"], TEXT_DX),
     ]
     for label, measure in {**SCAN_MEASURES, **STENCIL_MEASURES}.items():
         ref = json.dumps(measure) if isinstance(measure, dict) else measure
