@@ -82,16 +82,32 @@ def write_report(path, payload):
 
 
 def write_trajectory_csv(path, traj, every=1):
-    """`t,cell_index,u` rows for every `every`-th stored time, written one
-    joined string per time; each cell's `,i,` is built once."""
+    """`t,cell_index,u` rows for every `every`-th stored time.
+
+    `repr` of a float depends on its 64-bit pattern alone, so only the cells
+    whose pattern differs from the last written row (compared as int64:
+    0.0 and -0.0 differ) are formatted; the others keep their string, and
+    the bytes are those of formatting every value.  A time's rows are one
+    join of a reused list of pieces `t`, `,i,`, `u`, newline."""
+    interior = traj.interior()
+    n = interior.shape[1]
+    text = np.empty(n, dtype=object)
+    pieces = [None] * (4 * n)
+    pieces[1::4] = [f",{i}," for i in range(n)]
+    pieces[3::4] = ["\n"] * n
+    last = None
     with open(path, "w") as fh:
         fh.write("t,cell_index,u\n")
-        interior = traj.interior()
-        cells = [f",{i}," for i in range(interior.shape[1])]
-        for n in range(0, len(traj.times), every):
-            t = repr(float(traj.times[n]))
-            fh.write("".join([f"{t}{c}{v}\n" for c, v in
-                              zip(cells, map(repr, interior[n].tolist()))]))
+        for k in range(0, len(traj.times), every):
+            row = interior[k]
+            bits = row.view(np.int64)
+            new = (slice(None) if last is None
+                   else np.flatnonzero(bits != last))
+            text[new] = list(map(repr, row[new].tolist()))
+            last = bits
+            pieces[0::4] = [repr(float(traj.times[k]))] * n
+            pieces[2::4] = text.tolist()
+            fh.write("".join(pieces))
 
 
 def write_gaps_csv(path, gaps):
@@ -245,7 +261,8 @@ def cmd_run(cfg, out_dir) -> int:
         observers = [analysis.MaxPrinciple(disc),
                      analysis.MassBudget(disc, stencil, sconf, dt)]
         # companion run with a perturbed datum on the same time grid, stored
-        # whole for the base run's L1 observer
+        # whole for the base run's L1 observer and dropped once its verdict
+        # is recorded
         series = ([PairSeries(solve(companion_spec(spec, disc.data_range),
                                     stencil, replace(sconf, store_every=1),
                                     dt_override=dt))]
@@ -257,8 +274,8 @@ def cmd_run(cfg, out_dir) -> int:
                      observers=observers + series + energy + gamma)
         for check in observers:
             record(check.result())
-        for s in series:
-            record(analysis.contraction_verdict(s.result()))
+        while series:
+            record(analysis.contraction_verdict(series.pop().result()))
         for g in gamma:
             tables = analysis.translation_moduli(
                 g.result(), traj.dt, sconf.dx,

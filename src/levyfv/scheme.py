@@ -392,11 +392,11 @@ class Gamma:
 def paired_rows(other: Trajectory, rows, times, block, ordered=False):
     """The rule that makes a march comparable with the stored trajectory
     `other`, checked on one observed block (see `solve`): the same time
-    count, grid width and times, and equal halos (with `ordered`, the
-    march's halos below `other`'s), else `ConfigMismatch`.  Returns
-    (new, u, v): the rows `u` of `block` not seen in an earlier block (row 0
-    of a later block is the last row of the one before), their step indices
-    `new`, and `other`'s states `v` at those steps."""
+    count, grid width and times (within 1e-12), and equal halos (with
+    `ordered`, the march's halos below `other`'s), else `ConfigMismatch`.
+    Returns (new, u, v): the rows `u` of `block` not seen in an earlier
+    block (row 0 of a later block is the last row of the one before), their
+    step indices `new`, and `other`'s states `v` at those steps."""
     if rows.stop >= len(other.times):
         raise ConfigMismatch("trajectories use different time steps")
     if block.shape[1] != other.states.shape[1]:
@@ -405,7 +405,7 @@ def paired_rows(other: Trajectory, rows, times, block, ordered=False):
     new = slice(rows.start + first, rows.stop + 1)
     u = block[first:]
     v = other.states[new]
-    if not np.allclose(times[first:], other.times[new], rtol=0.0, atol=1e-12):
+    if not (np.abs(times[first:] - other.times[new]) <= 1e-12).all():
         raise ConfigMismatch("trajectories use different time steps")
     h = other.grid.n_halo
     for side in (slice(None, h), slice(-h, None)):

@@ -151,6 +151,19 @@ def test_order_preservation_refuses_runs_that_are_not_comparable():
         analysis.order_preservation_check(low, later)
 
 
+def test_paired_rows_takes_times_within_1e_12():
+    # one time off by 2e-12 is refused, every time off by 5e-13 accepted
+    spec = make_problem("burgers", "identity", "bump", T=0.2)
+    u = run(spec, single_atom(), 1 / 32, Z=0.5, dt=0.01)
+    near = replace(u, times=u.times + 5e-13)
+    assert np.all(near.times != u.times)
+    assert np.array_equal(l1_series(u, near), np.zeros(len(u.times)))
+    off = u.times.copy()
+    off[len(off) // 2] += 2e-12
+    with pytest.raises(ConfigMismatch, match="different time steps"):
+        l1_series(u, replace(u, times=off))
+
+
 def test_mass_budget_identity():
     spec = make_problem("burgers", "identity", "riemann")
     res = analysis.mass_budget_check(run(spec, single_atom(z=0.1, w=0.5),
@@ -186,6 +199,20 @@ def test_trajectory_checks_in_row_blocks_match_whole_arrays(monkeypatch,
         min((u - lo).min(), (hi - u).min()))
     assert analysis.order_preservation_check(ta, tb).worst_slack == float(
         (v - u).min())
+    # +0.0 and -0.0 extremes in different rows: a zero slack is +0.0 in
+    # either order, though the minimum of the two zeros depends on the order
+    # of the reduction
+    assert lo == 0.0
+    other = row + 1 if row + 1 < n_rows else row - 1
+    for zeros in ((0.0, -0.0), (-0.0, 0.0)):
+        sz = sa.copy()
+        sz[:, inside] = rng.uniform(0.25, 0.75, (n_rows, a.grid.n))
+        sz[row, inside.start + 5], sz[other, inside.start + 9] = zeros
+        tz = replace(a, states=sz)
+        uz = tz.interior()
+        slack = analysis.max_principle_check(tz).worst_slack
+        assert slack == float(min((uz - lo).min(), (hi - uz).min())) == 0.0
+        assert not np.signbit(slack)
     worst = analysis.mass_budget_check(ta).params["worst_defect"]
     scale = max(1.0, float(np.abs(u).max()))
     assert scale == 4.0

@@ -519,14 +519,24 @@ def test_vanishing_trend_rule(distances, holds):
 
 
 def test_trajectory_csv_bytes_match_per_value_loop(tmp_path):
-    c = SchemeConfig(dx=0.125, r=0.125, Z=0.25)
+    c = SchemeConfig(dx=0.0625, r=0.0625, Z=0.25)
     traj = solve(make_problem("burgers", "zero", "riemann", T=0.35),
                  build_stencil(zero_measure(), c.dx, c.r, c.Z), c)
     n_times = 8                              # n_steps = 7, every = 3
     values = [1e-05, 1 / 3, 5e-324, 1e16, -0.0, 1.0, -2.5, 0.1]
-    states = np.zeros((n_times, traj.grid.n_full))
+    cells = np.zeros((n_times, traj.grid.n))
     for n in range(n_times):
-        states[n, traj.grid.interior] = np.roll(values, n)
+        cells[n, :8] = np.roll(values, n)    # changes in every written row
+    # written rows 0, 3 and 6 of each column below; the skipped rows are
+    # equal to the row before a written one wherever they can be, so only
+    # a change measured against the last written row shows
+    cells[:, 8] = 1 / 3                                        # kept
+    cells[:, 9] = [0.0, 0.0, -0.0, -0.0, -0.0, 0.0, 0.0, 0.0]  # sign flips
+    cells[:, 10] = [0.1, 0.7, 0.7, 0.7, 0.1, 0.1, 0.1, 0.1]    # comes back
+    cells[:, 11] = [1.0, 2.0, 2.0, 2.0, 3.0, 3.0, 3.0, 3.0]    # changed
+    cells[:, 12] = [5.0, 7.0, 7.0, 5.0, 7.0, 7.0, 5.0, 7.0]    # kept
+    states = np.zeros((n_times, traj.grid.n_full))
+    states[:, traj.grid.interior] = cells
     traj = replace(traj, times=np.linspace(0.0, 0.35, n_times),
                    states=states)
     path = tmp_path / "trajectory.csv"
@@ -538,7 +548,8 @@ def test_trajectory_csv_bytes_match_per_value_loop(tmp_path):
         for i, v in enumerate(interior[n]):
             want.append(f"{t!r},{i},{float(v)!r}\n")
     assert path.read_bytes() == "".join(want).encode()
-    assert b"-0.0\n" in path.read_bytes()
+    assert [ln.split(",")[2] for ln in want[10::traj.grid.n]] == [
+        "0.0\n", "-0.0\n", "0.0\n"]
 
 
 # -- thinned storage in the run modes -------------------------------------------
