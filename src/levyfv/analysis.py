@@ -53,11 +53,11 @@ def two_grid_tolerance(coarse: float, fine: float) -> float:
 
 class MaxPrinciple:
     """Observer of a march (`scheme.solve`, `scheme.replay`): every interior
-    value must stay inside the recorded data range of `disc`.  A block is
-    reduced row by row, then across its rows.  A zero slack is +0.0: which
-    of the zeros 0.0 and -0.0 a minimum returns depends on the order of the
-    reduction (a whole-array and a row-by-row minimum differ), and the sign
-    of a zero says nothing about the bound."""
+    value must stay inside the recorded data range of `disc`; a NaN fails.
+    A block is reduced row by row, then across its rows.  A zero slack is
+    +0.0: which of the zeros 0.0 and -0.0 a minimum returns depends on the
+    order of the reduction (a whole-array and a row-by-row minimum differ),
+    and the sign of a zero says nothing about the bound."""
 
     def __init__(self, disc: DiscreteProblem):
         self.disc = disc
@@ -65,14 +65,14 @@ class MaxPrinciple:
 
     def __call__(self, rows, times, block):
         u = block[:, self.disc.grid.interior]
-        self.umin = min(self.umin, u.min(axis=1).min())
-        self.umax = max(self.umax, u.max(axis=1).max())
+        self.umin = np.minimum(self.umin, u.min(axis=1).min())
+        self.umax = np.maximum(self.umax, u.max(axis=1).max())
 
     def result(self) -> CheckResult:
         lo, hi = self.disc.data_range
         # rounding is monotone, so min(u - lo) = min(u) - lo exactly; adding
         # +0.0 changes -0.0 alone
-        slack = float(min(self.umin - lo, hi - self.umax)) + 0.0
+        slack = float(np.minimum(self.umin - lo, hi - self.umax)) + 0.0
         return CheckResult("max_principle", slack >= -CHECK_TOL, slack,
                            {"range": [lo, hi], "tol": CHECK_TOL})
 
@@ -154,9 +154,9 @@ class MassBudget:
         u = block[:-1]
         nxt = block[1:, grid.interior]
         # max(max, -min) is max |nxt| without a block-sized temporary,
-        # reduced row by row, then across the rows
-        self.peak = max(self.peak, float(nxt.max(axis=1).max()),
-                        -float(nxt.min(axis=1).min()))
+        # reduced row by row, then across the rows; a NaN is kept
+        self.peak = float(np.max([self.peak, nxt.max(axis=1).max(),
+                                  -nxt.min(axis=1).min()]))
         if len(u) > len(self.buf):
             self.buf = np.empty((len(u), n))
         change = np.subtract(nxt, u[:, grid.interior], out=self.buf[:len(u)])
@@ -175,7 +175,7 @@ class MassBudget:
             if tau != 0.0:
                 exchange += tau * (n * _tail_value(self.disc, bf) - center)
             defect -= dt * grid.dx * exchange
-        self.worst = max(self.worst, float(np.abs(defect).max()))
+        self.worst = float(np.maximum(self.worst, np.abs(defect).max()))
 
     def result(self) -> CheckResult:
         scale = max(1.0, self.peak)
@@ -600,43 +600,37 @@ def mean_bound_suite(rng, trials: int = 10000) -> dict:
     constant <= L); the probability measure kappa is a random atomic
     measure of at most 32 atoms on [-R, R].
 
-    Each trial draws, in this order: `rng.random(66)` for R, L (uniform on
-    [0.1, 10]) and the 32 slopes right of 0, then the 32 left of it (uniform
-    on [0, L]); `rng.integers(1, 33)` for the number n of atoms;
-    `rng.random(2 n)` for their positions (uniform on [-R, R]), then their
-    masses.  Every value is uniform's own `low + (high - low) u`, so these
-    are the draws of one `rng.uniform` call per quantity.  The trials are
-    drawn and checked in the row blocks `row_blocks(trials, 65)` cuts, so
-    no array holds all of them.
+    Trial i reads its own 131 doubles u of `rng.random`: R and L from u[0],
+    u[1] (uniform on [0.1, 10]); the slopes right, then left of 0 from
+    u[2:34], u[34:66] (uniform on [0, L]); n = 1 + floor(32 u[66]) atoms
+    (uniform on 1..32), positions and masses from the first n of u[67:99]
+    (uniform on [-R, R]) and of u[99:131].  Each value is uniform's own
+    `low + (high - low) u`.  One `rng.random` call draws each row block of
+    `row_blocks(trials, 65)`, so no array holds every trial, the trials do
+    not depend on the cuts, and `rng` ends 131 * trials doubles further on.
     """
     max_atoms, n_grid = 32, 65
+    half = n_grid // 2
+    pos = 3 + 2 * half                     # first column of the positions
     violations = 0
     worst = math.inf
-    half = n_grid // 2
     atoms = np.arange(max_atoms)
     for block in row_blocks(trials, n_grid):
-        size = block.stop - block.start
-        u = np.empty((size, 2 + 2 * half))
-        n = np.empty(size, dtype=np.intp)
-        w = np.zeros((size, 2 * max_atoms))
-        for i in range(size):
-            rng.random(out=u[i])
-            k = n[i] = rng.integers(1, max_atoms + 1)
-            rng.random(out=w[i, :2 * k])
+        u = rng.random((block.stop - block.start, pos + 2 * max_atoms))
         R = 0.1 + (10.0 - 0.1) * u[:, 0]
         L = 0.1 + (10.0 - 0.1) * u[:, 1]
         grid = np.linspace(-R, R, n_grid, axis=1)
         dxg = (grid[:, 1] - grid[:, 0])[:, None]
         right = L[:, None] * u[:, 2:2 + half]
-        left = L[:, None] * u[:, 2 + half:]
-        h = np.zeros((size, n_grid))
+        left = L[:, None] * u[:, 2 + half:2 + 2 * half]
+        h = np.zeros((len(u), n_grid))
         h[:, half + 1:] = np.cumsum(right, axis=1) * dxg
         h[:, :half] = np.cumsum(left[:, ::-1], axis=1)[:, ::-1] * dxg
+        n = 1 + (max_atoms * u[:, pos - 1]).astype(np.intp)
         # padded atoms keep a position in [-R, R] and get zero mass
         real = atoms < n[:, None]
-        positions = -R[:, None] + (R + R)[:, None] * w[:, :max_atoms]
-        masses = np.where(real, np.take_along_axis(w, n[:, None] + atoms, 1),
-                          0.0)
+        positions = -R[:, None] + (R + R)[:, None] * u[:, pos:pos + max_atoms]
+        masses = np.where(real, u[:, pos + max_atoms:], 0.0)
         total = masses.sum(axis=1, keepdims=True)
         masses = np.divide(masses, total, out=real / n[:, None],
                            where=total > 0)

@@ -42,6 +42,12 @@ from .errors import (
 _INF = math.inf
 
 
+def atomic_symbol(xis, radii, weights):
+    """2 sum_k w_k (1 - cos(xi r_k)) at each xi for mirrored atom pairs at
+    radii r_k, weights w_k per side: the cosine table times the weights."""
+    return 2.0 * ((1.0 - np.cos(np.multiply.outer(xis, radii))) @ weights)
+
+
 @dataclass(frozen=True)
 class MomentReport:
     levy_moment: float
@@ -154,15 +160,13 @@ class LevyMeasure:
         return total
 
     def multiplier_values(self, xis) -> np.ndarray:
-        """Vectorized symbol over frequencies (atomic kinds evaluate the whole
-        grid at once; power laws loop, one closed form per frequency)."""
+        """Vectorized symbol over frequencies (atomic kinds: one matrix
+        product, `atomic_symbol`; power laws loop, one closed form each)."""
         xis = np.atleast_1d(np.asarray(xis, dtype=float))
         atoms = self.atoms_between()
         if atoms is not None:
-            rad = np.array([a[0] for a in atoms])
-            w = np.array([a[1] for a in atoms])
-            return 2.0 * np.sum(
-                w * (1.0 - np.cos(np.multiply.outer(xis, rad))), axis=-1)
+            rad, w = np.array(atoms).reshape(-1, 2).T
+            return atomic_symbol(xis, rad, w)
         return np.array([self.multiplier_value(x) for x in xis])
 
     def atoms_between(self, a=0.0, b=_INF, include_a=True, include_b=True):

@@ -15,9 +15,11 @@ class MultiplierEval:
     """Evaluator for the (nonnegative, even) symbol of a measure.
 
     Evaluation is deterministic: atoms are summed (the dyadic families'
-    explicit atoms are a constant of `measures`), and a power-law band is a
-    closed form, a power series below `measures.SERIES_MAX_Y` and cosine
-    tails by continued fraction above, both stopped at `CLOSED_FORM_TOL`.
+    explicit atoms are a constant of `measures`), one by one in `m` and in
+    `m_many` as one matrix product of the cosine table with the weights
+    (`measures.atomic_symbol`), and a power-law band is a closed form, a
+    power series below `measures.SERIES_MAX_Y` and cosine tails by
+    continued fraction above, both stopped at `CLOSED_FORM_TOL`.
     Negative round-off above -1e-10 is snapped to zero so the m >= 0
     invariant survives floating point.
     """

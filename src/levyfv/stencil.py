@@ -18,7 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import BadRadii, HaloTooSmall, ShapeMismatch
-from .measures import LevyMeasure, validate_measure
+from .measures import LevyMeasure, atomic_symbol, validate_measure
 from .multiplier import MultiplierEval
 
 BLOCK_VALUES = 1 << 16       # values per block of rows in batched passes
@@ -70,11 +70,7 @@ class StencilWeights:
 
     def symbol(self, xi) -> np.ndarray:
         """Symbol of the shift part: sum_j w_j (1 - cos(xi j dx))."""
-        xi = np.asarray(xi, dtype=float)
-        shifts = self.offsets * self.dx
-        return 2.0 * np.sum(
-            self.weights * (1.0 - np.cos(np.multiply.outer(xi, shifts))),
-            axis=-1)
+        return atomic_symbol(xi, self.offsets * self.dx, self.weights)
 
     def dump_csv(self, path) -> None:
         with open(path, "w") as fh:

@@ -171,6 +171,21 @@ def test_mass_budget_identity():
     assert res.passed
 
 
+@pytest.mark.parametrize("row", [0, 3, "every"])
+@pytest.mark.parametrize("check", ["max_principle_check",
+                                   "mass_budget_check"])
+def test_a_nan_fails_the_check_with_slack_nan(check, row):
+    # a running min or max must not drop a NaN, wherever it stands
+    traj = run(make_problem("burgers", "zero", "riemann"),
+               single_atom(z=0.1, w=0.5), 1 / 32)
+    assert getattr(analysis, check)(traj).passed
+    states = traj.states.copy()
+    states[slice(None) if row == "every" else row,
+           traj.grid.interior.start + 5] = np.nan
+    res = getattr(analysis, check)(replace(traj, states=states))
+    assert not res.passed and math.isnan(res.worst_slack)
+
+
 @pytest.mark.parametrize("peak", ["first", "middle", "last"])
 def test_trajectory_checks_in_row_blocks_match_whole_arrays(monkeypatch,
                                                             peak):
@@ -984,32 +999,35 @@ def test_mean_bound_single_atom():
 
 
 def test_mean_bound_randomized_suite():
-    rng = np.random.default_rng(23)
-    rep = analysis.mean_bound_suite(rng, trials=2000)
-    assert rep["violations"] == 0
+    # the CLI suite's trial count
+    for seed in (11, 12345, 23):
+        rep = analysis.mean_bound_suite(np.random.default_rng(seed), 10000)
+        assert rep["violations"] == 0 and rep["worst_slack"] > 0.0
 
 
 @functools.lru_cache
 def mean_bound_oracle(seed, trials=10000):
-    """The suite as one loop over trials, with one `rng.uniform` call per
-    quantity and `np.interp`: (slack, violation threshold) per trial.  The
-    stream is the batched suite's, so any count of trials is a prefix."""
+    """The suite as one loop over trials, one `rng.random(131)` per trial
+    decoded as the suite's docstring says, and `np.interp`: (slack,
+    violation threshold) per trial.  The stream is the batched suite's, so
+    any count of trials is a prefix."""
     rng = np.random.default_rng(seed)
     out = []
     for _ in range(trials):
-        R = float(rng.uniform(0.1, 10.0))
-        L = float(rng.uniform(0.1, 10.0))
+        u = rng.random(131)
+        R = float(0.1 + (10.0 - 0.1) * u[0])
+        L = float(0.1 + (10.0 - 0.1) * u[1])
         grid = np.linspace(-R, R, 65)
         dxg = grid[1] - grid[0]
-        slopes_right = rng.uniform(0.0, L, size=32)
-        slopes_left = rng.uniform(0.0, L, size=32)
+        slopes_right = L * u[2:34]
+        slopes_left = L * u[34:66]
         h = np.empty(65)
         h[32] = 0.0
         h[33:] = np.cumsum(slopes_right) * dxg
         h[:32] = np.cumsum(slopes_left[::-1])[::-1] * dxg
-        n_atoms = int(rng.integers(1, 33))
-        positions = rng.uniform(-R, R, size=n_atoms)
-        masses = rng.uniform(0.0, 1.0, size=n_atoms)
+        n_atoms = 1 + math.floor(32 * u[66])
+        positions = -R + (R + R) * u[67:67 + n_atoms]
+        masses = u[99:99 + n_atoms]
         masses = masses / masses.sum() if masses.sum() > 0 else \
             np.full(n_atoms, 1.0 / n_atoms)
         s_bar = float(np.dot(masses, positions))
@@ -1022,14 +1040,25 @@ def mean_bound_oracle(seed, trials=10000):
 # 1008 trials make one row block of the suite
 @pytest.mark.parametrize("trials", [1, 1007, 1008, 1009, 2017, 10000])
 @pytest.mark.parametrize("seed", [11, 12345, 23])
-def test_mean_bound_suite_matches_the_per_trial_loop(seed, trials):
+def test_mean_bound_suite_matches_the_per_trial_loop(seed, trials,
+                                                     monkeypatch):
     assert len(row_blocks(trials, 65)) == -(-trials // 1008)
     slack, threshold = np.array(mean_bound_oracle(seed)[:trials]).T
-    rep = analysis.mean_bound_suite(np.random.default_rng(seed), trials)
+    rng = np.random.default_rng(seed)
+    rep = analysis.mean_bound_suite(rng, trials)
     assert rep["trials"] == trials
     assert rep["violations"] == int(np.count_nonzero(slack < threshold))
     assert rep["worst_slack"] == pytest.approx(slack.min(), rel=1e-13,
                                                abs=0.0)
+    # the caller's generator ends exactly 131 doubles per trial further on
+    ahead = np.random.default_rng(seed)
+    ahead.random(131 * trials)
+    assert rng.bit_generator.state == ahead.bit_generator.state
+    # the trials do not depend on where the row blocks are cut
+    monkeypatch.setattr(analysis, "row_blocks", lambda n, _: [
+        slice(i, min(i + 7, n)) for i in range(0, n, 7)])
+    assert analysis.mean_bound_suite(np.random.default_rng(seed),
+                                     trials) == rep
 
 
 def test_mean_bound_check_batches_padded_rows():

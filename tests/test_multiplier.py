@@ -51,6 +51,17 @@ def test_symbol_invariants_across_kinds():
             v = ev.m(xi)
             assert v >= 0.0
             assert ev.m(-xi) == pytest.approx(v, rel=1e-12, abs=1e-14)
+    # atomic kinds: the vectorized symbol, one matrix product of the cosine
+    # table with the weights, against the per-atom math.cos sum of `m`
+    entries = tuple(zip(rng.uniform(0.2, 3.0, 7), rng.uniform(0.1, 1.0, 7)))
+    xis = np.concatenate([[0.0], rng.uniform(-30.0, 30.0, size=64)])
+    for m in (single_atom(z=0.7, w=0.4), DyadicA(), DyadicB(),
+              measures.AtomicSymmetric(entries=entries)):
+        ev = MultiplierEval(m)
+        many = ev.m_many(xis)
+        assert many[0] == 0.0 and np.all(many >= 0.0)
+        for xi, v in zip(xis, many):
+            assert v == pytest.approx(ev.m(xi), rel=1e-14, abs=1e-14)
 
 
 def test_truncation_symbols_increase_to_limit():
