@@ -53,23 +53,33 @@ def two_grid_tolerance(coarse: float, fine: float) -> float:
 
 class MaxPrinciple:
     """Observer of a march (`scheme.solve`, `scheme.replay`): every interior
-    value must stay inside the recorded data range of `disc`; a NaN fails.
-    A block is reduced row by row, then across its rows.  A zero slack is
-    +0.0: which of the zeros 0.0 and -0.0 a minimum returns depends on the
-    order of the reduction (a whole-array and a row-by-row minimum differ),
-    and the sign of a zero says nothing about the bound."""
+    value must stay inside the recorded data range of `disc`, widened by
+    every halo value the observer sees; a NaN fails.  A moving exterior's
+    data range is only a sample, and a thinned run shows only its stored
+    halos, so halos widen the range and never replace it.  A block is
+    reduced row by row, then across its rows.  A zero slack is +0.0: which
+    of the zeros 0.0 and -0.0 a minimum returns depends on the order of the
+    reduction (a whole-array and a row-by-row minimum differ), and the sign
+    of a zero says nothing about the bound."""
 
     def __init__(self, disc: DiscreteProblem):
         self.disc = disc
+        self.lo, self.hi = disc.data_range
         self.umin, self.umax = math.inf, -math.inf
 
     def __call__(self, rows, times, block):
+        h = self.disc.grid.n_halo
         u = block[:, self.disc.grid.interior]
         self.umin = np.minimum(self.umin, u.min(axis=1).min())
         self.umax = np.maximum(self.umax, u.max(axis=1).max())
+        # min and max keep their first argument on a tie, so the bits of
+        # the range move only where a halo value lies outside it
+        for halo in (block[:, :h], block[:, -h:]):
+            self.lo = min(self.lo, float(halo.min()))
+            self.hi = max(self.hi, float(halo.max()))
 
     def result(self) -> CheckResult:
-        lo, hi = self.disc.data_range
+        lo, hi = self.lo, self.hi
         # rounding is monotone, so min(u - lo) = min(u) - lo exactly; adding
         # +0.0 changes -0.0 alone
         slack = float(np.minimum(self.umin - lo, hi - self.umax)) + 0.0
@@ -126,7 +136,10 @@ class MassBudget:
     two boundary faces alone, so a block of steps costs O(rows (n + J)), J
     the last nonzero offset; a null stencil does no exchange work.  The
     check states the conservation identity independently: nothing goes
-    through `apply_stencil`.  It needs consecutive steps."""
+    through `apply_stencil`.  It needs consecutive steps.  Its tolerance
+    scales with max(1, max|u|), read from the range of its own
+    `MaxPrinciple`, `max_principle`, whose result a caller may record too
+    (a NaN leaves the scale 1 and fails on the defect)."""
 
     def __init__(self, disc: DiscreteProblem, stencil: StencilWeights,
                  config: SchemeConfig, dt: float):
@@ -141,7 +154,7 @@ class MassBudget:
         self.J = int(self.j[-1]) if self.j.size else 0
         self.tau = 0.0 if config.tail_mode == "drop" else stencil.tau
         self.worst = 0.0
-        self.peak = 0.0
+        self.max_principle = MaxPrinciple(disc)
         self.buf = np.empty((0, disc.grid.n))
 
     def __call__(self, rows, times, block):
@@ -149,14 +162,9 @@ class MassBudget:
         dt, w, j, J, tau = self.dt, self.w, self.j, self.J, self.tau
         h = grid.n_halo
         n = grid.n
-        if rows.start == 0:
-            self.peak = float(np.abs(block[0, grid.interior]).max())
+        self.max_principle(rows, times, block)
         u = block[:-1]
         nxt = block[1:, grid.interior]
-        # max(max, -min) is max |nxt| without a block-sized temporary,
-        # reduced row by row, then across the rows; a NaN is kept
-        self.peak = float(np.max([self.peak, nxt.max(axis=1).max(),
-                                  -nxt.min(axis=1).min()]))
         if len(u) > len(self.buf):
             self.buf = np.empty((len(u), n))
         change = np.subtract(nxt, u[:, grid.interior], out=self.buf[:len(u)])
@@ -178,7 +186,8 @@ class MassBudget:
         self.worst = float(np.maximum(self.worst, np.abs(defect).max()))
 
     def result(self) -> CheckResult:
-        scale = max(1.0, self.peak)
+        seen = self.max_principle
+        scale = max(1.0, float(np.maximum(-seen.umin, seen.umax)))
         return CheckResult("mass_budget", self.worst <= CHECK_TOL * scale,
                            -self.worst,
                            {"worst_defect": self.worst, "tol": CHECK_TOL})
@@ -513,15 +522,18 @@ def mollifier_weights(half_width: int) -> np.ndarray:
     return w / w.sum()
 
 
-def mollification_bound_check(u: np.ndarray, diffusion: DiffusionFn,
-                              weights: np.ndarray) -> float:
-    """Worst slack of |b(u*rho)(x) - b(u(x))|^2 <= C (|b(u(.)) - b(u(x))|*rho)(x)
-    over interior points, with C = 2 L_b max|u|.  Nonnegative slack means the
-    pointwise bound holds."""
+def mollification_slacks(u: np.ndarray, diffusion: DiffusionFn,
+                         weights: np.ndarray) -> np.ndarray:
+    """Worst slack, per field (row) of `u`, of
+    |b(u*rho)(x) - b(u(x))|^2 <= C (|b(u(.)) - b(u(x))|*rho)(x) over its
+    interior points, with the field's own C = 2 L_b max|u|: L_b over the
+    field's range.  Nonnegative slack means the pointwise bound holds."""
     u = np.asarray(u, dtype=float)
     m = (len(weights) - 1) // 2
-    lipschitz = diffusion.lipschitz_on(float(u.min()), float(u.max()))
-    C = 2.0 * lipschitz * float(np.abs(u).max())
+    lo, hi = u.min(axis=-1), u.max(axis=-1)
+    lipschitz = np.reshape([diffusion.lipschitz_on(a, b) for a, b in zip(
+        lo.ravel().tolist(), hi.ravel().tolist())], lo.shape)
+    C = 2.0 * lipschitz * np.abs(u).max(axis=-1)
     bu = diffusion.b(u)
     n_valid = u.shape[-1] - 2 * m
     center = u[..., m:m + n_valid]
@@ -533,24 +545,29 @@ def mollification_bound_check(u: np.ndarray, diffusion: DiffusionFn,
         smooth += w * seg
         spread += w * np.abs(bu[..., i:i + n_valid] - b_center)
     lhs = (diffusion.b(smooth) - b_center) ** 2
-    rhs = C * spread
-    return float((rhs - lhs).min())
+    rhs = C[..., None] * spread
+    return (rhs - lhs).min(axis=-1)
+
+
+def mollification_bound_check(u: np.ndarray, diffusion: DiffusionFn,
+                              weights: np.ndarray) -> float:
+    """The worst of `mollification_slacks` over every field of `u`."""
+    return float(mollification_slacks(u, diffusion, weights).min())
 
 
 def mollification_bound_suite(diffusions, rng, trials: int = 10000) -> dict:
     """Randomized verification of the mollification bound on fields of 32
-    cells with a mollifier of half width 4; returns the number of
-    violations (expected: zero) and the worst slack seen."""
+    cells with a mollifier of half width 4; returns the number of fields
+    that violate it (expected: zero) and the worst slack seen."""
     weights = mollifier_weights(4)
     violations = 0
     worst = math.inf
     per = max(1, -(-trials // len(diffusions)))  # ceil: run at least `trials`
     for diffusion in diffusions:
         u = rng.uniform(-1.0, 1.0, size=(per, 32))
-        slack = mollification_bound_check(u, diffusion, weights)
-        worst = min(worst, slack)
-        if slack < -1e-12:
-            violations += 1
+        slacks = mollification_slacks(u, diffusion, weights)
+        worst = min(worst, float(slacks.min()))
+        violations += int(np.count_nonzero(slacks < -1e-12))
     return {"violations": violations, "worst_slack": worst,
             "trials": per * len(diffusions)}
 

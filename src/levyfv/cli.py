@@ -1,6 +1,7 @@
 """Command-line orchestration: runs, verification suites, CSV/JSON artifacts.
 
-Exit codes: 0 pass, 1 check failure, 2 config error, 3 runtime error.
+Exit codes: 0 pass, 1 check failure, 2 config error, 3 runtime error (an
+artifact that cannot be written included).
 """
 
 from __future__ import annotations
@@ -16,11 +17,11 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import analysis
-from .errors import (ConfigParse, IoFailure, LevyFvError, UnknownPreset,
-                     UnknownSuite, config_number)
+from .errors import (ConfigParse, LevyFvError, UnknownPreset, UnknownSuite,
+                     config_number)
 from .measures import (FractionalRadial, measure_from_config, single_atom,
                        truncate, validate_measure, zero_measure)
-from .multiplier import MultiplierEval, write_multiplier_scan
+from .multiplier import MultiplierEval
 from .problem import (diffusion_identity, diffusion_power, diffusion_stefan,
                       discretize, make_problem, problem_from_config)
 from .scheme import (Gamma, PairSeries, SchemeConfig, build_stencil,
@@ -72,13 +73,10 @@ def write_report(path, payload):
         "written_at": datetime.now(timezone.utc).isoformat(),
         "wall_time_s": payload.pop("_wall_time_s", None),
     }
-    try:
-        with open(path, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True,
-                      default=_json_default)
-            fh.write("\n")
-    except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True,
+                  default=_json_default)
+        fh.write("\n")
 
 
 def write_trajectory_csv(path, traj, every=1):
@@ -110,28 +108,24 @@ def write_trajectory_csv(path, traj, every=1):
             fh.write("".join(pieces))
 
 
-def write_gaps_csv(path, gaps):
+def write_csv(path, header, lines):
+    """The CSV `header` then `lines`, one row each.  Every row is formatted
+    before the file is opened, so a failing value leaves no partial CSV."""
+    text = "".join(f"{line}\n" for line in [header, *lines])
     with open(path, "w") as fh:
-        fh.write("k,gap\n")
-        for k, g in enumerate(gaps, start=1):
-            fh.write(f"{k},{float(g)!r}\n")
+        fh.write(text)
 
 
 def write_moduli_csv(path, tables):
-    with open(path, "w") as fh:
-        fh.write("kind,h_or_tau,value\n")
-        for kind in ("space", "time"):
-            for h, v in tables.get(kind, []):
-                fh.write(f"{kind},{float(h)!r},{float(v)!r}\n")
+    write_csv(path, "kind,h_or_tau,value",
+              (f"{kind},{float(h)!r},{float(v)!r}"
+               for kind in ("space", "time") for h, v in tables.get(kind, [])))
 
 
 def write_gallery_csv(path, rows):
-    with open(path, "w") as fh:
-        fh.write("name,check,param,value,reference,pass\n")
-        for r in rows:
-            fh.write(f"{r.name},{r.check},{float(r.param)!r},"
-                     f"{float(r.value)!r},{float(r.reference)!r},"
-                     f"{int(r.passed)}\n")
+    write_csv(path, "name,check,param,value,reference,pass",
+              (f"{r.name},{r.check},{float(r.param)!r},{float(r.value)!r},"
+               f"{float(r.reference)!r},{int(r.passed)}" for r in rows))
 
 
 # ---------------------------------------------------------------------------
@@ -258,8 +252,7 @@ def cmd_run(cfg, out_dir) -> int:
         stencil = build_stencil(measure, sconf.dx, sconf.r, sconf.Z)
         disc = discretize(spec, sconf.dx, stencil.Z)
         dt, n_steps = time_grid(disc, [stencil], sconf)
-        observers = [analysis.MaxPrinciple(disc),
-                     analysis.MassBudget(disc, stencil, sconf, dt)]
+        budget = analysis.MassBudget(disc, stencil, sconf, dt)
         # companion run with a perturbed datum on the same time grid, stored
         # whole for the base run's L1 observer and dropped once its verdict
         # is recorded
@@ -271,9 +264,9 @@ def cmd_run(cfg, out_dir) -> int:
                   if cfg.get("energy", False) else [])
         gamma = [Gamma(disc, n_steps)] if cfg.get("moduli", False) else []
         traj = solve(spec, stencil, sconf, dt_override=dt,
-                     observers=observers + series + energy + gamma)
-        for check in observers:
-            record(check.result())
+                     observers=[budget] + series + energy + gamma)
+        record(budget.max_principle.result())
+        record(budget.result())
         while series:
             record(analysis.contraction_verdict(series.pop().result()))
         for g in gamma:
@@ -295,7 +288,8 @@ def cmd_run(cfg, out_dir) -> int:
         res = picard_solve(spec, measure, sconf,
                            k_max=_integer(cfg, "k_max", 12),
                            tol=config_number(cfg.get("tol", 1e-6), "tol"))
-        write_gaps_csv(os.path.join(out_dir, "gaps.csv"), res.gaps)
+        write_csv(os.path.join(out_dir, "gaps.csv"), "k,gap",
+                  (f"{k},{float(g)!r}" for k, g in enumerate(res.gaps, 1)))
         write_trajectory_csv(os.path.join(out_dir, "trajectory.csv"),
                              res.trajectory, every=sconf.store_every)
         record(analysis.CheckResult("picard_converged", res.converged, 0.0,
@@ -532,14 +526,9 @@ def main(argv=None) -> int:
     try:
         if args.command == "run":
             cfg = _load_config(args.config) if args.config else {}
-            overrides = {
-                "problem": args.problem, "measure": args.measure,
-                "dx": args.dx, "dt": args.dt, "r": args.r, "Z": args.Z,
-                "T": args.T, "flux": args.flux, "mode": args.mode,
-                "seed": args.seed, "auto_cfl": args.auto_cfl,
-                "moduli": args.moduli, "energy": args.energy,
-            }
-            cfg.update({k: v for k, v in overrides.items() if v is not None})
+            # every other flag of `run` overrides its config key
+            cfg.update({k: v for k, v in vars(args).items() if v is not None
+                        and k not in ("command", "config", "out")})
             if "dx" not in cfg:
                 raise ConfigParse("dx is required (flag or config)")
             return cmd_run(cfg, args.out)
@@ -548,19 +537,24 @@ def main(argv=None) -> int:
         if args.command == "scan":
             measure = _reference(args.measure, measure_from_config)
             validate_measure(measure)
-            xis = np.linspace(0.0, args.xi_max, args.num)
-            write_multiplier_scan(MultiplierEval(measure), xis, args.out)
+            ev = MultiplierEval(measure)
+            write_csv(args.out, "xi,m",
+                      (f"{float(x)!r},{float(ev.m(x))!r}"
+                       for x in np.linspace(0.0, args.xi_max, args.num)))
             return 0
         if args.command == "stencil":
             measure = _reference(args.measure, measure_from_config)
             st = build_stencil(measure, args.dx, args.r, args.Z)
-            st.dump_csv(args.out)
+            # rows for offsets -1..-K, then 1..K
+            write_csv(args.out, "offset,weight",
+                      (f"{s * int(j)},{float(w)!r}" for s in (-1, 1)
+                       for j, w in zip(st.offsets, st.weights)))
             return 0
         raise ConfigParse(f"unknown command {args.command!r}")
     except (ConfigParse, UnknownPreset, UnknownSuite) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except LevyFvError as exc:
+    except (LevyFvError, OSError) as exc:  # OSError: an artifact write
         print(f"runtime error: {exc}", file=sys.stderr)
         return 3
 

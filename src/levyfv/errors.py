@@ -90,10 +90,6 @@ class UnknownSuite(LevyFvError):
     """Named verification suite does not exist."""
 
 
-class IoFailure(LevyFvError):
-    """Artifact could not be written."""
-
-
 def config_number(val, key) -> float:
     """`val`, the config entry `key`, as a float.  Only an int or a float
     is a number: text and a bool, which `float` would read, are refused

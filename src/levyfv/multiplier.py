@@ -47,13 +47,3 @@ def multiplier_inf_estimate(ev: MultiplierEval, R: float, grid) -> float:
         raise EmptyGrid(f"no sample points with |xi| >= {R}")
     return float(np.min(ev.m_many(sel)))
 
-
-def write_multiplier_scan(ev: MultiplierEval, xis, path) -> None:
-    """CSV scan with header `xi,m`.  Every value is evaluated before the
-    file is opened, so a failing frequency leaves no partial CSV behind."""
-    xs = np.atleast_1d(np.asarray(xis, dtype=float))
-    ms = [ev.m(x) for x in xs]
-    with open(path, "w") as fh:
-        fh.write("xi,m\n")
-        for x, m in zip(xs, ms):
-            fh.write(f"{float(x)!r},{float(m)!r}\n")

@@ -38,13 +38,13 @@ class PiecewiseLinear:
         return np.interp(u, self.xs, self.ys)
 
     def deriv(self, u):
+        """The lower one-sided derivative, as `DiffusionFn.bprime` takes it:
+        at a breakpoint the slope on its left, 0 at and below xs[0], the
+        last slope at xs[-1] and 0 above it."""
         xs = np.asarray(self.xs)
-        slopes = np.diff(self.ys) / np.diff(xs)
-        idx = np.clip(np.searchsorted(xs, u, side="right") - 1, 0,
-                      len(slopes) - 1)
-        out = slopes[idx]
-        return np.where((np.asarray(u) < xs[0]) | (np.asarray(u) >= xs[-1]),
-                        0.0, out)
+        slopes = np.concatenate([[0.0], np.diff(self.ys) / np.diff(xs),
+                                 [0.0]])
+        return slopes[np.searchsorted(xs, u, side="left")]
 
     def antiderivative(self, u):
         xs = np.asarray(self.xs, dtype=float)

@@ -72,14 +72,6 @@ class StencilWeights:
         """Symbol of the shift part: sum_j w_j (1 - cos(xi j dx))."""
         return atomic_symbol(xi, self.offsets * self.dx, self.weights)
 
-    def dump_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("offset,weight\n")
-            for j, w in zip(self.offsets, self.weights):
-                fh.write(f"{-int(j)},{float(w)!r}\n")
-            for j, w in zip(self.offsets, self.weights):
-                fh.write(f"{int(j)},{float(w)!r}\n")
-
 
 def build_stencil(measure: LevyMeasure, dx: float, r: float,
                   Z: float) -> StencilWeights:

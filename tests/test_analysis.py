@@ -11,8 +11,9 @@ from levyfv.errors import ConfigMismatch, ConfigParse, \
     MissingExtensionDerivatives
 from levyfv.measures import (AtomicSymmetric, FractionalRadial, single_atom,
                              truncate, zero_measure)
-from levyfv.problem import (ExteriorData, ProblemSpec, diffusion_identity,
-                            diffusion_power, diffusion_stefan,
+from levyfv.problem import (DiffusionFn, ExteriorData, ProblemSpec,
+                            diffusion_identity, diffusion_power,
+                            diffusion_stefan, diffusion_zero,
                             exterior_constant, exterior_smoothstep,
                             flux_burgers, flux_from_table, make_problem)
 from levyfv import stencil
@@ -55,6 +56,35 @@ def test_max_principle_flags_violated_cfl():
         run(spec, zero_measure(), dx, Z=4 * dx, dt=2 * dx, enforce=False))
     assert not res.passed
     assert res.worst_slack < 0.0  # slack recorded, not clamped
+
+
+def test_max_principle_widens_its_range_by_the_halos_it_sees():
+    # a moving exterior whose 33 samples of the data range all fall on
+    # zeros of the sine: the range is about +-1e-14, while the halos the run
+    # writes reach +-0.5 and the interior follows them inside +-0.262
+    spec = ProblemSpec(domain=(0.0, 1.0), flux=flux_burgers(),
+                       diffusion=diffusion_zero(),
+                       u0=lambda x: np.zeros_like(np.asarray(x, float)),
+                       exterior=ExteriorData(value=lambda t, x: np.full_like(
+                           np.asarray(x, float),
+                           0.5 * np.sin(2 * np.pi * 32 * t))),
+                       T=1.0)
+    traj = run(spec, zero_measure(), 1 / 32, Z=1 / 32, dt=1 / 128)
+    lo, hi = traj.disc.data_range
+    assert max(-lo, hi) < 1e-13
+    u = traj.interior()
+    assert 0.2 < np.abs(u).max() < 0.5
+    res = analysis.max_principle_check(traj)
+    assert res.passed and res.params["range"] == [-0.5, 0.5]
+    assert res.worst_slack == 0.5 - np.abs(u).max()
+    # the march's observer sees every halo, a thinned replay the stored ones
+    c = SchemeConfig(dx=1 / 32, r=1 / 32, Z=1 / 32, dt=1 / 128,
+                     store_every=3)
+    marched = analysis.MaxPrinciple(traj.disc)
+    thin = solve(spec, build_stencil(zero_measure(), c.dx, c.r, c.Z), c,
+                 observers=[marched])
+    assert marched.result() == res
+    assert analysis.max_principle_check(thin).params["range"] == [-0.5, 0.5]
 
 
 # -- L1 contraction ---------------------------------------------------------------
@@ -789,7 +819,16 @@ SCREENING_CASES = {
                    [-0.2, 0.3, 0.6], ("minus",)),
     "moving_exterior": (MOVING_SPEC, np.linspace(0.2, 0.34, 15),
                         ("plus", "minus")),
+    "halo_touching": (make_problem("burgers", "identity", "riemann", T=0.2),
+                      analysis.quantile_levels(0.0, 1.0), ("plus", "minus")),
 }
+# bumps reaching into both halos, where the Riemann datum is 1 on the left
+# and 0 on the right: "plus" admits only k = 1 and "minus" only k = 0, so no
+# test function admits the levels between (the default family's middle
+# bumps never touch the halo, and admit every level)
+HALO_FAMILIES = {"halo_touching": [
+    analysis.SpaceTimeBump(xc=0.5, rx=rx, tc=0.1, rt=0.1)
+    for rx in (0.6, 0.75)]}
 # one atom inside the splitting radius 1/16 and one outside, so both the
 # small-jump (second moment) and the big-jump (stencil) terms are active
 SPLIT_ATOMS = AtomicSymmetric(entries=((1 / 32, 0.5), (0.125, 0.5)))
@@ -799,7 +838,8 @@ SPLIT_ATOMS = AtomicSymmetric(entries=((1 / 32, 0.5), (0.125, 0.5)))
 def test_screening_matches_the_per_pair_reference(name):
     spec, levels, signs = SCREENING_CASES[name]
     traj = run(spec, SPLIT_ATOMS, 1 / 32)
-    fam = analysis.default_test_family(0.0, 1.0, spec.T)
+    fam = HALO_FAMILIES.get(name) or analysis.default_test_family(0.0, 1.0,
+                                                                  spec.T)
     rep = analysis.entropy_residual(traj, SPLIT_ATOMS, fam, levels, 1 / 16,
                                     signs=signs)
     ref_rows, ref_skipped = per_pair_entropy_residual(
@@ -970,6 +1010,30 @@ def test_mollification_identity_and_stefan_random_fields():
                  diffusion_power(2.0)):
         u = rng.uniform(-1.0, 1.0, size=(2000, 32))
         assert analysis.mollification_bound_check(u, diff, w) >= 0.0
+
+
+def test_mollification_constant_is_taken_per_field():
+    # each field's C = 2 L_b max|u| over its own range, so a batch's worst
+    # slack is the worst of its one-field calls
+    rng = np.random.default_rng(13)
+    w = analysis.mollifier_weights(4)
+    for diff in (diffusion_identity(), diffusion_stefan(0.25),
+                 diffusion_power(2.0)):
+        u = rng.uniform(-1.0, 1.0, size=(200, 32))
+        slacks = analysis.mollification_slacks(u, diff, w)
+        assert slacks.tolist() == [analysis.mollification_bound_check(
+            row, diff, w) for row in u]
+        assert analysis.mollification_bound_check(u, diff, w) == slacks.min()
+
+
+def test_mollification_suite_counts_violating_fields():
+    # L_b declared 0 for b(u) = u: C = 0, so every random field violates
+    identity = diffusion_identity()
+    lying = DiffusionFn("lying", identity.b, identity.bprime,
+                        identity.antiderivative, lambda lo, hi: 0.0)
+    rep = analysis.mollification_bound_suite(
+        [identity, lying], np.random.default_rng(5), trials=100)
+    assert rep["trials"] == 100 and rep["violations"] == 50
 
 
 def test_mollifier_weights_are_a_probability():

@@ -328,6 +328,38 @@ def test_runtime_error_exit_3(tmp_path):
                  "--out", str(tmp_path / "o")]) == 3
 
 
+SMALL_SOLVE = ["run", "--mode", "solve", "--problem", "burgers_riemann",
+               "--measure", "none", "--dx", "0.03125", "--Z", "0.125",
+               "--auto-cfl", "--out"]
+# (arguments, the path that cannot be written, made a file or a directory)
+UNWRITABLE = {
+    "run_out_is_a_file": (SMALL_SOLVE, "o", "o"),
+    "trajectory_csv_is_a_directory": (SMALL_SOLVE, "o",
+                                      "o/trajectory.csv/"),
+    "suite_out_is_a_file": (["suite", "apriori", "--out"], "o", "o"),
+    "scan_out_is_a_directory": (["scan", "--measure", "dyadic_a", "--num",
+                                 "5", "--out"], "scan.csv", "scan.csv/"),
+    "stencil_out_is_a_directory": (["stencil", "--measure", "single_atom",
+                                    "--dx", "0.1", "--r", "0.1", "--Z", "1",
+                                    "--out"], "st.csv", "st.csv/"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNWRITABLE))
+def test_an_artifact_that_cannot_be_written_exits_3(tmp_path, capsys, name):
+    # a failed write is a runtime error, not a failed check: exit 3 and one
+    # line naming the path, with no traceback
+    args, out, blocked = UNWRITABLE[name]
+    if blocked.endswith("/"):
+        os.makedirs(tmp_path / blocked)
+    else:
+        (tmp_path / blocked).write_text("")
+    assert main(args + [str(tmp_path / out)]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("runtime error: ")
+    assert str(tmp_path / blocked.rstrip("/")) in err[0]
+
+
 def test_report_reproducible_modulo_timestamp(tmp_path):
     args = ["run", "--mode", "solve", "--problem", "burgers_riemann",
             "--measure", "single_atom", "--dx", "0.03125", "--Z", "0.25",

@@ -55,6 +55,30 @@ def test_piecewise_linear_table_roundtrip():
     assert p.antiderivative(1.7) == pytest.approx(v, rel=1e-9)
 
 
+def test_piecewise_linear_derivative_is_lower_one_sided():
+    # DiffusionFn's rule for bprime: at a breakpoint the slope on its left
+    p = PiecewiseLinear((-1.0, 0.2, 0.6, 2.0), (-1.0, 0.0, 0.8, 1.5))
+    slopes = [1.0 / 1.2, 2.0, 0.5]
+    u = np.array([-3.0, -1.0, -0.4, 0.2, 0.4, 0.6, 1.0, 2.0, 2.5])
+    expected = [0.0, 0.0, slopes[0], slopes[0], slopes[1], slopes[1],
+                slopes[2], slopes[2], 0.0]
+    assert p.deriv(u).tolist() == pytest.approx(expected, rel=1e-15)
+    # the left difference quotient, exact for a piecewise-linear map
+    h = 1e-7
+    assert p.deriv(u) == pytest.approx((p(u) - p(u - h)) / h, abs=1e-7)
+    assert p.deriv(0.2) == slopes[0] and p.deriv(-1.0) == 0.0
+
+
+def test_tables_are_shifted_to_vanish_at_zero():
+    f = flux_from_table((-1.0, 1.0), (1.0, 3.0))
+    b = diffusion_from_table((-1.0, 1.0), (0.0, 2.0))
+    u = np.array([-2.0, -1.0, 0.0, 0.5, 1.0, 2.0])
+    assert f.f(u).tolist() == [-1.0, -1.0, 0.0, 0.5, 1.0, 1.0]
+    assert b.b(u).tolist() == [-1.0, -1.0, 0.0, 0.5, 1.0, 1.0]
+    assert np.array_equal(f.f_plus(u) + f.f_minus(u), f.f(u))
+    assert b.bprime(u).tolist() == [0.0, 0.0, 1.0, 1.0, 1.0, 0.0]
+
+
 def test_table_flux_monotone_split():
     f = flux_from_table((-1.0, 0.0, 1.0), (1.0, 0.0, 1.0))  # |u|
     u = np.linspace(-1, 1, 41)
