@@ -156,6 +156,10 @@ class MassBudget:
         self.worst = 0.0
         self.max_principle = MaxPrinciple(disc)
         self.buf = np.empty((0, disc.grid.n))
+        # the faces -1/2 and n - 1/2: left states at full cells h - 1 and
+        # h + n - 1, right states at h and h + n, as basic strided slices
+        h, n = disc.grid.n_halo, disc.grid.n
+        self.faces = slice(h - 1, h + n, n), slice(h, h + n + 1, n)
 
     def __call__(self, rows, times, block):
         grid = self.disc.grid
@@ -169,7 +173,8 @@ class MassBudget:
             self.buf = np.empty((len(u), n))
         change = np.subtract(nxt, u[:, grid.interior], out=self.buf[:len(u)])
         mass_change = grid.dx * change.sum(axis=1)
-        fhat = self.flux_pair(u[:, [h - 1, h + n - 1]], u[:, [h, h + n]])
+        left, right = self.faces
+        fhat = self.flux_pair(u[:, left], u[:, right])
         defect = mass_change + dt * (fhat[:, 1] - fhat[:, 0])
         if J or tau != 0.0:
             bf = self.disc.spec.diffusion.b(u)

@@ -535,6 +535,11 @@ def main(argv=None) -> int:
         if args.command == "suite":
             return cmd_suite(args.name, args.out)
         if args.command == "scan":
+            if args.num < 0:
+                raise ConfigParse(f"--num must be >= 0, got {args.num}")
+            if not math.isfinite(args.xi_max):
+                raise ConfigParse(
+                    f"--xi-max must be finite, got {args.xi_max}")
             measure = _reference(args.measure, measure_from_config)
             validate_measure(measure)
             ev = MultiplierEval(measure)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -15,6 +16,7 @@ class Grid1d:
 
     Full arrays have length n + 2*n_halo; index n_halo..n_halo+n-1 is the
     interior.  Cell j (full index) is centered at a + (j - n_halo + 1/2)*dx.
+    `dx`, `interior` and `faces` are computed once per grid and cached.
     """
 
     a: float
@@ -22,7 +24,7 @@ class Grid1d:
     n: int
     n_halo: int
 
-    @property
+    @cached_property
     def dx(self) -> float:
         return (self.b - self.a) / self.n
 
@@ -30,9 +32,16 @@ class Grid1d:
     def n_full(self) -> int:
         return self.n + 2 * self.n_halo
 
-    @property
+    @cached_property
     def interior(self) -> slice:
         return slice(self.n_halo, self.n_halo + self.n)
+
+    @cached_property
+    def faces(self) -> tuple:
+        """(left, right): the full-grid slices of the states on the left and
+        on the right of the interfaces i - 1/2, i = 0..n."""
+        h, n = self.n_halo, self.n
+        return slice(h - 1, h + n), slice(h, h + n + 1)
 
     def x_full(self) -> np.ndarray:
         j = np.arange(self.n_full)

@@ -559,9 +559,13 @@ def _continuous_tv(c1, c2):
     the piece adds |sum C_a m_a|, m_a the unit power law's
     `levy_moment_between` on it.  Two exponents of opposite sign cross at
     z* = (-C_2/C_1)^(1/(a_2 - a_1)), which cuts the piece; more exponents of
-    mixed sign are refused (`ConfigMismatch`)."""
+    mixed sign are refused (`ConfigMismatch`).  A piece where the sides
+    agree adds nothing and is skipped; each exponent's unit law is built
+    once per call."""
     edges = sorted({0.0, 1.0, _INF, *(e for _, leaf in c1 + c2
                                       for e in (leaf.lo, leaf.hi))})
+    units = {leaf.alpha: FractionalRadial(alpha=leaf.alpha)
+             for _, leaf in c1 + c2}
     total = 0.0
     for a, b in zip(edges[:-1], edges[1:]):
         sums = ({}, {})
@@ -572,6 +576,8 @@ def _continuous_tv(c1, c2):
                                         + coef * leaf.coeff)
         diff = {al: c for al in sorted(sums[0].keys() | sums[1].keys())
                 if (c := sums[0].get(al, 0.0) - sums[1].get(al, 0.0)) != 0.0}
+        if not diff:
+            continue
         cuts = [a, b]
         if len({c > 0.0 for c in diff.values()}) == 2:
             if len(diff) > 2:
@@ -586,8 +592,7 @@ def _continuous_tv(c1, c2):
             if a < z < b:
                 cuts.insert(1, z)
         for lo, hi in zip(cuts[:-1], cuts[1:]):
-            total += abs(sum(c * FractionalRadial(alpha=al)
-                             .levy_moment_between(lo, hi)
+            total += abs(sum(c * units[al].levy_moment_between(lo, hi)
                              for al, c in diff.items()))
     return total
 

@@ -34,8 +34,15 @@ class PiecewiseLinear:
     xs: tuple
     ys: tuple
 
-    def __call__(self, u):
-        return np.interp(u, self.xs, self.ys)
+    def __call__(self, u, out=None):
+        """The map at `u`; with `out` (an array of u's shape) the values
+        are copied into it and `out` is returned.  `np.interp` has no
+        `out`, so a table still builds its values in a temporary."""
+        val = np.interp(u, self.xs, self.ys)
+        if out is None:
+            return val
+        out[...] = val
+        return out
 
     def deriv(self, u):
         """The lower one-sided derivative, as `DiffusionFn.bprime` takes it:
@@ -85,7 +92,14 @@ class PiecewiseLinear:
 
 @dataclass(frozen=True)
 class FluxFn:
-    """Convective flux with its monotone (upwind) splitting f = f+ + f-."""
+    """Convective flux with its monotone (upwind) splitting f = f+ + f-.
+
+    Each of `f`, `f_plus` and `f_minus` is called as `g(u)` or
+    `g(u, out=buf)`.  With `out`, a float array of u's shape that does not
+    overlap `u`, the values are written into `buf`, which is returned; the
+    operations and their order are those of the call without it, so the
+    bits are the same.  The zero, linear and Burgers fluxes then allocate
+    nothing."""
 
     name: str
     f: Callable
@@ -98,25 +112,33 @@ class FluxFn:
 
 
 def flux_zero() -> FluxFn:
-    z = lambda u: np.zeros_like(np.asarray(u, dtype=float))
+    def z(u, out=None):
+        if out is None:
+            return np.zeros_like(np.asarray(u, dtype=float))
+        out.fill(0.0)
+        return out
     return FluxFn("zero", z, z, z, lambda lo, hi: 0.0)
 
 
 def flux_linear(c: float = 1.0) -> FluxFn:
-    cp, cm = max(c, 0.0), min(c, 0.0)
-    return FluxFn(f"linear({c})",
-                  lambda u: c * np.asarray(u, dtype=float),
-                  lambda u: cp * np.asarray(u, dtype=float),
-                  lambda u: cm * np.asarray(u, dtype=float),
-                  lambda lo, hi: abs(c))
+    def times(k):
+        return lambda u, out=None: np.multiply(k, np.asarray(u, dtype=float),
+                                               out=out)
+    return FluxFn(f"linear({c})", times(c), times(max(c, 0.0)),
+                  times(min(c, 0.0)), lambda lo, hi: abs(c))
 
 
 def flux_burgers() -> FluxFn:
+    def half_square(clip):
+        # 0.5 * (clip(u, 0))^2, each operation in place in `out` if given
+        return lambda u, out=None: np.multiply(
+            0.5, np.square(clip(u, 0.0, out=out), out=out), out=out)
     return FluxFn(
         "burgers",
-        lambda u: 0.5 * np.square(np.asarray(u, dtype=float)),
-        lambda u: 0.5 * np.square(np.maximum(u, 0.0)),
-        lambda u: 0.5 * np.square(np.minimum(u, 0.0)),
+        lambda u, out=None: np.multiply(
+            0.5, np.square(np.asarray(u, dtype=float), out=out), out=out),
+        half_square(np.maximum),
+        half_square(np.minimum),
         lambda lo, hi: max(abs(lo), abs(hi)),
     )
 

@@ -102,11 +102,37 @@ class Trajectory:
 
 
 def _numerical_flux(config, spec, lam):
+    """The monotone numerical flux of `config` as a pair `pair(a, b)` of
+    the states left (`a`) and right (`b`) of some faces, two arrays of one
+    shape: Engquist-Osher f_plus(a) + f_minus(b), or Lax-Friedrichs
+    0.5 (f(a) + f(b)) - 0.5 lam (b - a).  The pair owns two buffers of that
+    shape and computes in them with the `out=` of the flux callables
+    (`FluxFn`), in this operation order, so the bits are those of the
+    expressions.  The array returned is one of the buffers: the next call
+    overwrites it.  A call of another shape replaces the buffers."""
+    p = m = np.empty(0)
+
+    def buffers(shape):
+        nonlocal p, m
+        if p.shape != shape:
+            p, m = np.empty(shape), np.empty(shape)
+        return p, m
+
     if config.numerical_flux == "engquist_osher":
         fp, fm = spec.flux.f_plus, spec.flux.f_minus
-        return lambda a, b: fp(a) + fm(b)
-    f = spec.flux.f                  # lax_friedrichs
-    return lambda a, b: 0.5 * (f(a) + f(b)) - 0.5 * lam * (b - a)
+
+        def pair(a, b):
+            p, m = buffers(a.shape)
+            return np.add(fp(a, out=p), fm(b, out=m), out=p)
+        return pair
+    f, half_lam = spec.flux.f, 0.5 * lam   # lax_friedrichs
+
+    def pair(a, b):
+        p, m = buffers(a.shape)
+        np.multiply(0.5, np.add(f(a, out=p), f(b, out=m), out=p), out=p)
+        return np.subtract(p, np.multiply(half_lam, np.subtract(b, a, out=m),
+                                          out=m), out=p)
+    return pair
 
 
 def cfl_max_dt(spec: ProblemSpec, stencil: StencilWeights, dx: float,
@@ -210,21 +236,22 @@ def step(u_full: np.ndarray, disc: DiscreteProblem, stencil: StencilWeights,
     and checks to be finite; `step` does not check.  With `out` (n values,
     which must not overlap `u_full`) the update is computed in `out` and
     `out` is returned, bit for bit the values of a fresh return; `solve`
-    passes the interior of the next row of its block.  `source` (n values)
-    replaces the jump term when given (Picard's frozen right-hand side).
-    A stencil with no nonzero weight and no tail adds no jump term."""
-    spec = disc.spec
+    passes the interior of the next row of its block.  `flux_pair` is the
+    march's `_numerical_flux` (built here when not given): its buffers hold
+    the n + 1 face fluxes, so with `out` and no jump term a step allocates
+    no interior-sized array.  The face and interior slices and dx are the
+    grid's, computed once (`Grid1d`).  `source` (n values) replaces the
+    jump term when given (Picard's frozen right-hand side).  A stencil
+    with no nonzero weight and no tail adds no jump term."""
     grid = disc.grid
     if flux_pair is None:
-        lo, hi = disc.data_range
+        spec, (lo, hi) = disc.spec, disc.data_range
         flux_pair = _numerical_flux(config, spec, spec.flux.lipschitz_on(lo, hi))
     if source is None and (stencil.tau != 0.0 or stencil.kernel is not None):
-        source = jump_term(spec.diffusion.b(u_full), disc, stencil,
+        source = jump_term(disc.spec.diffusion.b(u_full), disc, stencil,
                            config.tail_mode)
-    h = grid.n_halo
-    left = u_full[h - 1:h + grid.n]      # u_{i-1} on interfaces
-    right = u_full[h:h + grid.n + 1]     # u_{i+1} side
-    fhat = flux_pair(left, right)        # interface i-1/2 for i = 0..n
+    left, right = grid.faces
+    fhat = flux_pair(u_full[left], u_full[right])   # faces i-1/2, i = 0..n
     out = np.subtract(fhat[1:], fhat[:-1], out=out)
     out *= dt / grid.dx
     np.subtract(u_full[grid.interior], out, out=out)
@@ -263,7 +290,8 @@ def solve(spec: ProblemSpec, stencil: StencilWeights, config: SchemeConfig,
     stepped), else `CflViolation` names the time of the first row that
     broke it.  After each block's steps its new interior values are checked
     to be finite (`NonfiniteValue`, naming the start time of the first step
-    that was not); then every observer is called as
+    that was not; each row's sum is read first, and the values only when a
+    sum is not finite); then every observer is called as
     `observer(rows, times, block)` with the full-grid states of steps
     `rows.start .. rows.stop` inclusive and their times, so observers see
     every step, and the steps n with `n % config.store_every == 0` are
@@ -322,10 +350,16 @@ def solve(spec: ProblemSpec, stencil: StencilWeights, config: SchemeConfig,
             cfl_range = _certify_range(block[:-1, interior], times[rows],
                                        "frozen march state", cfl_range, dt,
                                        bound)
-        finite = np.isfinite(block[1:, interior]).all(axis=1)
-        if not finite.all():
-            n = rows.start + int(np.argmin(finite))
-            raise NonfiniteValue(f"nonfinite state at t={float(times[n])}")
+        # a NaN or an inf makes its row's sum nonfinite; a sum of finite
+        # values can overflow too, so only then is each value tested
+        with np.errstate(over="ignore", invalid="ignore"):
+            sums = np.add.reduce(block[1:, interior], 1)
+        if not np.isfinite(sums).all():
+            finite = np.isfinite(block[1:, interior]).all(axis=1)
+            if not finite.all():
+                n = rows.start + int(np.argmin(finite))
+                raise NonfiniteValue(
+                    f"nonfinite state at t={float(times[n])}")
         for observe in observers:
             observe(rows, times[rows.start:rows.stop + 1], block)
         first = (rows.start // every + 1) * every

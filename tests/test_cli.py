@@ -418,6 +418,21 @@ def test_scan_failure_writes_no_csv(tmp_path, capsys, monkeypatch):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag", [["--num", "-1"], ["--xi-max", "inf"],
+                                  ["--xi-max=-inf"], ["--xi-max", "nan"]],
+                         ids=["num_-1", "xi_max_inf", "xi_max_-inf",
+                              "xi_max_nan"])
+def test_scan_flag_out_of_range_is_a_config_error(tmp_path, capsys, flag):
+    # a negative count or a frequency bound that is not finite exits 2 with
+    # one line, writes no CSV, and no `nan` row
+    out = tmp_path / "scan.csv"
+    assert main(["scan", "--measure", "dyadic_a", *flag,
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: ")
+    assert not out.exists()
+
+
 def test_stencil_dump(tmp_path):
     out = tmp_path / "st.csv"
     assert main(["stencil", "--measure", "single_atom", "--dx", "0.1",

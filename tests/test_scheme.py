@@ -229,6 +229,22 @@ def test_nonfinite_mid_block_names_the_step_and_no_observer_sees_it(
     assert seen and seen[-1].stop <= bad < seen[-1].stop + m
 
 
+def test_finite_states_whose_row_sums_overflow_are_not_refused():
+    # `solve` reads each row's sum first; a sum that overflows on finite
+    # values sends it to the values themselves, which pass
+    spec = ProblemSpec(domain=(0.0, 1.0), flux=flux_linear(),
+                       diffusion=diffusion_zero(),
+                       u0=lambda x: np.full_like(x, 1.5e308),
+                       exterior=exterior_constant(1.5e308), T=0.1)
+    c = conf(1 / 32, Z=0.125)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traj = solve(spec, build_stencil(zero_measure(), c.dx, c.r, c.Z), c)
+    with np.errstate(over="ignore"):
+        assert np.isinf(traj.interior()[1:].sum(axis=1)).all()
+    assert (traj.interior() == 1.5e308).all()
+
+
 # -- fixed-point construction ---------------------------------------------------
 
 def test_picard_zero_diffusion_converges_immediately():
