@@ -12,13 +12,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigParse, MissingExtensionDerivatives
+from .errors import MissingExtensionDerivatives
 from .measures import DyadicA, DyadicB, FractionalRadial, LevyMeasure, \
     truncate
 from .multiplier import MultiplierEval
 from .problem import DiffusionFn, DiscreteProblem, sample_rows
-from .scheme import PairSeries, SchemeConfig, Trajectory, _numerical_flux, \
-    _tail_value, jump_term, l1_series, replay
+from .scheme import SchemeConfig, Trajectory, _numerical_flux, _tail_value, \
+    jump_term, pair_series, replay
 from .stencil import StencilWeights, build_stencil, row_blocks, \
     zero_extended_sum
 
@@ -94,7 +94,7 @@ def max_principle_check(traj: Trajectory) -> CheckResult:
 
 def contraction_verdict(series: np.ndarray) -> CheckResult:
     """The interior L1 distance of two runs with shared exterior data, one
-    value per step (`scheme.PairSeries`), must be nonincreasing in time."""
+    value per step (`scheme.pair_series`), must be nonincreasing in time."""
     increments = np.diff(series)
     slack = float(-increments.max()) if increments.size else 0.0
     scale = max(float(series[0]), 1.0)
@@ -107,18 +107,17 @@ def contraction_verdict(series: np.ndarray) -> CheckResult:
 def l1_contraction_check(traj_u: Trajectory, traj_v: Trajectory):
     """`contraction_verdict` of the L1 series of two stored trajectories.
     Returns (series, verdict)."""
-    series = l1_series(traj_u, traj_v)
+    series = pair_series(traj_u, traj_v)
     return series, contraction_verdict(series)
 
 
 def order_preservation_check(traj_u: Trajectory,
                              traj_v: Trajectory) -> CheckResult:
     """u0 <= v0 and exterior data u <= v imply u <= v at every step: the
-    least v - u, `traj_u` replayed against `traj_v` with ordered halos."""
-    traj_u.require_every_step()
-    series = PairSeries(traj_v, lambda u, v, buf: np.subtract(
-        v, u, out=buf).min(axis=1), ordered=True)
-    slack = float(replay(traj_u, series).min())
+    least v - u, `traj_u` paired with `traj_v` (`scheme.pair_series`)
+    with ordered halos."""
+    slack = float(pair_series(traj_u, traj_v, lambda u, v, buf: np.subtract(
+        v, u, out=buf).min(axis=1), ordered=True).min())
     return CheckResult("order_preservation", slack >= -CHECK_TOL, slack, {})
 
 
@@ -385,25 +384,22 @@ class ResidualReport:
 
 
 def entropy_residual(traj: Trajectory, measure: LevyMeasure, family, levels,
-                     r: float, signs=("plus", "minus")) -> ResidualReport:
+                     r: float) -> ResidualReport:
     """Discrete residual of the full entropy inequality at splitting radius r.
 
     `measure` must be the jump measure the trajectory was solved with; the
     splitting reuses it to build the zero-order part (no small-jump surrogate)
     and the small-jump second moment.  Nonpositive residuals (up to grid
-    tolerance) mean the inequality holds.  Inadmissible (k, phi, ±)
-    combinations are skipped and counted; admissibility is screened once per
-    phi, for every level and both signs (`admissible_pair`).  Each term is
-    built once per admitted (k, ±) and contracted against the family's space
-    and time factors, for every phi at once.  A sign other than "plus" or
-    "minus" is refused (`ConfigParse`), and so is a trajectory that does not
-    store every step (`ConfigMismatch`).
+    tolerance) mean the inequality holds.  Both signs are checked.
+    Inadmissible (k, phi, ±) combinations are skipped and counted;
+    admissibility is screened once per phi, for every level and both signs
+    (`admissible_pair`).  Each term is built once per admitted (k, ±) and
+    contracted against the family's space and time factors, for every phi at
+    once.  A trajectory that does not store every step is refused
+    (`ConfigMismatch`).
     """
     traj.require_every_step()
     signs_of = {"plus": 1.0, "minus": -1.0}
-    for sign in signs:
-        if sign not in signs_of:
-            raise ConfigParse(f"unknown entropy sign {sign!r}")
     if not family:
         return ResidualReport(rows=[], skipped=0)
     spec = traj.spec
@@ -464,10 +460,9 @@ def entropy_residual(traj: Trajectory, measure: LevyMeasure, family, levels,
     # boundary datum; negation is exact, so both signs share one expression
     residual = {}
     for i, k in enumerate(levels):
-        for sign in signs:
+        for sign, s in signs_of.items():
             if not any(adm[sign][i] for adm in admissible):
                 continue
-            s = signs_of[sign]
             sgn = s * _sgn_plus(s * (u_int - k))
             fk = float(np.asarray(f(k)))
             t1 = contract(_pos(s * (u_int - k)), s_int, t_dt)
@@ -482,8 +477,8 @@ def entropy_residual(traj: Trajectory, measure: LevyMeasure, family, levels,
     rows = [ResidualRow(k=float(k), sign=sign, phi_index=idx,
                         residual=float(residual[i, sign][idx]))
             for idx, adm in enumerate(admissible)
-            for i, k in enumerate(levels) for sign in signs if adm[sign][i]]
-    skipped = len(family) * len(levels) * len(signs) - len(rows)
+            for i, k in enumerate(levels) for sign in signs_of if adm[sign][i]]
+    skipped = len(family) * len(levels) * len(signs_of) - len(rows)
     return ResidualReport(rows=rows, skipped=skipped)
 
 

@@ -189,13 +189,13 @@ def _alpha(cfg):
 
 
 def _positive_list(cfg, key, default):
-    """A chain mode's list of positive finite numbers (`n_list`, `r_list`),
-    returned as given."""
+    """A chain mode's nonempty list of positive finite numbers (`n_list`,
+    `r_list`), returned as given."""
     vals = cfg.get(key, default)
-    if not isinstance(vals, list) or not all(
+    if not isinstance(vals, list) or not vals or not all(
             type(v) in (int, float) and 0.0 < v < math.inf for v in vals):
-        raise ConfigParse(f"{key} must be a list of positive numbers, "
-                          f"got {vals!r}")
+        raise ConfigParse(f"{key} must be a nonempty list of positive "
+                          f"numbers, got {vals!r}")
     return vals
 
 

@@ -333,16 +333,19 @@ class DiscreteProblem:
     def __post_init__(self):
         self.halo_x = self.grid.x_halo()
 
-    def refresh_halo(self, u_full: np.ndarray, t: float) -> None:
-        """Write the extension at time t into the halo of `u_full` (leading
-        axes are a batch, all written at t: one call covers every row of a
-        steady datum).  The extension is elementwise in x, so it is
-        evaluated at the halo centers alone."""
-        vals = np.asarray(self.spec.exterior.value(t, self.halo_x),
-                          dtype=float)
+    def refresh_halo(self, u_full: np.ndarray, times) -> None:
+        """Write the extension into the halo of each row of `u_full` at that
+        row's time in `times` (`sample_rows`); a single time is broadcast to
+        every row, and a steady datum (`ExteriorData.steady`) is sampled at
+        the first time alone and broadcast.  The extension is elementwise
+        in x, so it is evaluated at the halo centers alone."""
+        times = np.atleast_1d(times)
+        if self.spec.exterior.steady:
+            times = times[:1]
+        vals = sample_rows(self.spec.exterior.value, times, self.halo_x)
         h = self.grid.n_halo
-        u_full[..., :h] = vals[:h]
-        u_full[..., -h:] = vals[h:]
+        u_full[..., :h] = vals[:, :h]
+        u_full[..., -h:] = vals[:, h:]
 
 
 def discretize(spec: ProblemSpec, dx: float,

@@ -277,13 +277,12 @@ def solve(spec: ProblemSpec, stencil: StencilWeights, config: SchemeConfig,
     block), and the CFL bound is that of the conservation law alone.
 
     The march goes in the blocks `row_blocks(n_steps, n_full)`, each in one
-    reused buffer.  The halo is written on one of two paths:
-    - a steady exterior (`ExteriorData.steady`) is written into every row
-      of the buffer by one `refresh_halo` call before the march; `step`
-      writes interiors only and the last row carries the halo into the
-      next block, so it is never written again;
-    - a moving exterior has the halos of a block's rows written first, one
-      `refresh_halo` per row at its time.
+    reused buffer.  The halo is written by `refresh_halo`:
+    - a steady exterior (`ExteriorData.steady`) into every row of the
+      buffer, once before the march; `step` writes interiors only and the
+      last row carries the halo into the next block, so it is never
+      written again;
+    - a moving exterior into a block's rows first, each at its time.
     With `config.enforce_cfl`, dt must stay within the CFL bound on the
     data range widened by every halo written (before a block is stepped)
     and, with `frozen`, by every interior a block stepped from (after it is
@@ -291,7 +290,8 @@ def solve(spec: ProblemSpec, stencil: StencilWeights, config: SchemeConfig,
     broke it.  After each block's steps its new interior values are checked
     to be finite (`NonfiniteValue`, naming the start time of the first step
     that was not; each row's sum is read first, and the values only when a
-    sum is not finite); then every observer is called as
+    sum is not finite), and that refusal is the one report of such a run:
+    the steps print no numpy warning; then every observer is called as
     `observer(rows, times, block)` with the full-grid states of steps
     `rows.start .. rows.stop` inclusive and their times, so observers see
     every step, and the steps n with `n % config.store_every == 0` are
@@ -332,28 +332,27 @@ def solve(spec: ProblemSpec, stencil: StencilWeights, config: SchemeConfig,
     for rows in blocks:
         block = work[:rows.stop - rows.start + 1]
         if not steady:
-            for i, n in enumerate(range(rows.start, rows.stop)):
-                disc.refresh_halo(block[i + 1], times[n + 1])
+            later = times[rows.start + 1:rows.stop + 1]
+            disc.refresh_halo(block[1:], later)
             if config.enforce_cfl:
-                cfl_range = _certify_range(
-                    block[1:, disc.grid.halo_mask()],
-                    times[rows.start + 1:rows.stop + 1], "exterior datum",
-                    cfl_range, dt, bound)
+                cfl_range = _certify_range(block[1:, disc.grid.halo_mask()],
+                                           later, "exterior datum", cfl_range,
+                                           dt, bound)
         source = (None if frozen is None else
                   jump_term(spec.diffusion.b(frozen.states[rows]), disc,
                             stencil, config.tail_mode))
-        for i in range(rows.stop - rows.start):
-            step(block[i], disc, stencil, config, dt,
-                 source=None if source is None else source[i],
-                 flux_pair=flux_pair, out=block[i + 1, interior])
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i in range(rows.stop - rows.start):
+                step(block[i], disc, stencil, config, dt,
+                     source=None if source is None else source[i],
+                     flux_pair=flux_pair, out=block[i + 1, interior])
+            # a NaN or an inf makes its row's sum nonfinite; a sum of
+            # finite values can overflow too, so only then is each tested
+            sums = np.add.reduce(block[1:, interior], 1)
         if frozen is not None and config.enforce_cfl:
             cfl_range = _certify_range(block[:-1, interior], times[rows],
                                        "frozen march state", cfl_range, dt,
                                        bound)
-        # a NaN or an inf makes its row's sum nonfinite; a sum of finite
-        # values can overflow too, so only then is each value tested
-        with np.errstate(over="ignore", invalid="ignore"):
-            sums = np.add.reduce(block[1:, interior], 1)
         if not np.isfinite(sums).all():
             finite = np.isfinite(block[1:, interior]).all(axis=1)
             if not finite.all():
@@ -488,16 +487,20 @@ class PairSeries:
         return self.out
 
 
-def l1_series(a: Trajectory, b: Trajectory) -> np.ndarray:
-    """dx * sum |u - v| on the interior, one value per step."""
+def pair_series(a: Trajectory, b: Trajectory, rule=None,
+                ordered=False) -> np.ndarray:
+    """The one entry that compares two stored runs: `a`, which must store
+    every step, replayed against `b` on the same grid (else
+    `ConfigMismatch`) by `PairSeries(b, rule, ordered)`, one value per
+    step (by default the L1 distance dx * sum |u - v| on the interior)."""
     a.require_every_step()
-    if a.states.shape != b.states.shape or a.grid != b.grid:
+    if a.grid != b.grid:
         raise ConfigMismatch("trajectories live on different grids")
-    return replay(a, PairSeries(b))
+    return replay(a, PairSeries(b, rule, ordered))
 
 
 def l1_q_distance(a: Trajectory, b: Trajectory) -> float:
-    return a.dt * float(l1_series(a, b)[:-1].sum())
+    return a.dt * float(pair_series(a, b)[:-1].sum())
 
 
 # ---------------------------------------------------------------------------
@@ -539,11 +542,7 @@ def picard_solve(spec: ProblemSpec, measure: LevyMeasure,
                       states=np.zeros((n_steps + 1, disc.grid.n_full)),
                       disc=disc, stencil=stencil, config=config,
                       stats={"dt": dt, "n_steps": n_steps})
-    if spec.exterior.steady:
-        disc.refresh_halo(prev.states, prev.times[0])
-    else:
-        for t, state in zip(prev.times, prev.states):
-            disc.refresh_halo(state, t)
+    disc.refresh_halo(prev.states, prev.times)
 
     norms = []      # ||u_1|| (iterate 0 is zero on the interior), then gaps
     for k in range(1, k_max + 1):

@@ -7,8 +7,7 @@ import numpy as np
 import pytest
 
 from levyfv import analysis
-from levyfv.errors import ConfigMismatch, ConfigParse, \
-    MissingExtensionDerivatives
+from levyfv.errors import ConfigMismatch, MissingExtensionDerivatives
 from levyfv.measures import (AtomicSymmetric, FractionalRadial, single_atom,
                              truncate, zero_measure)
 from levyfv.problem import (DiffusionFn, ExteriorData, ProblemSpec,
@@ -18,7 +17,7 @@ from levyfv.problem import (DiffusionFn, ExteriorData, ProblemSpec,
                             flux_burgers, flux_from_table, make_problem)
 from levyfv import stencil
 from levyfv.scheme import (SchemeConfig, _numerical_flux, _tail_value,
-                           jump_term, l1_series, solve)
+                           jump_term, pair_series, solve)
 from levyfv.stencil import build_stencil, row_blocks, zero_extended_energy
 
 
@@ -181,17 +180,31 @@ def test_order_preservation_refuses_runs_that_are_not_comparable():
         analysis.order_preservation_check(low, later)
 
 
+@pytest.mark.parametrize("check", ["l1_contraction_check",
+                                   "order_preservation_check"])
+def test_pair_checks_refuse_runs_on_another_domain_of_one_width(check):
+    # grids of one width and one halo on (0, 1) and (0.5, 1.5): the zero
+    # exterior gives both runs the same halos, so only the grids differ
+    spec = replace(make_problem("burgers", "identity", "bump", T=0.1),
+                   exterior=exterior_constant(0.0))
+    a = run(spec, single_atom(), 1 / 32, dt=0.01)
+    b = run(replace(spec, domain=(0.5, 1.5)), single_atom(), 1 / 32, dt=0.01)
+    assert a.states.shape == b.states.shape and a.grid != b.grid
+    with pytest.raises(ConfigMismatch, match="different grids"):
+        getattr(analysis, check)(a, b)
+
+
 def test_paired_rows_takes_times_within_1e_12():
     # one time off by 2e-12 is refused, every time off by 5e-13 accepted
     spec = make_problem("burgers", "identity", "bump", T=0.2)
     u = run(spec, single_atom(), 1 / 32, Z=0.5, dt=0.01)
     near = replace(u, times=u.times + 5e-13)
     assert np.all(near.times != u.times)
-    assert np.array_equal(l1_series(u, near), np.zeros(len(u.times)))
+    assert np.array_equal(pair_series(u, near), np.zeros(len(u.times)))
     off = u.times.copy()
     off[len(off) // 2] += 2e-12
     with pytest.raises(ConfigMismatch, match="different time steps"):
-        l1_series(u, replace(u, times=off))
+        pair_series(u, replace(u, times=off))
 
 
 def test_mass_budget_identity():
@@ -237,7 +250,7 @@ def test_trajectory_checks_in_row_blocks_match_whole_arrays(monkeypatch,
     ta, tb = replace(a, states=sa), replace(a, states=sb)
     u, v = ta.interior(), tb.interior()
 
-    assert np.array_equal(l1_series(ta, tb),
+    assert np.array_equal(pair_series(ta, tb),
                           a.grid.dx * np.abs(u - v).sum(axis=1))
     lo, hi = a.disc.data_range
     assert analysis.max_principle_check(ta).worst_slack == float(
@@ -703,12 +716,12 @@ def test_residual_levels_outside_range_pass_structurally():
     spec = make_problem("burgers", "stefan", "bump", ell=0.3, T=0.2)
     traj = run(spec, single_atom(z=0.125, w=0.5), 1 / 64)
     fam = analysis.default_test_family(0.0, 1.0, spec.T)
-    hi = analysis.entropy_residual(traj, single_atom(z=0.125, w=0.5), fam,
-                                   [1.7], 1 / 16, signs=("plus",))
-    lo = analysis.entropy_residual(traj, single_atom(z=0.125, w=0.5), fam,
-                                   [-0.7], 1 / 16, signs=("minus",))
-    assert hi.worst <= 1e-12
-    assert lo.worst <= 1e-12
+    rep = analysis.entropy_residual(traj, single_atom(z=0.125, w=0.5), fam,
+                                    [1.7, -0.7], 1 / 16)
+    hi = [r.residual for r in rep.rows if (r.k, r.sign) == (1.7, "plus")]
+    lo = [r.residual for r in rep.rows if (r.k, r.sign) == (-0.7, "minus")]
+    assert max(hi, default=-math.inf) <= 1e-12
+    assert max(lo, default=-math.inf) <= 1e-12
 
 
 def test_residual_counts_inadmissible_pairs():
@@ -718,8 +731,9 @@ def test_residual_counts_inadmissible_pairs():
     # negative-sign entropies with k > 0 conflict with the zero exterior for
     # bumps whose support touches the halo
     rep = analysis.entropy_residual(traj, single_atom(z=0.125, w=0.5), fam,
-                                    [0.5], 1 / 16, signs=("minus",))
-    assert rep.skipped > 0
+                                    [0.5], 1 / 16)
+    minus = [r for r in rep.rows if r.sign == "minus"]
+    assert rep.skipped > 0 and len(minus) < len(fam)
 
 
 def per_pair_admissible(traj, phi, k, sign):
@@ -840,14 +854,18 @@ def test_screening_matches_the_per_pair_reference(name):
     traj = run(spec, SPLIT_ATOMS, 1 / 32)
     fam = HALO_FAMILIES.get(name) or analysis.default_test_family(0.0, 1.0,
                                                                   spec.T)
-    rep = analysis.entropy_residual(traj, SPLIT_ATOMS, fam, levels, 1 / 16,
-                                    signs=signs)
-    ref_rows, ref_skipped = per_pair_entropy_residual(
-        traj, SPLIT_ATOMS, fam, levels, 1 / 16, signs)
-    assert rep.skipped == ref_skipped > 0
-    assert rep.rows and [(r.k, r.sign, r.phi_index) for r in rep.rows] == \
+    rep = analysis.entropy_residual(traj, SPLIT_ATOMS, fam, levels, 1 / 16)
+    ref_all, ref_skipped_all = per_pair_entropy_residual(
+        traj, SPLIT_ATOMS, fam, levels, 1 / 16, ("plus", "minus"))
+    assert rep.skipped == ref_skipped_all
+    rows = [r for r in rep.rows if r.sign in signs]
+    ref_rows = [r for r in ref_all if r.sign in signs]
+    skipped = len(fam) * len(levels) * len(signs) - len(rows)
+    ref_skipped = len(fam) * len(levels) * len(signs) - len(ref_rows)
+    assert skipped == ref_skipped > 0
+    assert rows and [(r.k, r.sign, r.phi_index) for r in rows] == \
         [(r.k, r.sign, r.phi_index) for r in ref_rows]
-    assert [r.residual for r in rep.rows] == pytest.approx(
+    assert [r.residual for r in rows] == pytest.approx(
         [r.residual for r in ref_rows], rel=0, abs=1e-14)
 
 
@@ -868,15 +886,6 @@ def test_screening_reads_the_stored_halo():
                                     np.linspace(0.2, 0.34, 15), 1 / 16)
     assert rep.skipped > 0 and rep.rows
     assert xs == [[0.0, 1.0]] * (len(traj.times) - 1)
-
-
-def test_residual_rejects_an_unknown_sign():
-    traj = run(make_problem("burgers", "identity", "bump", T=0.1),
-               zero_measure(), 1 / 32)
-    fam = analysis.default_test_family(0.0, 1.0, 0.1)
-    with pytest.raises(ConfigParse, match="'Plus'"):
-        analysis.entropy_residual(traj, zero_measure(), fam, [0.5], 1 / 16,
-                                  signs=("Plus",))
 
 
 def test_bump_factors_match_central_differences():

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -226,6 +227,8 @@ NAMED_BAD_ENTRIES = {
     (without("--measure") + ["--mode", "vanishing"], {"n_list": [True, 2]}),
     (without("--measure") + ["--mode", "stability"],
      {"r_list": [0.25, True]}),
+    (without("--measure") + ["--mode", "vanishing"], {"n_list": []}),
+    (without("--measure") + ["--mode", "stability"], {"r_list": []}),
     (SOLVE_ARGS, {"contraction": "false", "energy": "no"}),
 ] + [(args, cfg) for args, cfg, _ in NAMED_BAD_ENTRIES.values()],
     ids=["dt_zero", "dt_nan", "dt_negative", "dt_negative_unenforced",
@@ -233,7 +236,8 @@ NAMED_BAD_ENTRIES = {
          "vanishing_alpha_3", "stability_alpha_3", "stability_alpha_text",
          "picard_k_max_text", "picard_tol_text", "vanishing_n_list_0",
          "stability_r_list_0", "vanishing_alpha_bool", "vanishing_n_list_bool",
-         "stability_r_list_bool", "flags_text"] + list(NAMED_BAD_ENTRIES))
+         "stability_r_list_bool", "vanishing_n_list_empty",
+         "stability_r_list_empty", "flags_text"] + list(NAMED_BAD_ENTRIES))
 def test_bad_run_parameter_exit_2(tmp_path, capsys, args, cfg):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
@@ -326,6 +330,26 @@ def test_runtime_error_exit_3(tmp_path):
         "dx": 1 / 32, "Z": 0.125, "dt": 0.5, "auto_cfl": False}))
     assert main(["run", "--config", str(cfg),
                  "--out", str(tmp_path / "o")]) == 3
+
+
+# far above the CFL bound, not enforced: the march overflows at t = 7.1
+NONFINITE = {"mode": "solve", "problem": "burgers_bump",
+             "measure": "single_atom", "dx": 1.0 / 32, "Z": 0.5, "dt": 0.9,
+             "enforce_cfl": False, "T": 40.0, "store_every": 7,
+             "contraction": False}
+
+
+def test_a_march_refused_as_nonfinite_prints_one_line(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(NONFINITE))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["run", "--config", str(path),
+                     "--out", str(tmp_path / "o")])
+    assert code == 3
+    assert capsys.readouterr().err.splitlines() == [
+        "runtime error: nonfinite state at t=7.111111111111111"]
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 SMALL_SOLVE = ["run", "--mode", "solve", "--problem", "burgers_riemann",

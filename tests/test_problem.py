@@ -190,6 +190,33 @@ def test_refresh_halo_equals_exterior_values_at_halo_cells(ext, batch):
         assert np.array_equal(u[..., ~halo], inside)
 
 
+@pytest.mark.parametrize("steady", [True, False], ids=["steady", "moving"])
+def test_refresh_halo_writes_each_row_at_its_time(steady):
+    # one row per time; a steady datum is sampled once and broadcast, a
+    # moving one once per row
+    calls = []
+
+    def value(t, x):
+        calls.append(t)
+        return SINE_DECAY.value(0.0 if steady else t, x)
+
+    spec = ProblemSpec(domain=(0.0, 1.0), flux=flux_burgers(),
+                       diffusion=diffusion_zero(),
+                       u0=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
+                       exterior=ExteriorData(value=value, steady=steady),
+                       T=1.0)
+    disc = discretize(spec, 1.0 / 32, 0.25)
+    halo = disc.grid.halo_mask()
+    times = np.linspace(0.0, 1.0, 5)
+    u = np.zeros((len(times), disc.grid.n_full))
+    calls.clear()
+    disc.refresh_halo(u, times)
+    assert len(calls) == (1 if steady else len(times))
+    for n, t in enumerate(times):
+        assert np.array_equal(u[n, halo], value(float(t), disc.halo_x))
+        assert not u[n, ~halo].any()
+
+
 def test_presets_validate():
     for make in PROBLEM_PRESETS.values():
         validate_problem(make())

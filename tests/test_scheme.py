@@ -532,7 +532,7 @@ def test_a_pair_series_frees_its_stored_run_without_the_cycle_collector():
     st = build_stencil(single_atom(), c.dx, c.r, c.Z)
     gc.disable()
     try:
-        for check in (scheme.l1_series, order_preservation_check):
+        for check in (scheme.pair_series, order_preservation_check):
             run, other = solve(spec, st, c), solve(spec, st, c)
             ref = weakref.ref(other)
             check(run, other)
@@ -589,14 +589,33 @@ MOVING_SPEC = ProblemSpec(domain=(0.0, 1.0), flux=flux_burgers(),
                           exterior=MOVING_EXTERIOR, T=0.37)
 
 
+def assert_halos_are_the_exterior_at_their_times(traj):
+    halo = traj.grid.halo_mask()
+    for t, state in zip(traj.times, traj.states):
+        want = np.asarray(traj.spec.exterior.value(t, traj.disc.halo_x),
+                          dtype=float)
+        assert state[halo].tobytes() == want.tobytes()
+
+
 def test_stored_halo_is_the_exterior_datum_at_its_stored_time():
     c = conf(1 / 32)
     traj = solve(MOVING_SPEC, build_stencil(single_atom(), c.dx, c.r, c.Z), c)
     assert traj.times[-1] == MOVING_SPEC.T
-    halo = traj.grid.halo_mask()
-    for t, state in zip(traj.times, traj.states):
-        assert np.array_equal(state[halo],
-                              MOVING_EXTERIOR.value(t, traj.disc.halo_x))
+    assert_halos_are_the_exterior_at_their_times(traj)
+
+
+@pytest.mark.parametrize("every", [1, 3])
+def test_halos_written_a_block_at_a_time_are_the_exterior_at_their_times(
+        monkeypatch, every):
+    # blocks of 2 steps: each block's halos are written in one call
+    from levyfv import stencil
+    c = conf(1 / 32, store_every=every)
+    st = build_stencil(single_atom(), c.dx, c.r, c.Z)
+    n_full = scheme.discretize(MOVING_SPEC, c.dx, st.Z).grid.n_full
+    monkeypatch.setattr(stencil, "BLOCK_VALUES", 2 * n_full)
+    traj = solve(MOVING_SPEC, st, c)
+    assert len(scheme.row_blocks(traj.stats["n_steps"], n_full)) > 2
+    assert_halos_are_the_exterior_at_their_times(traj)
 
 
 @pytest.mark.parametrize("measure", [
@@ -709,19 +728,23 @@ def test_zero_measure_burgers_error_at_T_falls_as_dx_halves(name):
 
 def test_picard_iterate_zero_writes_its_halos_on_the_stored_times(
         monkeypatch):
-    seen = []
-    real = DiscreteProblem.refresh_halo
+    # iterate 0, the run the first iterate marches against, is zero on the
+    # interior with the exterior datum at each stored time in its halo
+    frozen = []
+    real = scheme.solve
 
-    def recording(self, u_full, t):
-        seen.append(float(t))
-        return real(self, u_full, t)
+    def recording(*args, **kwargs):
+        frozen.append(kwargs["frozen"])
+        return real(*args, **kwargs)
 
-    monkeypatch.setattr(DiscreteProblem, "refresh_halo", recording)
+    monkeypatch.setattr(scheme, "solve", recording)
     res = picard_solve(MOVING_SPEC, single_atom(z=0.3, w=0.5),
                        conf(1 / 32, Z=0.5), k_max=2, tol=0.0)
-    times = res.trajectory.times.tolist()
-    # iterate 0, then one solve per iterate, each on the same stored times
-    assert seen == times * 3
+    zero = frozen[0]
+    assert zero.times.tobytes() == res.trajectory.times.tobytes()
+    assert not zero.states[:, zero.grid.interior].any()
+    assert_halos_are_the_exterior_at_their_times(zero)
+    assert_halos_are_the_exterior_at_their_times(res.trajectory)
 
 
 def _same_run(a, b):
@@ -974,7 +997,7 @@ def test_thinned_solve_stores_every_kth_state_of_the_full_one(name, every):
 
 
 THINNED_PASSES = {
-    "l1_series": lambda tr: scheme.l1_series(tr, tr),
+    "pair_series": lambda tr: scheme.pair_series(tr, tr),
     "gamma": lambda tr: tr.gamma(),
     "order_preservation": lambda tr: analysis.order_preservation_check(tr,
                                                                        tr),

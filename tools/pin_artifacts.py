@@ -7,11 +7,9 @@ Every run calls `python -m levyfv.cli` on TREE/src (default: the checkout
 that holds this script) in its own directory under OUT_DIR, and records its
 exit code and console output next to the files it wrote.  The two lines of
 each report's `timestamp` (`written_at`, `wall_time_s`) are stripped.  In
-the console output TREE is written `<root>` and the line of a warning's
-source `#`: numpy warnings name their file and line, and a line added above
-the warning site changes nothing the program does.  The acceptance
-criteria's `CRITERION` lines are kept with their runtimes masked.
-Behaviour is pinned when
+the console output TREE is written `<root>`; the rest of it is kept as
+printed.  The acceptance criteria's `CRITERION` lines are kept with their
+runtimes masked.  Behaviour is pinned when
 
     diff -r OUT_PARENT OUT_CHANGE
 
@@ -235,7 +233,6 @@ def matrix():
 
 
 STAMP = re.compile(r'^\s*"(written_at|wall_time_s)": ')
-WARNED_AT = re.compile(r"^(\S+\.py):\d+:", re.MULTILINE)
 
 
 def strip_timestamps(path):
@@ -270,7 +267,7 @@ def run_matrix(root, out):
                               text=True)
         console = f"exit {proc.returncode}\n{proc.stdout}{proc.stderr}"
         with open(os.path.join(where, "console.txt"), "w") as fh:
-            fh.write(WARNED_AT.sub(r"\1:#:", console.replace(root, "<root>")))
+            fh.write(console.replace(root, "<root>"))
         for fname in os.listdir(where):
             if fname.endswith(".json") and fname != "cfg.json":
                 strip_timestamps(os.path.join(where, fname))
