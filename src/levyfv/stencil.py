@@ -12,6 +12,7 @@ is monotone.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -22,6 +23,7 @@ from .measures import LevyMeasure, atomic_symbol, validate_measure
 from .multiplier import MultiplierEval
 
 BLOCK_VALUES = 1 << 16       # values per block of rows in batched passes
+FFT_WORK = 3e5               # valid values x kernel size from which to FFT
 
 
 @dataclass(frozen=True)
@@ -56,6 +58,13 @@ class StencilWeights:
             return None
         w = self.weights[:int(nonzero[-1]) + 1]
         return np.concatenate([w[::-1], [-2.0 * w.sum()], w])
+
+    @cached_property
+    def spectra(self) -> dict:
+        """The kernel's real FFT per row length m, as (L, rfft(kernel, L))
+        at the smallest 5-smooth L >= m: filled by `_convolve_rows` on the
+        first use of each m and kept."""
+        return {}
 
     @cached_property
     def without_tail(self) -> StencilWeights:
@@ -126,10 +135,10 @@ def apply_stencil(values: np.ndarray, s: StencilWeights, n_halo: int,
     Returns sum_j w_j (v(x + j dx) - v(x)) + tau (tail_value - v(x)).
 
     The shifts are one convolution with the symmetric kernel `s.kernel`,
-    taken directly row by row (`_convolve_rows`).  Each row's first interior
-    value is subtracted before convolving; the kernel sums to zero, so a
-    constant field convolves zeros and maps to exactly zero.  A stencil
-    without nonzero weights does no convolution.
+    taken row by row (`_convolve_rows`).  Each row's first interior value is
+    subtracted before convolving; the kernel sums to zero, so a constant
+    field convolves (or transforms) zeros and maps to exactly zero.  A
+    stencil without nonzero weights does no convolution.
     """
     values = np.asarray(values, dtype=float)
     if n_halo < s.max_offset:
@@ -144,7 +153,7 @@ def apply_stencil(values: np.ndarray, s: StencilWeights, n_halo: int,
         J = kernel.size // 2
         seg = values[..., c0 - J:c0 + n_int + J] - values[..., c0:c0 + 1]
         rows = seg.reshape(-1, seg.shape[-1])
-        out = _convolve_rows(rows, kernel, np.empty((rows.shape[0], n_int)))
+        out = _convolve_rows(rows, s, np.empty((rows.shape[0], n_int)))
         out = out.reshape(center.shape)
     else:
         out = np.zeros_like(center)
@@ -153,12 +162,40 @@ def apply_stencil(values: np.ndarray, s: StencilWeights, n_halo: int,
     return out
 
 
-def _convolve_rows(rows, kernel: np.ndarray, out: np.ndarray) -> np.ndarray:
+def _convolve_rows(rows: np.ndarray, s: StencilWeights,
+                   out: np.ndarray) -> np.ndarray:
     """The one place the jump kernel is applied: `out[i]` is the "valid"
-    part of the convolution of the i-th of `rows` with `kernel`."""
-    for i, row in enumerate(rows):
-        out[i] = np.convolve(row, kernel, "valid")
+    part of the convolution of row i of the 2-D `rows` with `s.kernel`.
+
+    Rows of length m go by a real FFT when (m - k + 1) * k >= FFT_WORK, k
+    the kernel size, and by `np.convolve` below that.  The FFT runs at the
+    smallest 5-smooth length L >= m, unpadded: the valid part of a circular
+    convolution of length L >= m wraps nothing.  The rule reads m and k,
+    never the row count, and each row is transformed on its own, so a row's
+    bits do not depend on where a block of rows is cut.  The two paths
+    differ by at most 64 eps sum|kernel| max|row|."""
+    kernel = s.kernel
+    m, k = rows.shape[-1], kernel.size
+    if (m - k + 1) * k < FFT_WORK:
+        for i, row in enumerate(rows):
+            out[i] = np.convolve(row, kernel, "valid")
+        return out
+    if m not in s.spectra:
+        L = next(L for L in itertools.count(m) if _smooth(L))
+        s.spectra[m] = (L, np.fft.rfft(kernel, L))
+    L, spectrum = s.spectra[m]
+    transformed = np.fft.rfft(rows, L)
+    transformed *= spectrum
+    out[:] = np.fft.irfft(transformed, L)[:, k - 1:m]
     return out
+
+
+def _smooth(n: int) -> bool:
+    """Whether n has no prime factor above 5."""
+    for p in (2, 3, 5):
+        while n % p == 0:
+            n //= p
+    return n == 1
 
 
 def row_blocks(n_rows: int, row_len: int) -> list:
@@ -211,24 +248,20 @@ def zero_extended_sum(g: np.ndarray, s: StencilWeights,
     row of the 2-D `g` (interior cells), added row by row in order.
 
     Summed by parts, the form of a field g~ that vanishes outside equals
-    -<g, k * g~>, k the jump kernel `s.kernel`: each row is copied into a
-    zero pad of J = `kernel.size // 2` cells per side, convolved once
-    (`_convolve_rows`) and paired with itself.  A row's term does not depend
-    on the other rows, so a running sum fed block by block does not depend
-    on where the blocks are cut; a zero row adds exactly zero."""
+    -<g, k * g~>, k the jump kernel `s.kernel`: the rows are copied into
+    one block with a zero pad of J = `kernel.size // 2` cells per side,
+    convolved once (`_convolve_rows`) and each paired with itself.  A row's
+    term does not depend on the other rows, so a running sum fed block by
+    block does not depend on where the blocks are cut; a zero row adds
+    exactly zero."""
     kernel = s.kernel
     if kernel is None:
         return total
     J = kernel.size // 2
     n = g.shape[-1]
-    pad = np.zeros(n + 2 * J)
-
-    def padded():
-        for row in g:
-            pad[J:J + n] = row
-            yield pad
-
-    kg = _convolve_rows(padded(), kernel, np.empty((len(g), n)))
+    pad = np.zeros((len(g), n + 2 * J))
+    pad[:, J:J + n] = g
+    kg = _convolve_rows(pad, s, np.empty((len(g), n)))
     for row, k_row in zip(g, kg):
         total -= float(np.dot(row, k_row))
     return total

@@ -109,6 +109,11 @@ ENERGY_RHS = {"mode": "solve", "problem": {
     "measure": {"kind": "fractional", "alpha": 1.0, "lo": 0.03125},
     "dx": 1.0 / 64, "Z": 0.5, "energy": True}
 ENERGY_RHS_STORE_EVERY_7 = {**ENERGY_RHS, "store_every": 7}
+# a stencil wide enough for the kernel's FFT path (512 valid values x 1025
+# kernel values >= stencil.FFT_WORK), in the march and in the energy form
+WIDE_FFT = {"mode": "solve", "problem": "burgers_bump",
+            "measure": {"kind": "fractional", "alpha": 1.0, "lo": 0.03125},
+            "dx": 1.0 / 512, "Z": 1.0, "energy": True}
 # a step far above the CFL bound overflows mid-run: exit 3 names its time
 NONFINITE = {"mode": "solve", "problem": "burgers_bump",
              "measure": "single_atom", "dx": 1.0 / 32, "Z": 0.5, "dt": 0.9,
@@ -200,6 +205,7 @@ def matrix():
         ("multi_block_energy", ["run", "--auto-cfl"], MULTI_BLOCK_ENERGY),
         ("energy_rhs", ["run"], ENERGY_RHS),
         ("energy_rhs_store_every_7", ["run"], ENERGY_RHS_STORE_EVERY_7),
+        ("wide_fft", ["run"], WIDE_FFT),
         ("nonfinite", ["run"], NONFINITE),
         ("table_solve", ["run"], TABLE_SOLVE),
         ("table_picard", ["run"], TABLE_PICARD),
