@@ -40,7 +40,6 @@ from .scheme import (
     SchemeConfig,
     Trajectory,
     cfl_max_dt,
-    l1_q_distance,
     picard_solve,
     solve,
     stability_run,

@@ -549,12 +549,6 @@ def mollification_slacks(u: np.ndarray, diffusion: DiffusionFn,
     return (rhs - lhs).min(axis=-1)
 
 
-def mollification_bound_check(u: np.ndarray, diffusion: DiffusionFn,
-                              weights: np.ndarray) -> float:
-    """The worst of `mollification_slacks` over every field of `u`."""
-    return float(mollification_slacks(u, diffusion, weights).min())
-
-
 def mollification_bound_suite(diffusions, rng, trials: int = 10000) -> dict:
     """Randomized verification of the mollification bound on fields of 32
     cells with a mollifier of half width 4; returns the number of fields

@@ -35,7 +35,7 @@ class BadRadii(LevyFvError):
 
 
 class HaloTooSmall(LevyFvError):
-    """Stored halo narrower than the stencil reach and no extension given."""
+    """Stored halo narrower than the stencil reach."""
 
 
 class ShapeMismatch(LevyFvError):
@@ -43,7 +43,8 @@ class ShapeMismatch(LevyFvError):
 
 
 class DegenerateGrid(LevyFvError):
-    """Grid has no interior cells or nonpositive spacing."""
+    """Grid has no interior cells, no finite cell count or nonpositive
+    spacing."""
 
 
 # -- time stepping ------------------------------------------------------------

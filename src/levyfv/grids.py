@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -61,10 +62,14 @@ class Grid1d:
 
 
 def make_grid(a: float, b: float, dx: float, n_halo: int) -> Grid1d:
-    """Build a grid, requiring dx to divide the interval evenly."""
+    """Build a grid, requiring dx to divide the interval evenly into a
+    finite number of cells."""
     if dx <= 0 or b <= a:
         raise DegenerateGrid(f"bad interval ({a}, {b}) or dx={dx}")
     n_exact = (b - a) / dx
+    if not math.isfinite(n_exact):
+        raise DegenerateGrid(f"interval ({a}, {b}) has no finite number of "
+                             f"cells of width {dx}")
     n = int(round(n_exact))
     if n < 1:
         raise DegenerateGrid("no interior cells")

@@ -312,6 +312,14 @@ def _cosine_tail(y, alpha):
 # atomic kinds
 # ---------------------------------------------------------------------------
 
+def _in_band(rad, a, b, ia, ib) -> bool:
+    """Whether an atom at radius `rad` lies in the band from a to b, each
+    end included when its flag (`ia`, `ib`) is set: the one band test of
+    the atomic kinds."""
+    return ((rad > a or (rad == a and ia)) and
+            (rad < b or (rad == b and ib)))
+
+
 @dataclass(frozen=True)
 class AtomicSymmetric(LevyMeasure):
     """Finite list of mirrored atom pairs.
@@ -346,13 +354,9 @@ class AtomicSymmetric(LevyMeasure):
             merged[rad] = merged.get(rad, 0.0) + float(entry[1])
         return sorted(merged.items())
 
-    def _in_band(self, rad, a, b, ia, ib):
-        return ((rad > a or (rad == a and ia)) and
-                (rad < b or (rad == b and ib)))
-
     def _atoms(self, a, b, ia, ib):
         return [(rad, w) for rad, w in self._pairs()
-                if self._in_band(rad, a, b, ia, ib)]
+                if _in_band(rad, a, b, ia, ib)]
 
 
 @dataclass(frozen=True)
@@ -370,18 +374,6 @@ class _DyadicFamily(LevyMeasure):
         """Sum over j > k of pair_weight(j) * 4^-j, in closed form."""
         raise NotImplementedError
 
-    def _k_range(self, a, b, ia, ib):
-        """Explicit atom indices in the band."""
-        ks = []
-        for k in range(1, self.EXPLICIT_ATOMS + 1):
-            rad = 2.0 ** -k
-            if rad > b or (rad == b and not ib):
-                continue
-            if rad < a or (rad == a and not ia):
-                break
-            ks.append(k)
-        return ks
-
     # a band from below 2^-EXPLICIT_ATOMS holds atoms past the explicit ones
     def _mass(self, a, b, ia, ib):
         if a < 2.0 ** -self.EXPLICIT_ATOMS:
@@ -398,7 +390,8 @@ class _DyadicFamily(LevyMeasure):
     # xi^2 * tail_second / 2
     def _atoms(self, a, b, ia, ib):
         return [(2.0 ** -k, 0.5 * self._pair_weight(k))
-                for k in self._k_range(a, b, ia, ib)]
+                for k in range(1, self.EXPLICIT_ATOMS + 1)
+                if _in_band(2.0 ** -k, a, b, ia, ib)]
 
 
 @dataclass(frozen=True)

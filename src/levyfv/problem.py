@@ -15,8 +15,9 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigParse, HaloTooSmall, UnknownPreset, config_number
+from .errors import ConfigParse, UnknownPreset, config_number
 from .grids import Grid1d, make_grid
+from .stencil import StencilWeights
 
 
 # ---------------------------------------------------------------------------
@@ -105,10 +106,7 @@ class FluxFn:
     f: Callable
     f_plus: Callable   # nondecreasing part, f_plus(0) = 0
     f_minus: Callable  # nonincreasing part, f_minus(0) = 0
-    _lipschitz: Callable
-
-    def lipschitz_on(self, lo: float, hi: float) -> float:
-        return self._lipschitz(lo, hi)
+    lipschitz_on: Callable  # (lo, hi) -> Lipschitz constant of f on [lo, hi]
 
 
 def flux_zero() -> FluxFn:
@@ -165,10 +163,7 @@ class DiffusionFn:
     b: Callable
     bprime: Callable
     antiderivative: Callable
-    _lipschitz: Callable
-
-    def lipschitz_on(self, lo: float, hi: float) -> float:
-        return self._lipschitz(lo, hi)
+    lipschitz_on: Callable  # (lo, hi) -> Lipschitz constant of b on [lo, hi]
 
     def entropy_h(self, u, k):
         return (self.antiderivative(u) - self.antiderivative(k)
@@ -348,10 +343,10 @@ class DiscreteProblem:
         u_full[..., -h:] = vals[:, h:]
 
 
-def discretize(spec: ProblemSpec, dx: float,
-               halo_width: float) -> DiscreteProblem:
-    """Cell-centered sampling of the initial datum on the interior, on a grid
-    with an exterior halo.
+def discretize(spec: ProblemSpec, stencil: StencilWeights) -> DiscreteProblem:
+    """Cell-centered sampling of the initial datum on the interior, on the
+    grid of `stencil`: spacing `stencil.dx` and an exterior halo of
+    `stencil.max_offset` cells per side, the stencil's reach.
 
     The recorded data range is taken over the sampled initial datum and the
     exterior values on the halo at 33 times across [0, T].  For a steady
@@ -365,10 +360,7 @@ def discretize(spec: ProblemSpec, dx: float,
     if not 0.0 < spec.T < math.inf:
         raise ConfigParse(f"T must be positive and finite, got {spec.T}")
     a, b = spec.domain
-    n_halo = int(math.ceil(halo_width / dx - 1e-12))
-    if n_halo < 1:
-        raise HaloTooSmall("halo must cover at least one cell")
-    grid = make_grid(a, b, dx, n_halo)
+    grid = make_grid(a, b, stencil.dx, stencil.max_offset)
     u0 = np.empty(grid.n)
     u0[:] = spec.u0(grid.x_interior())
     vals = sample_rows(spec.exterior.value, np.linspace(0.0, spec.T, 33),

@@ -301,7 +301,7 @@ def solve(spec: ProblemSpec, stencil: StencilWeights, config: SchemeConfig,
                              f"config has dx={config.dx}")
     cfl_spec = spec
     if frozen is None:
-        disc = discretize(spec, config.dx, stencil.Z)
+        disc = discretize(spec, stencil)
     elif frozen.spec != spec or frozen.stencil is not stencil:
         raise ConfigMismatch("frozen run is of another problem or stencil")
     else:
@@ -422,40 +422,15 @@ class Gamma:
 # trajectory comparison helpers
 # ---------------------------------------------------------------------------
 
-def paired_rows(other: Trajectory, rows, times, block, ordered=False):
-    """The rule that makes a march comparable with the stored trajectory
-    `other`, checked on one observed block (see `solve`): the same time
-    count, grid width and times (within 1e-12), and equal halos (with
-    `ordered`, the march's halos below `other`'s), else `ConfigMismatch`.
-    Returns (new, u, v): the rows `u` of `block` not seen in an earlier
-    block (row 0 of a later block is the last row of the one before), their
-    step indices `new`, and `other`'s states `v` at those steps."""
-    if rows.stop >= len(other.times):
-        raise ConfigMismatch("trajectories use different time steps")
-    if block.shape[1] != other.states.shape[1]:
-        raise ConfigMismatch("trajectories live on different grids")
-    first = 1 if rows.start else 0
-    new = slice(rows.start + first, rows.stop + 1)
-    u = block[first:]
-    v = other.states[new]
-    if not (np.abs(times[first:] - other.times[new]) <= 1e-12).all():
-        raise ConfigMismatch("trajectories use different time steps")
-    h = other.grid.n_halo
-    for side in (slice(None, h), slice(-h, None)):
-        uh, vh = u[:, side], v[:, side]
-        if ordered and not np.all(uh <= vh):
-            raise ConfigMismatch("trajectories carry unordered exterior data")
-        if not ordered and not np.array_equal(uh, vh):
-            raise ConfigMismatch("trajectories carry different exterior data")
-    return new, u, v
-
-
 class PairSeries:
     """Observer of a march (`solve`, `replay`) paired with the stored run
-    `other`, which must store every step and be comparable (`paired_rows`,
-    `ordered` halos or equal ones): `rule(u, v, buf)` of the interior rows
-    u of the march and v of `other`, one value per step, by default `l1`,
-    in one reused buffer `buf` (a fresh temporary faults in new pages)."""
+    `other`, which must store every step: `rule(u, v, buf)` of the interior
+    rows u of the march and v of `other`, one value per step, by default
+    `l1`, in one reused buffer `buf` (a fresh temporary faults in new
+    pages).  This is the one rule that makes a march comparable with a
+    stored run, checked on each observed block: the same time count, grid
+    width and times (within 1e-12), and equal halos (with `ordered`, the
+    march's halos below `other`'s), else `ConfigMismatch`."""
 
     def __init__(self, other: Trajectory, rule=None, ordered=False):
         other.require_every_step()
@@ -467,10 +442,30 @@ class PairSeries:
         self.buf = np.empty((0, other.grid.n))
 
     def __call__(self, rows, times, block):
-        new, u, v = paired_rows(self.other, rows, times, block, self.ordered)
-        inside = self.other.grid.interior
+        other = self.other
+        if rows.stop >= len(other.times):
+            raise ConfigMismatch("trajectories use different time steps")
+        if block.shape[1] != other.states.shape[1]:
+            raise ConfigMismatch("trajectories live on different grids")
+        # row 0 of a later block is the last row of the one before
+        first = 1 if rows.start else 0
+        new = slice(rows.start + first, rows.stop + 1)
+        u = block[first:]
+        v = other.states[new]
+        if not (np.abs(times[first:] - other.times[new]) <= 1e-12).all():
+            raise ConfigMismatch("trajectories use different time steps")
+        h = other.grid.n_halo
+        for side in (slice(None, h), slice(-h, None)):
+            uh, vh = u[:, side], v[:, side]
+            if self.ordered and not np.all(uh <= vh):
+                raise ConfigMismatch(
+                    "trajectories carry unordered exterior data")
+            if not self.ordered and not np.array_equal(uh, vh):
+                raise ConfigMismatch(
+                    "trajectories carry different exterior data")
+        inside = other.grid.interior
         if len(u) > len(self.buf):
-            self.buf = np.empty((len(u), self.other.grid.n))
+            self.buf = np.empty((len(u), other.grid.n))
         self.out[new] = (self.rule or self.l1)(u[:, inside], v[:, inside],
                                                self.buf[:len(u)])
         self.seen = rows.stop + 1
@@ -499,10 +494,6 @@ def pair_series(a: Trajectory, b: Trajectory, rule=None,
     return replay(a, PairSeries(b, rule, ordered))
 
 
-def l1_q_distance(a: Trajectory, b: Trajectory) -> float:
-    return a.dt * float(pair_series(a, b)[:-1].sum())
-
-
 # ---------------------------------------------------------------------------
 # fixed-point construction for bounded measures
 # ---------------------------------------------------------------------------
@@ -513,7 +504,6 @@ class PicardResult:
     gaps: list                      # gaps[k-1] = sup_t ||u_{k+1} - u_k||_L1
     first_iterate_norm: float       # max_t ||u_1||_L1
     iterations: int
-    converged: bool
 
 
 def picard_solve(spec: ProblemSpec, measure: LevyMeasure,
@@ -525,16 +515,20 @@ def picard_solve(spec: ProblemSpec, measure: LevyMeasure,
     (2 L_b ||mu|| T)^k / k! then makes the iterates Cauchy.
 
     tol = 0 runs exactly k_max iterations (envelope-measurement mode);
-    otherwise failing to reach tol raises NoConvergence.
+    otherwise failing to reach tol raises NoConvergence, so a returned run
+    converged or ran the k_max iterates tol = 0 asks for.  A k_max below 1
+    and a tol that is negative or NaN are refused (`ConfigParse`).
     """
     if k_max < 1:
         raise ConfigParse(f"k_max must be >= 1, got {k_max}")
+    if not tol >= 0.0:
+        raise ConfigParse(f"tol must be >= 0, got {tol}")
     if not math.isfinite(measure.total_mass()):
         raise ValueError("fixed-point construction needs a finite measure")
     # the next iterate marches against every step of this one
     config = replace(config, store_every=1)
     stencil = build_stencil(measure, config.dx, config.r, config.Z)
-    disc = discretize(spec, config.dx, stencil.Z)
+    disc = discretize(spec, stencil)
     dt, n_steps = time_grid(disc, [stencil], config)
 
     # iterate 0: zeros, with the halo each iterate's `solve` writes
@@ -556,10 +550,8 @@ def picard_solve(spec: ProblemSpec, measure: LevyMeasure,
         if tol > 0.0:
             raise NoConvergence(f"gap {norms[-1]:.3e} above tol {tol} after "
                                 f"{k_max} iterations", gaps=norms[1:])
-    # under tol > 0 a returned run converged; tol = 0 asks for k_max iterates
     return PicardResult(trajectory=prev, gaps=norms[1:],
-                        first_iterate_norm=norms[0], iterations=k,
-                        converged=tol >= 0.0)
+                        first_iterate_norm=norms[0], iterations=k)
 
 
 # ---------------------------------------------------------------------------
@@ -598,8 +590,7 @@ def stability_run(spec: ProblemSpec, measures,
     measures = list(measures)
     stencils = [build_stencil(m, config.dx, config.r, config.Z)
                 for m in measures]
-    dt, _ = time_grid(discretize(spec, config.dx, stencils[0].Z), stencils,
-                      config)
+    dt, _ = time_grid(discretize(spec, stencils[0]), stencils, config)
     reference = solve(spec, stencils[-1], replace(config, store_every=1),
                       dt_override=dt)
 

@@ -290,7 +290,6 @@ def fourier_energy_check(phi: np.ndarray, dx: float, ev: MultiplierEval,
     lhs: direct double sum through the stencil.  rhs: (2 pi)^-1 times the
     symbol-weighted power spectrum, with the transform normalized as
     phi_hat(xi) = int phi e^(-i xi x) dx and xi on the DFT frequencies.
-    Non-power-of-two sizes are handled by the same FFT and only flagged.
     """
     phi = np.asarray(phi, dtype=float)
     n = phi.shape[-1]

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -220,6 +221,8 @@ NAMED_BAD_ENTRIES = {
     (SOLVE_ARGS + ["--mode", "stability"], {"alpha": "x"}),
     (SOLVE_ARGS + ["--mode", "picard"], {"k_max": "abc"}),
     (SOLVE_ARGS + ["--mode", "picard"], {"tol": "x"}),
+    (SOLVE_ARGS + ["--mode", "picard"], {"tol": -1, "k_max": 3}),
+    (SOLVE_ARGS + ["--mode", "picard"], {"tol": math.nan, "k_max": 3}),
     (SOLVE_ARGS + ["--mode", "vanishing"], {"n_list": [0]}),
     (SOLVE_ARGS + ["--mode", "stability"], {"r_list": [0.25, 0]}),
     # without a measure, which the chain modes would refuse first
@@ -234,7 +237,8 @@ NAMED_BAD_ENTRIES = {
     ids=["dt_zero", "dt_nan", "dt_negative", "dt_negative_unenforced",
          "picard_k_max_0", "picard_k_max_0_tol_0", "picard_infinite_mass",
          "vanishing_alpha_3", "stability_alpha_3", "stability_alpha_text",
-         "picard_k_max_text", "picard_tol_text", "vanishing_n_list_0",
+         "picard_k_max_text", "picard_tol_text", "picard_tol_negative",
+         "picard_tol_nan", "vanishing_n_list_0",
          "stability_r_list_0", "vanishing_alpha_bool", "vanishing_n_list_bool",
          "stability_r_list_bool", "vanishing_n_list_empty",
          "stability_r_list_empty", "flags_text"] + list(NAMED_BAD_ENTRIES))
@@ -320,6 +324,19 @@ def test_unrepresentable_step_count_exit_3(tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("runtime error: ")
     assert "cannot represent" in err[0]
+
+
+@pytest.mark.parametrize("end", [math.inf, math.nan, 1e308])
+def test_a_domain_without_a_finite_cell_count_exit_3(tmp_path, capsys, end):
+    # (b - a) / dx is not finite: a degenerate grid, refused in one line
+    problem = json.dumps({"flux": "burgers", "diffusion": "identity",
+                          "data": "bump", "domain": [0.0, end]})
+    assert main(["run", "--mode", "solve", "--problem", problem, "--measure",
+                 "none", "--dx", "0.03125", "--Z", "0.5",
+                 "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("runtime error: ")
+    assert "finite number of cells" in err[0]
 
 
 def test_runtime_error_exit_3(tmp_path):
@@ -828,9 +845,9 @@ def test_solve_mode_holds_one_full_trajectory(tmp_path):
     cfg = {"mode": "solve", "problem": "burgers_riemann", "measure": "none",
            "dx": 1 / 1024, "r": 1 / 1024, "Z": 1 / 64, "store_every": 64}
     c = SchemeConfig(dx=cfg["dx"], r=cfg["r"], Z=cfg["Z"])
-    disc = discretize(problem_from_config(cfg["problem"]), c.dx, c.Z)
-    _, n_steps = time_grid(disc, [build_stencil(zero_measure(), c.dx, c.r,
-                                                c.Z)], c)
+    st = build_stencil(zero_measure(), c.dx, c.r, c.Z)
+    disc = discretize(problem_from_config(cfg["problem"]), st)
+    _, n_steps = time_grid(disc, [st], c)
     full_nbytes = 8 * (n_steps + 1) * disc.grid.n_full
     tracemalloc.start()
     try:

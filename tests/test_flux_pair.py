@@ -94,7 +94,7 @@ def make_case(name, kind, jumps=False):
     stencil = build_stencil(single_atom(z=0.125, w=0.5) if jumps
                             else zero_measure(), config.dx, config.r,
                             config.Z)
-    disc = discretize(spec, config.dx, stencil.Z)
+    disc = discretize(spec, stencil)
     return spec, disc, stencil, config, flux.lipschitz_on(-1.0, 2.0)
 
 
@@ -206,7 +206,7 @@ def test_a_step_into_out_allocates_no_interior_sized_array(name, kind):
     config = SchemeConfig(dx=1 / 4096, r=1 / 4096, Z=1 / 256,
                           numerical_flux=kind)
     stencil = build_stencil(zero_measure(), config.dx, config.r, config.Z)
-    disc = discretize(spec, config.dx, stencil.Z)
+    disc = discretize(spec, stencil)
     lo, hi = disc.data_range
     pair = _numerical_flux(config, spec, spec.flux.lipschitz_on(lo, hi))
     u = np.zeros(disc.grid.n_full)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
 from levyfv.errors import ConfigMismatch, DivergentLevyMoment, MassAtOrigin, \
@@ -334,6 +335,38 @@ def test_composite_band_quantities_are_leaf_sums(name, band):
                 [(rad, coef * w) for coef, atoms in per_leaf
                  for rad, w in atoms])
     assert m.atoms_between(*band) == expected
+
+
+# atomic leaves with their explicit atoms, (radius, per-side weight) in the
+# order the leaf lists them: the dyadic radii 2^-k descending, an atom list's
+# radii ascending
+_DYADIC_A = [(2.0 ** -k, 0.5) for k in range(1, 61)]
+_DYADIC_B = [(2.0 ** -k, 0.5 * 2.0 ** k) for k in range(1, 61)]
+ATOMIC_LEAVES = {
+    "dyadic_a": (DyadicA(), _DYADIC_A),
+    "dyadic_b": (DyadicB(), _DYADIC_B),
+    "dyadic_a_windowed": (DyadicA(lo=2.0 ** -40, hi=0.3), _DYADIC_A),
+    "dyadic_b_windowed": (DyadicB(lo=1 / 32, hi=0.5), _DYADIC_B),
+    "atoms": (AtomicSymmetric(entries=((-0.5, 0.25), (0.125, 1.0),
+                                       (0.25, 0.5))),
+              [(0.125, 1.0), (0.25, 0.5), (0.5, 0.25)]),
+    "atoms_windowed": (_ATOMS, [(0.1, 0.5), (0.25, 0.25), (0.6, 0.125)]),
+}
+# band ends on atoms and window edges, between them, and past either end
+_END = st.one_of(st.sampled_from([0.0, 0.1, 0.2, 0.3, 0.6, math.inf]
+                                 + [2.0 ** -k for k in range(0, 63)]),
+                 st.floats(0.0, 2.0))
+
+
+@pytest.mark.parametrize("name", sorted(ATOMIC_LEAVES))
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(a=_END, b=_END, ia=st.booleans(), ib=st.booleans())
+def test_atoms_between_is_a_filter_of_the_explicit_atoms(name, a, b, ia, ib):
+    m, explicit = ATOMIC_LEAVES[name]
+    want = [(rad, w) for rad, w in explicit
+            if (rad >= a if ia else rad > a) and (rad <= b if ib else rad < b)
+            and m.lo <= rad <= m.hi]
+    assert m.atoms_between(a, b, ia, ib) == want
 
 
 @pytest.mark.parametrize("name", sorted(COMPOSITES))

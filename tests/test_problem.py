@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from levyfv.errors import DegenerateGrid, UnknownPreset
+from levyfv.measures import zero_measure
 from levyfv.problem import (PROBLEM_PRESETS, ExteriorData, PiecewiseLinear,
                             ProblemSpec, diffusion_from_table,
                             diffusion_identity, diffusion_power,
@@ -12,6 +14,7 @@ from levyfv.problem import (PROBLEM_PRESETS, ExteriorData, PiecewiseLinear,
                             flux_burgers, flux_from_table, flux_linear,
                             make_problem, problem_from_config,
                             validate_problem)
+from levyfv.stencil import build_stencil
 
 
 def test_preset_normalization_exact():
@@ -106,19 +109,36 @@ def test_stefan_above_range_is_identically_zero_on_range():
 
 # -- discretize ---------------------------------------------------------------
 
+def stencil_of(dx, Z=0.25):
+    """A stencil of spacing dx without jumps, reaching Z: the grid that
+    `discretize` takes."""
+    return build_stencil(zero_measure(), dx, dx, Z)
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(n=st.integers(1, 4000), K=st.integers(1, 30000))
+@example(n=3000, K=24001)   # ceil(Z / dx - 1e-12) gave K + 1 cells here
+def test_discretize_halo_is_the_stencil_reach(n, K):
+    dx = 1.0 / n
+    sw = stencil_of(dx, K * dx)
+    assert sw.max_offset == K
+    grid = discretize(make_problem("burgers", "zero", "bump"), sw).grid
+    assert grid.n_halo == sw.max_offset and grid.n == n
+
+
 def test_discretize_interval_constant_data():
     spec = ProblemSpec(domain=(0.0, 1.0), flux=flux_burgers(),
                        diffusion=diffusion_zero(),
                        u0=lambda x: np.ones_like(np.asarray(x, dtype=float)),
                        exterior=exterior_constant(0.0), T=0.5)
-    disc = discretize(spec, 1.0 / 16, 0.25)
+    disc = discretize(spec, stencil_of(1.0 / 16))
     assert disc.u0.shape == (disc.grid.n,) and np.all(disc.u0 == 1.0)
     assert disc.data_range == (0.0, 1.0)
 
 
 def test_discretize_riemann_range_is_step_levels():
     spec = PROBLEM_PRESETS["burgers_riemann"]()
-    disc = discretize(spec, 1.0 / 64, 0.25)
+    disc = discretize(spec, stencil_of(1.0 / 64))
     assert disc.data_range == (0.0, 1.0)
 
 
@@ -126,7 +146,7 @@ def test_discretize_empty_interior():
     # an interval narrower than half a cell has no interior cells
     spec = make_problem("burgers", "zero", "bump", domain=(0.0, 0.1))
     with pytest.raises(DegenerateGrid):
-        discretize(spec, 0.25, 0.25)
+        discretize(spec, stencil_of(0.25))
 
 
 # -- exterior extension --------------------------------------------------------
@@ -177,7 +197,7 @@ def test_refresh_halo_equals_exterior_values_at_halo_cells(ext, batch):
                        diffusion=diffusion_zero(),
                        u0=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
                        exterior=ext, T=1.0)
-    disc = discretize(spec, 1.0 / 32, 0.25)
+    disc = discretize(spec, stencil_of(1.0 / 32))
     halo = disc.grid.halo_mask()
     rng = np.random.default_rng(5)
     for t in (0.0, 0.3, 0.77, 1.0):
@@ -205,7 +225,7 @@ def test_refresh_halo_writes_each_row_at_its_time(steady):
                        u0=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
                        exterior=ExteriorData(value=value, steady=steady),
                        T=1.0)
-    disc = discretize(spec, 1.0 / 32, 0.25)
+    disc = discretize(spec, stencil_of(1.0 / 32))
     halo = disc.grid.halo_mask()
     times = np.linspace(0.0, 1.0, 5)
     u = np.zeros((len(times), disc.grid.n_full))

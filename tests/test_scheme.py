@@ -16,7 +16,7 @@ from levyfv.problem import (PROBLEM_PRESETS, DiscreteProblem, ExteriorData,
                             flux_burgers, flux_linear, flux_zero, make_problem,
                             sample_rows)
 from levyfv import analysis, scheme
-from levyfv.scheme import (SchemeConfig, cfl_max_dt, l1_q_distance,
+from levyfv.scheme import (SchemeConfig, cfl_max_dt, pair_series,
                            picard_solve, solve, stability_run, step,
                            vanishing_viscosity_run)
 from levyfv.stencil import apply_stencil, build_stencil
@@ -53,7 +53,7 @@ def test_monotone_update_brute_force():
     dx = 0.1
     st = build_stencil(single_atom(z=0.3, w=0.5), dx, dx, 0.5)
     from levyfv.problem import discretize
-    disc = discretize(spec, dx, st.Z)
+    disc = discretize(spec, st)
     dt = cfl_max_dt(spec, st, dx, disc.data_range)
     rng = np.random.default_rng(4)
     c = conf(dx, Z=0.5)
@@ -165,7 +165,8 @@ def test_lax_friedrichs_cross_check():
                dt_override=float(eo.times[1] - eo.times[0]))
     from levyfv import analysis
     assert analysis.max_principle_check(lf).passed
-    assert l1_q_distance(eo, lf) <= 20 * dx  # both first order, same limit
+    # both first order, same limit
+    assert eo.dt * float(pair_series(eo, lf)[:-1].sum()) <= 20 * dx
 
 
 def test_cfl_violation_raised_when_enforced():
@@ -199,7 +200,7 @@ def test_nonfinite_mid_block_names_the_step_and_no_observer_sees_it(
     spec = make_problem("burgers", "identity", "bump", T=40.0)
     c = conf(1 / 32, Z=0.5, dt=0.9, enforce_cfl=False, store_every=every)
     st = build_stencil(single_atom(), c.dx, c.r, c.Z)
-    disc = scheme.discretize(spec, c.dx, st.Z)
+    disc = scheme.discretize(spec, st)
     dt, n_steps = scheme.time_grid(disc, [st], c)
     times = np.linspace(0.0, spec.T, n_steps + 1)
     u = np.empty(disc.grid.n_full)
@@ -285,7 +286,8 @@ def test_picard_limit_matches_direct_solve(tail_mode, measure):
     direct = solve(spec, st, c,
                    dt_override=float(res.trajectory.times[1]
                                      - res.trajectory.times[0]))
-    assert l1_q_distance(res.trajectory, direct) <= 10 * tol
+    l1 = pair_series(res.trajectory, direct)
+    assert res.trajectory.dt * float(l1[:-1].sum()) <= 10 * tol
 
 
 def test_picard_requires_finite_mass():
@@ -370,7 +372,7 @@ def test_drop_jump_term_reuses_one_tail_free_stencil(monkeypatch):
     st = build_stencil(truncate(FractionalRadial(alpha=1.0), 1 / 16)[1],
                        1 / 32, 1 / 16, 0.25)
     assert st.tau > 0.0
-    disc = discretize(spec, 1 / 32, st.Z)
+    disc = discretize(spec, st)
     b = np.random.default_rng(9).uniform(0.0, 1.0, (5, disc.grid.n_full))
     want = apply_stencil(b, replace(st, tau=0.0), disc.grid.n_halo)
     seen = []
@@ -464,7 +466,7 @@ def test_time_grid_refuses_a_horizon_that_is_not_positive_and_finite(T):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ConfigParse, match="^T must be positive"):
-            scheme.time_grid(discretize(spec, c.dx, st.Z), [st], c)
+            scheme.time_grid(discretize(spec, st), [st], c)
 
 
 def test_stability_identical_measures_zero_distances():
@@ -515,7 +517,7 @@ def test_chain_observes_its_members_as_the_old_formulas(monkeypatch, name):
     b_ref = b(rep.reference.interior())
     for tr, l1, l2 in zip(rep.trajectories, rep.l1_distances,
                           rep.l2_b_distances):
-        assert l1 == l1_q_distance(tr, rep.reference)
+        assert l1 == tr.dt * float(pair_series(tr, rep.reference)[:-1].sum())
         want = l2_q_distance(b(tr.interior()), b_ref, rep.reference.dt, dx)
         assert abs(l2 - want) <= 1e-15 * want
 
@@ -611,7 +613,7 @@ def test_halos_written_a_block_at_a_time_are_the_exterior_at_their_times(
     from levyfv import stencil
     c = conf(1 / 32, store_every=every)
     st = build_stencil(single_atom(), c.dx, c.r, c.Z)
-    n_full = scheme.discretize(MOVING_SPEC, c.dx, st.Z).grid.n_full
+    n_full = scheme.discretize(MOVING_SPEC, st).grid.n_full
     monkeypatch.setattr(stencil, "BLOCK_VALUES", 2 * n_full)
     traj = solve(MOVING_SPEC, st, c)
     assert len(scheme.row_blocks(traj.stats["n_steps"], n_full)) > 2
@@ -664,7 +666,7 @@ def test_solve_calls_step_once_per_step(monkeypatch, case, every):
     spec, measure = STEP_COUNT_CASES[case]
     c = conf(1 / 32, store_every=every)
     st = build_stencil(measure, c.dx, c.r, c.Z)
-    disc = discretize(spec, c.dx, st.Z)
+    disc = discretize(spec, st)
     dt, n_steps = scheme.time_grid(disc, [st], c)
     observers = [analysis.MaxPrinciple(disc),
                  analysis.MassBudget(disc, st, c, dt),
@@ -777,7 +779,7 @@ def test_steady_halo_is_carried_across_blocks(monkeypatch):
     moving = replace(spec, exterior=replace(spec.exterior, steady=False))
     c = conf(1 / 64, Z=0.5, store_every=7)
     st = build_stencil(single_atom(), c.dx, c.r, c.Z)
-    n_full = scheme.discretize(spec, c.dx, st.Z).grid.n_full
+    n_full = scheme.discretize(spec, st).grid.n_full
     monkeypatch.setattr(stencil, "BLOCK_VALUES", 5 * n_full)
     steady = solve(spec, st, c)
     assert steady.stats["n_steps"] > 3 * 5
@@ -796,7 +798,7 @@ def test_gamma_observed_over_blocks_is_gamma_of_the_run_stored_whole(
         spec = replace(spec, exterior=exterior_constant(0.1))
     c = conf(1 / 64, Z=0.5)
     st = build_stencil(single_atom(), c.dx, c.r, c.Z)
-    disc = scheme.discretize(spec, c.dx, st.Z)
+    disc = scheme.discretize(spec, st)
     monkeypatch.setattr(stencil, "BLOCK_VALUES", 3 * disc.grid.n_full)
     full = solve(spec, st, c)
     n_steps = full.stats["n_steps"]
@@ -813,7 +815,8 @@ def test_gamma_observed_over_blocks_is_gamma_of_the_run_stored_whole(
 @pytest.mark.parametrize("preset", sorted(PROBLEM_PRESETS))
 def test_preset_exteriors_are_steady(preset):
     spec = PROBLEM_PRESETS[preset]()
-    halo_x = scheme.discretize(spec, 1 / 64, 0.5).halo_x
+    st = build_stencil(zero_measure(), 1 / 64, 1 / 64, 0.5)
+    halo_x = scheme.discretize(spec, st).halo_x
     first = spec.exterior.value(0.0, halo_x)
     assert spec.exterior.steady
     for t in (0.3, spec.T):
@@ -836,7 +839,7 @@ def test_moving_halo_outside_the_cfl_range_is_refused_before_stepping(peak):
     c = conf(1 / 128, Z=0.25)
     st = build_stencil(single_atom(), c.dx, c.r, c.Z)
     spec = _pulse_spec(peak)
-    disc = scheme.discretize(spec, c.dx, st.Z)
+    disc = scheme.discretize(spec, st)
     assert disc.data_range == (0.0, 1.0)
     dt, _ = scheme.time_grid(disc, [st], c)
     with pytest.raises(CflViolation) as exc:
@@ -862,7 +865,7 @@ def test_trajectories_on_different_grids_not_comparable():
     b = solve(spec, build_stencil(zero_measure(), 1 / 64, 1 / 64, 0.125),
               conf(1 / 64, Z=0.125))
     with pytest.raises(ConfigMismatch):
-        l1_q_distance(a, b)
+        pair_series(a, b)
 
 
 def test_null_stencil_solve_skips_the_jump_term(monkeypatch):
@@ -937,7 +940,8 @@ def test_picard_norms_in_row_blocks_match_whole_arrays(monkeypatch):
         return iterates[-1]
 
     monkeypatch.setattr(scheme, "solve", recording_solve)
-    n_full = scheme.discretize(spec, c.dx, c.Z).grid.n_full
+    st = build_stencil(single_atom(z=0.3, w=0.5), c.dx, c.r, c.Z)
+    n_full = scheme.discretize(spec, st).grid.n_full
     monkeypatch.setattr(stencil, "BLOCK_VALUES", 5 * n_full)
     res = picard_solve(spec, single_atom(z=0.3, w=0.5), c, k_max=4, tol=0.0)
     n_rows = iterates[0].states.shape[0]
@@ -1058,7 +1062,7 @@ def _picard_oracle(spec, measure, c, k_max):
     calls `step(..., source=src[n])` once per step.  Returns the last
     iterate's states, the gaps and the first iterate's norm."""
     st = build_stencil(measure, c.dx, c.r, c.Z)
-    disc = discretize(spec, c.dx, st.Z)
+    disc = discretize(spec, st)
     dt, n_steps = scheme.time_grid(disc, [st], c)
     times = np.linspace(0.0, spec.T, n_steps + 1)
     inside = disc.grid.interior

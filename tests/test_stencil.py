@@ -478,4 +478,4 @@ def test_fourier_identity_flags_non_power_of_two():
     st = build_stencil(atom, dx, dx, 2.0)
     chk = fourier_energy_check(np.exp(-x ** 2), dx, MultiplierEval(atom), st)
     assert not chk["fft_pow2"]
-    assert chk["rel_err"] <= 1e-3  # fallback path is exact too, just slower
+    assert chk["rel_err"] <= 1e-3

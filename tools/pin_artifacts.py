@@ -156,6 +156,15 @@ TEXT_ENERGY = {"mode": "solve", "problem": "burgers_bump",
                "energy": "no"}
 TEXT_DX = {"mode": "solve", "problem": "burgers_bump",
            "measure": "single_atom", "dx": "0.03125", "Z": 0.5}
+# a Picard tol below 0 is refused (exit 2) before any iterate runs
+NEGATIVE_TOL = {"mode": "picard", "problem": "burgers_bump",
+                "measure": "single_atom", "dx": 1.0 / 32, "Z": 0.5,
+                "tol": -1, "k_max": 3}
+# a domain with no finite cell count is a degenerate grid: exit 3
+INFINITE_DOMAIN = {"mode": "solve", "problem": {
+    "flux": "burgers", "diffusion": "identity", "data": "bump",
+    "domain": [0.0, float("inf")]}, "measure": "none", "dx": 1.0 / 32,
+    "Z": 0.5}
 
 
 def matrix():
@@ -225,6 +234,8 @@ def matrix():
         ("picard_tail_drop", ["run"], PICARD_TAIL_DROP),
         ("picard_cfl", ["run"], PICARD_CFL),
         ("refuse_text_dx", ["run"], TEXT_DX),
+        ("refuse_negative_tol", ["run"], NEGATIVE_TOL),
+        ("refuse_infinite_domain", ["run"], INFINITE_DOMAIN),
     ]
     for label, measure in {**SCAN_MEASURES, **STENCIL_MEASURES}.items():
         ref = json.dumps(measure) if isinstance(measure, dict) else measure
