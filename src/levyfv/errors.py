@@ -31,7 +31,8 @@ class EmptyGrid(LevyFvError):
 # -- discretization -----------------------------------------------------------
 
 class BadRadii(LevyFvError):
-    """Radius ordering 0 < dx <= r <= Z violated."""
+    """Radius ordering 0 < dx <= r <= Z violated, or Z / dx is no finite
+    cell count below 2**52."""
 
 
 class HaloTooSmall(LevyFvError):
@@ -43,8 +44,8 @@ class ShapeMismatch(LevyFvError):
 
 
 class DegenerateGrid(LevyFvError):
-    """Grid has no interior cells, no finite cell count or nonpositive
-    spacing."""
+    """Grid has no interior cells, no finite cell count below 2**52 or
+    nonpositive spacing."""
 
 
 # -- time stepping ------------------------------------------------------------

@@ -63,7 +63,7 @@ class Grid1d:
 
 def make_grid(a: float, b: float, dx: float, n_halo: int) -> Grid1d:
     """Build a grid, requiring dx to divide the interval evenly into a
-    finite number of cells."""
+    finite number of cells, fewer than 2**52."""
     if dx <= 0 or b <= a:
         raise DegenerateGrid(f"bad interval ({a}, {b}) or dx={dx}")
     n_exact = (b - a) / dx
@@ -73,6 +73,9 @@ def make_grid(a: float, b: float, dx: float, n_halo: int) -> Grid1d:
     n = int(round(n_exact))
     if n < 1:
         raise DegenerateGrid("no interior cells")
+    if n >= 2 ** 52:    # cell offsets j + 1/2 are exact doubles below 2**52
+        raise DegenerateGrid(f"interval ({a}, {b}) needs {n_exact} cells of "
+                             f"width {dx}, not fewer than 2**52")
     if abs(n_exact - n) > 1e-9 * max(1.0, n):
         raise DegenerateGrid(f"dx={dx} does not divide ({a}, {b}) evenly")
     return Grid1d(a=a, b=b, n=n, n_halo=int(n_halo))

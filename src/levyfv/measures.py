@@ -65,8 +65,9 @@ class LevyMeasure:
 
     Every band quantity is read through `leaves()`: it sums, over the leaves
     whose folded window the band meets, the leaf's coefficient times the
-    leaf's hook on the band clipped to that window.  Sums and scalings have
-    no hooks of their own."""
+    leaf's hook on the band clipped to that window, and `validate_measure`
+    runs each leaf's `validate`.  Sums and scalings have no hooks of their
+    own."""
 
     lo: float = 0.0
     hi: float = _INF
@@ -361,18 +362,12 @@ class AtomicSymmetric(LevyMeasure):
 
 @dataclass(frozen=True)
 class _DyadicFamily(LevyMeasure):
-    """Atoms at radii 2^-k, k >= 1, with kind-specific pair weights.  The
-    first EXPLICIT_ATOMS atoms are summed one by one; the second moment of
-    the rest is a closed-form tail."""
+    """Atoms at radii 2^-k, k >= 1, with pair weight RATIO^k.  The first
+    EXPLICIT_ATOMS atoms are summed one by one; the second moment of the
+    rest, the sum over k > EXPLICIT_ATOMS of q^k with q = RATIO / 4, is the
+    geometric tail q^(EXPLICIT_ATOMS + 1) / (1 - q)."""
 
     EXPLICIT_ATOMS = 60
-
-    def _pair_weight(self, k: int) -> float:
-        raise NotImplementedError
-
-    def _tail_second(self, k: int) -> float:
-        """Sum over j > k of pair_weight(j) * 4^-j, in closed form."""
-        raise NotImplementedError
 
     # a band from below 2^-EXPLICIT_ATOMS holds atoms past the explicit ones
     def _mass(self, a, b, ia, ib):
@@ -383,13 +378,14 @@ class _DyadicFamily(LevyMeasure):
     def _second(self, a, b, ia, ib):
         out = super()._second(a, b, ia, ib)
         if a < 2.0 ** -self.EXPLICIT_ATOMS:
-            out += self._tail_second(self.EXPLICIT_ATOMS)
+            q = self.RATIO / 4
+            out += q ** (self.EXPLICIT_ATOMS + 1) / (1 - q)
         return out
 
     # the symbol sums the explicit atoms only; the remainder is below
-    # xi^2 * tail_second / 2
+    # xi^2 * tail / 2
     def _atoms(self, a, b, ia, ib):
-        return [(2.0 ** -k, 0.5 * self._pair_weight(k))
+        return [(2.0 ** -k, 0.5 * self.RATIO ** k)
                 for k in range(1, self.EXPLICIT_ATOMS + 1)
                 if _in_band(2.0 ** -k, a, b, ia, ib)]
 
@@ -400,11 +396,7 @@ class DyadicA(_DyadicFamily):
     symbol that stays below (2/3)*pi^2 along xi = pi*2^n while growing like
     log2|xi| along generic rays."""
 
-    def _pair_weight(self, k):
-        return 1.0
-
-    def _tail_second(self, k):
-        return (4.0 ** -k) / 3.0
+    RATIO = 1
 
 
 @dataclass(frozen=True)
@@ -412,11 +404,7 @@ class DyadicB(_DyadicFamily):
     """Pair weight 2^k: infinite mass, moment 1, coercive symbol, but with
     truncations whose symbols vanish at xi = pi*2^(n+1)."""
 
-    def _pair_weight(self, k):
-        return float(2 ** k)
-
-    def _tail_second(self, k):
-        return 2.0 ** -k
+    RATIO = 2
 
 
 # ---------------------------------------------------------------------------
@@ -426,10 +414,6 @@ class DyadicB(_DyadicFamily):
 @dataclass(frozen=True)
 class SumMeasure(LevyMeasure):
     parts: tuple = ()
-
-    def validate(self) -> None:
-        for p in self.parts:
-            p.validate()
 
     def leaves(self):
         for p in self.parts:
@@ -447,9 +431,6 @@ class ScaledMeasure(LevyMeasure):
         if self.factor <= 0:
             raise ValueError("scale factor must be positive")
 
-    def validate(self) -> None:
-        self.inner.validate()
-
     def leaves(self):
         for coef, leaf in self.inner.leaves():
             yield self.factor * coef, replace(leaf, lo=max(leaf.lo, self.lo),
@@ -466,7 +447,8 @@ def validate_measure(measure: LevyMeasure) -> MomentReport:
     Total mass may be inf (structural divergence).  A levy moment that is
     not finite (it diverges, or it overflows) raises DivergentLevyMoment.
     """
-    measure.validate()
+    for _, leaf in measure.leaves():
+        leaf.validate()
     moment = measure.levy_moment()
     if not math.isfinite(moment):
         raise DivergentLevyMoment("levy moment diverges")
@@ -479,15 +461,6 @@ def truncate(measure: LevyMeasure, r: float):
         raise ValueError("truncation radius must be positive")
     return (measure.second_moment_below(r),
             replace(measure, lo=max(measure.lo, r)))
-
-
-def _atom_dict(leaves):
-    """Radius -> total per-side weight for the purely atomic leaves."""
-    out = {}
-    for coef, leaf in leaves:
-        for rad, w in leaf.atoms_between():
-            out[rad] = out.get(rad, 0.0) + coef * w
-    return out
 
 
 def _canonical_radii(radii):
@@ -514,13 +487,16 @@ def _merge(d, canon):
 
 
 def _split_leaves(measure):
-    atomic, continuous = [], []
+    """The atomic leaves as radius -> total per-side weight, and the
+    continuous leaves as (coefficient, leaf)."""
+    atoms, continuous = {}, []
     for coef, leaf in measure.leaves():
-        if leaf.atoms_between() is not None:
-            atomic.append((coef, leaf))
-        else:
+        pairs = leaf.atoms_between()
+        if pairs is None:
             continuous.append((coef, leaf))
-    return atomic, continuous
+        for rad, w in pairs or ():
+            atoms[rad] = atoms.get(rad, 0.0) + coef * w
+    return atoms, continuous
 
 
 def weighted_tv_distance(mu1: LevyMeasure, mu2: LevyMeasure) -> float:
@@ -528,19 +504,17 @@ def weighted_tv_distance(mu1: LevyMeasure, mu2: LevyMeasure) -> float:
 
     Atomic and absolutely continuous parts are mutually singular, so the
     distance splits cleanly.  Atoms of either measure at near-identical radii
-    are one atom.  Continuous parts, sums of power laws, are compared in
-    closed form (`_continuous_tv`).
+    are one atom, and the atoms' terms are summed exactly rounded, so that
+    swapping the sides gives the same bits.  Continuous parts, sums of power
+    laws, are compared in closed form (`_continuous_tv`).
     """
-    a1, c1 = _split_leaves(mu1)
-    a2, c2 = _split_leaves(mu2)
-    total = 0.0
-
-    d1, d2 = _atom_dict(a1), _atom_dict(a2)
+    d1, c1 = _split_leaves(mu1)
+    d2, c2 = _split_leaves(mu2)
     canon = _canonical_radii(set(d1) | set(d2))
     d1, d2 = _merge(d1, canon), _merge(d2, canon)
-    for rad in set(d1) | set(d2):
-        total += (min(rad * rad, 1.0) * 2.0
-                  * abs(d1.get(rad, 0.0) - d2.get(rad, 0.0)))
+    total = math.fsum(min(rad * rad, 1.0) * 2.0
+                      * abs(d1.get(rad, 0.0) - d2.get(rad, 0.0))
+                      for rad in d1.keys() | d2.keys())
     return total + _continuous_tv(c1, c2)
 
 

@@ -86,7 +86,8 @@ def build_stencil(measure: LevyMeasure, dx: float, r: float,
                   Z: float) -> StencilWeights:
     """Discretize a measure into shift weights on a grid of spacing dx.
 
-    Requires 0 < dx <= r <= Z.  Z is snapped to the nearest multiple of dx.
+    Requires 0 < dx <= r <= Z, and Z snaps to K = round(Z / dx) cells,
+    fewer than 2**52 (else `BadRadii`).
     Atoms are assigned to the half-open cell containing them (mirrored pairs
     are binned by their positive representative, preserving symmetry exactly);
     a continuous leaf gives each cell half its `mass_between` on the cell
@@ -98,6 +99,9 @@ def build_stencil(measure: LevyMeasure, dx: float, r: float,
     """
     if not (0.0 < dx <= r <= Z):
         raise BadRadii(f"need 0 < dx <= r <= Z, got dx={dx}, r={r}, Z={Z}")
+    if not Z / dx < 2 ** 52 - 0.5:      # K = round(Z / dx) below 2**52
+        raise BadRadii(f"Z={Z} spans {Z / dx} cells of dx={dx}: the count "
+                       f"must be finite and below 2**52")
     validate_measure(measure)
     K = max(1, int(round(Z / dx)))
     Z_eff = K * dx
@@ -303,5 +307,4 @@ def fourier_energy_check(phi: np.ndarray, dx: float, ev: MultiplierEval,
         "lhs": lhs,
         "rhs": rhs,
         "rel_err": abs(lhs - rhs) / denom,
-        "fft_pow2": n & (n - 1) == 0,
     }

@@ -339,6 +339,29 @@ def test_a_domain_without_a_finite_cell_count_exit_3(tmp_path, capsys, end):
     assert "finite number of cells" in err[0]
 
 
+SOLVE_ATOM = ["run", "--mode", "solve", "--measure", "single_atom"]
+
+
+@pytest.mark.parametrize("argv", [
+    SOLVE_ATOM + ["--problem", json.dumps({
+        "flux": "burgers", "diffusion": "identity", "data": "bump",
+        "domain": [0.0, 1e300]}), "--dx", "0.03125", "--Z", "0.5"],
+    SOLVE_ATOM + ["--dx", "0.03125", "--Z", "inf"],
+    SOLVE_ATOM + ["--dx", "0.03125", "--Z", "1e300"],
+    SOLVE_ATOM + ["--dx", "1e-300", "--Z", "0.5"],
+    ["stencil", "--measure", "single_atom", "--dx", "0.03125", "--r",
+     "0.0625", "--Z", "inf"]])
+def test_a_cell_count_of_2_52_or_more_exit_3(tmp_path, capsys, argv):
+    # half-integer offsets j + 1/2 are exact doubles only below 2**52: the
+    # grid (n) and the stencil (K = round(Z / dx)) refuse more cells
+    out = tmp_path / "o"
+    assert main(argv + ["--out", str(out)]) == 3
+    assert not out.is_file() and not (out / "trajectory.csv").exists()
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("runtime error: ")
+    assert "2**52" in err[0]
+
+
 def test_runtime_error_exit_3(tmp_path):
     # explicit dt above the monotonicity bound with enforcement on
     cfg = tmp_path / "cfg.json"

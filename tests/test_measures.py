@@ -12,6 +12,7 @@ from levyfv.measures import (AtomicSymmetric, DyadicA, DyadicB,
                              SumMeasure, single_atom, truncate,
                              validate_measure, weighted_tv_distance,
                              zero_measure)
+from levyfv.stencil import build_stencil
 
 
 def test_dyadic_a_moment_exact():
@@ -377,3 +378,81 @@ def test_composite_symbol_is_leaf_sum(name):
         for coef, leaf in m.leaves():
             total += coef * leaf.multiplier_value(xi)
         assert m.multiplier_value(xi) == total
+
+
+# -- composites are validated through their leaves ----------------------------
+
+BAD_ATOMS = {
+    "unmirrored": (((0.3, 0.5, False),), NonSymmetric),
+    "mirror_conflict": (((0.3, 0.5), (-0.3, 0.25)), NonSymmetric),
+    "atom_at_origin": (((0.0, 1.0),), MassAtOrigin),
+    "zero_weight": (((0.3, 0.0),), NonSymmetric),
+    "negative_weight": (((0.3, -1.0),), NonSymmetric),
+}
+WRAPPERS = {
+    "sum": lambda bad: SumMeasure(parts=(single_atom(0.5, 0.5), bad)),
+    "scaled": lambda bad: ScaledMeasure(factor=2.0, inner=bad),
+    # the window leaves the bad atom out of every band
+    "window": lambda bad: SumMeasure(parts=(single_atom(0.5, 0.5), bad),
+                                     lo=0.4),
+}
+
+
+@pytest.mark.parametrize("bad", sorted(BAD_ATOMS))
+@pytest.mark.parametrize("wrapper", sorted(WRAPPERS))
+def test_composites_raise_their_leaves_errors(bad, wrapper):
+    entries, error = BAD_ATOMS[bad]
+    m = WRAPPERS[wrapper](AtomicSymmetric(entries=entries))
+    with pytest.raises(error):
+        validate_measure(m)
+    with pytest.raises(error):
+        build_stencil(m, 0.0625, 0.0625, 1.0)
+
+
+# -- the dyadic rule: pair weight RATIO^k at radius 2^-k ----------------------
+
+@pytest.mark.parametrize("kind, ratio", [(DyadicA, 1), (DyadicB, 2)])
+def test_dyadic_weights_and_tail_follow_one_ratio(kind, ratio):
+    assert kind.RATIO == ratio
+    assert kind().atoms_between() == [(2.0 ** -k, 0.5 * ratio ** k)
+                                      for k in range(1, 61)]
+    # below the explicit atoms only the closed-form tail is left; against
+    # the continuation summed term by term
+    tail = kind().second_moment_between(0.0, 2.0 ** -61)
+    continuation = math.fsum((ratio / 4) ** k for k in range(61, 1101))
+    assert abs(tail - continuation) <= 2 * math.ulp(continuation)
+
+
+# -- the weighted TV on random composites -------------------------------------
+
+_WINDOW = st.tuples(st.sampled_from([0.0, 1 / 32, 0.2]),
+                    st.sampled_from([0.4, 1.0, math.inf]))
+_ENTRY = st.tuples(st.sampled_from([0.1, 0.25, 0.3, 0.1 + 0.2, 0.5, 1.5]),
+                   st.sampled_from([0.125, 0.25, 1.0]))
+# two exponents at most, so no piece has three power laws of mixed sign
+_LEAF = st.one_of(
+    st.builds(lambda e, w: AtomicSymmetric(entries=tuple(e), lo=w[0],
+                                           hi=w[1]),
+              st.lists(_ENTRY, max_size=3), _WINDOW),
+    st.builds(lambda kind, w: kind(lo=w[0], hi=w[1]),
+              st.sampled_from([DyadicA, DyadicB]), _WINDOW),
+    st.builds(lambda al, c, w: FractionalRadial(alpha=al, coeff=c, lo=w[0],
+                                                hi=w[1]),
+              st.sampled_from([0.7, 1.5]), st.sampled_from([0.5, 1.0, 2.0]),
+              _WINDOW))
+_MEASURE = st.recursive(_LEAF, lambda inner: st.one_of(
+    st.builds(lambda f, m: ScaledMeasure(factor=f, inner=m),
+              st.sampled_from([0.25, 0.5, 3.0]), inner),
+    st.builds(lambda ps, w: SumMeasure(parts=tuple(ps), lo=w[0], hi=w[1]),
+              st.lists(inner, min_size=1, max_size=3), _WINDOW)),
+    max_leaves=4)
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(a=_MEASURE, b=_MEASURE)
+def test_tv_is_symmetric_and_zero_on_equal_measures(a, b):
+    assert (weighted_tv_distance(a, b).hex()
+            == weighted_tv_distance(b, a).hex())
+    assert weighted_tv_distance(a, a) == 0.0
+    assert weighted_tv_distance(
+        a, SumMeasure(parts=(a, zero_measure()))) == 0.0

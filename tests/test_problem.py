@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from levyfv.errors import DegenerateGrid, UnknownPreset
+from levyfv.grids import make_grid
 from levyfv.measures import zero_measure
 from levyfv.problem import (PROBLEM_PRESETS, ExteriorData, PiecewiseLinear,
                             ProblemSpec, diffusion_from_table,
@@ -147,6 +148,15 @@ def test_discretize_empty_interior():
     spec = make_problem("burgers", "zero", "bump", domain=(0.0, 0.1))
     with pytest.raises(DegenerateGrid):
         discretize(spec, stencil_of(0.25))
+
+
+def test_make_grid_counts_fewer_than_2_52_cells():
+    # half-integer cell offsets j + 1/2 are exact doubles only below 2**52;
+    # make_grid builds no array, so the largest grid it accepts is cheap
+    assert make_grid(0.0, 2.0 ** 52 - 1, 1.0, 3).n == 2 ** 52 - 1
+    for b in (2.0 ** 52 - 0.5, 2.0 ** 52, 1e300):
+        with pytest.raises(DegenerateGrid, match=r"2\*\*52"):
+            make_grid(0.0, b, 1.0, 3)
 
 
 # -- exterior extension --------------------------------------------------------

@@ -165,6 +165,10 @@ INFINITE_DOMAIN = {"mode": "solve", "problem": {
     "flux": "burgers", "diffusion": "identity", "data": "bump",
     "domain": [0.0, float("inf")]}, "measure": "none", "dx": 1.0 / 32,
     "Z": 0.5}
+# and so is one of 2**52 cells or more (1e300 / dx), and a Z = inf stencil
+# of as many offsets is bad radii
+HUGE_DOMAIN = {**INFINITE_DOMAIN, "problem": {
+    **INFINITE_DOMAIN["problem"], "domain": [0.0, 1e300]}}
 
 
 def matrix():
@@ -236,6 +240,10 @@ def matrix():
         ("refuse_text_dx", ["run"], TEXT_DX),
         ("refuse_negative_tol", ["run"], NEGATIVE_TOL),
         ("refuse_infinite_domain", ["run"], INFINITE_DOMAIN),
+        ("refuse_huge_domain", ["run"], HUGE_DOMAIN),
+        ("refuse_infinite_Z", ["run", "--mode", "solve", "--problem",
+                               "burgers_bump", "--measure", "single_atom",
+                               "--dx", "0.03125", "--Z", "inf"], None),
     ]
     for label, measure in {**SCAN_MEASURES, **STENCIL_MEASURES}.items():
         ref = json.dumps(measure) if isinstance(measure, dict) else measure
